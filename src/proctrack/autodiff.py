@@ -3,8 +3,8 @@
 Everything is float64 and CPU-only. A Tensor wraps a numpy array plus an
 optional gradient; ops build a tape of backward closures that `backward()`
 replays in reverse topological order. Gradients accumulate additively until
-`zero_grads` (or an optimizer step) clears them, so several losses can be
-backpropagated before a single parameter update.
+an optimizer step clears them, so several losses can be backpropagated before
+a single parameter update.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise ShapeMismatchError(
@@ -76,12 +73,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
 
 def _result(data, parents, backward_fn):
     out = Tensor(data)
@@ -93,6 +84,8 @@ def _result(data, parents, backward_fn):
 
 
 def _unbroadcast(g, shape):
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for i, s in enumerate(shape):
@@ -102,16 +95,18 @@ def _unbroadcast(g, shape):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """np.matmul of two tensors of rank >= 2, broadcasting leading axes."""
+    if (a.data.ndim < 2 or b.data.ndim < 2
+            or a.data.shape[-1] != b.data.shape[-2]):
         raise ShapeMismatchError(
             f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}"
         )
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _result(a.data @ b.data, (a, b), bw)
 
@@ -124,16 +119,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _result(a.data + b.data, (a, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _result(a.data * b.data, (a, b), bw)
 
 
 def scale(a: Tensor, c) -> Tensor:
@@ -161,10 +146,14 @@ def gelu(a: Tensor) -> Tensor:
     return _result(out, (a,), bw)
 
 
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax of a plain array; builds no tape node."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = softmax_array(a.data, axis)
 
     def bw(g):
         if a.requires_grad:
@@ -173,23 +162,25 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(y, (a,), bw)
 
 
-def cross_entropy(probs: Tensor, gold_index: int) -> Tensor:
-    """-log(probs[gold_index]) on a 1-D distribution, input clamped at 1e-12."""
-    if probs.data.ndim != 1:
-        raise ShapeMismatchError(f"cross_entropy expects 1-D probs, got {probs.shape}")
-    if not 0 <= gold_index < probs.data.shape[0]:
+def cross_entropy(logits: Tensor, gold_index: int) -> Tensor:
+    """-log_softmax(logits)[gold_index] on a 1-D vector of logits."""
+    if logits.data.ndim != 1:
+        raise ShapeMismatchError(
+            f"cross_entropy expects 1-D logits, got {logits.shape}")
+    if not 0 <= gold_index < logits.data.shape[0]:
         raise IndexError(
-            f"gold index {gold_index} out of range for {probs.data.shape[0]} classes"
+            f"gold index {gold_index} out of range for {logits.data.shape[0]} classes"
         )
-    p = max(float(probs.data[gold_index]), 1e-12)
+    shifted = logits.data - logits.data.max()
+    log_z = math.log(np.exp(shifted).sum())
 
     def bw(g):
-        if probs.requires_grad:
-            dp = np.zeros_like(probs.data)
-            dp[gold_index] = -float(g) / p
-            probs._accumulate(dp)
+        if logits.requires_grad:
+            d = np.exp(shifted - log_z)
+            d[gold_index] -= 1.0
+            logits._accumulate(g * d)
 
-    return _result(-math.log(p), (probs,), bw)
+    return _result(log_z - shifted[gold_index], (logits,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -248,12 +239,17 @@ def concat(tensors, axis: int = 1) -> Tensor:
     return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
 
-def transpose(a: Tensor) -> Tensor:
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute axes; by default swap the last two."""
+    if axes is None:
+        axes = tuple(range(a.data.ndim - 2)) + (a.data.ndim - 1, a.data.ndim - 2)
+    inverse = tuple(np.argsort(axes))
+
     def bw(g):
         if a.requires_grad:
-            a._accumulate(g.T)
+            a._accumulate(g.transpose(inverse))
 
-    return _result(a.data.T, (a,), bw)
+    return _result(a.data.transpose(axes), (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -269,19 +265,23 @@ def reshape(a: Tensor, shape) -> Tensor:
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     def bw(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[start:stop] = g
-            a._accumulate(full)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[start:stop] += g
 
     return _result(a.data[start:stop], (a,), bw)
 
 
 def mean_of(tensors) -> Tensor:
-    """Mean of a list of scalar tensors."""
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = add(total, t)
-    return scale(total, 1.0 / len(tensors))
+    """Mean of a list of scalar tensors, as one tape node."""
+    c = 1.0 / len(tensors)
+
+    def bw(g):
+        for t in tensors:
+            if t.requires_grad:
+                t._accumulate(g * c)
+
+    return _result(sum(t.data for t in tensors) * c, tuple(tensors), bw)
 
 
 @dataclass
@@ -314,11 +314,6 @@ def sgd_step(params: dict, config: SgdConfig, step_count: int) -> None:
         if not np.all(np.isfinite(p.grad)):
             raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
         p.data -= lr * p.grad
-        p.grad = None
-
-
-def zero_grads(params: dict) -> None:
-    for p in params.values():
         p.grad = None
 
 

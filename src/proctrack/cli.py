@@ -34,9 +34,13 @@ class ConfigError(ValueError):
     pass
 
 
-def load_run_config(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        cfg = json.load(f)
+def load_run_config(path=None) -> dict:
+    """The run config in the JSON file at `path`; defaults for what it omits,
+    or for everything when `path` is None."""
+    cfg = {}
+    if path is not None:
+        with open(path, encoding="utf-8") as f:
+            cfg = json.load(f)
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -47,15 +51,11 @@ def load_run_config(path) -> dict:
                                           "decay_every": 50}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return {"encoder": encoder, "sgd": sgd,
-            "epochs": int(cfg.get("epochs", 50)),
-            "seed": int(cfg.get("seed", 0))}
-
-
-def _default_run_config() -> dict:
-    return {"encoder": EncoderConfig(),
-            "sgd": SgdConfig(learning_rate=3e-4, decay_factor=0.5, decay_every=50),
-            "epochs": 50, "seed": 0}
+    epochs, seed = cfg.get("epochs", 50), cfg.get("seed", 0)
+    if type(epochs) is not int or type(seed) is not int:
+        raise ConfigError(
+            f"epochs and seed must be integers, got {epochs!r}, {seed!r}")
+    return {"encoder": encoder, "sgd": sgd, "epochs": epochs, "seed": seed}
 
 
 def gold_tables(procs):
@@ -79,7 +79,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config) if args.config else _default_run_config()
+    cfg = load_run_config(args.config)
     if args.epochs is not None:
         cfg["epochs"] = args.epochs
     if args.seed is not None:

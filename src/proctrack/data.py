@@ -57,9 +57,11 @@ def _normalize(value: str) -> str:
 
 
 def find_token_occurrences(needle: list[str], paragraph: list[str]) -> list[tuple[int, int]]:
+    """Inclusive (start, end) of every verbatim occurrence, in order; none
+    for an empty needle."""
     k = len(needle)
     return [(i, i + k - 1) for i in range(len(paragraph) - k + 1)
-            if paragraph[i:i + k] == needle]
+            if k and paragraph[i:i + k] == needle]
 
 
 def candidate_spans_from_grid(sentences, grid):

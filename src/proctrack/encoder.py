@@ -1,8 +1,8 @@
 """Micro transformer encoder with token + position + time-id embeddings.
 
-Pre-norm residual blocks, per-head attention projections, GELU feedforward,
-and a final layer norm. The time-id table starts at zero so a fresh model is
-step-agnostic until training moves it.
+Pre-norm residual blocks, one fused q/k/v projection split into heads, GELU
+feedforward, and a final layer norm. The time-id table starts at zero so a
+fresh model is step-agnostic until training moves it.
 """
 
 from __future__ import annotations
@@ -80,10 +80,9 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict
         p = f"layer{l}."
         params[p + "ln1.gain"] = np.ones(d)
         params[p + "ln1.bias"] = np.zeros(d)
-        for h in range(config.n_heads):
-            params[p + f"attn.q{h}"] = normal(d, dh)
-            params[p + f"attn.k{h}"] = normal(d, dh)
-            params[p + f"attn.v{h}"] = normal(d, dh)
+        # Columns are head-major: q0 k0 v0 q1 k1 v1 ...
+        params[p + "attn.qkv"] = np.concatenate(
+            [normal(d, dh) for _ in range(3 * config.n_heads)], axis=1)
         params[p + "attn.out"] = normal(d, d)
         params[p + "attn.out_bias"] = np.zeros(d)
         params[p + "ln2.gain"] = np.ones(d)
@@ -125,17 +124,16 @@ def encode(embedded: Tensor, params: dict, config: EncoderConfig,
     for l in range(config.n_layers):
         p = f"layer{l}."
         h = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
-        heads = []
-        for hd in range(config.n_heads):
-            q = ad.matmul(h, params[p + f"attn.q{hd}"])
-            k = ad.matmul(h, params[p + f"attn.k{hd}"])
-            v = ad.matmul(h, params[p + f"attn.v{hd}"])
-            scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh))
-            probs = ad.softmax(scores, axis=-1)
-            if collect_attn:
-                attn_probs.append(probs.data.copy())
-            heads.append(ad.matmul(probs, v))
-        merged = ad.concat(heads, axis=1)
+        # (T, 3d) -> (T, H, 3, dh) -> (3, H, T, dh): q, k, v with a head axis.
+        qkv = ad.transpose(ad.reshape(ad.matmul(h, params[p + "attn.qkv"]),
+                                      (T, config.n_heads, 3, dh)), (2, 1, 0, 3))
+        q, k, v = (ad.slice_rows(qkv, i, i + 1) for i in range(3))
+        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh))
+        probs = ad.softmax(scores, axis=-1)  # (1, H, T, T)
+        if collect_attn:
+            attn_probs.extend(probs.data[0].copy())
+        merged = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)),
+                            (T, config.d_model))
         attn_out = ad.add(ad.matmul(merged, params[p + "attn.out"]),
                           params[p + "attn.out_bias"])
         x = ad.add(x, _dropout(attn_out, config.dropout, drop_rng))

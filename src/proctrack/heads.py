@@ -1,4 +1,8 @@
-"""Prediction heads: 3-way status over [CLS] and start/end span distributions."""
+"""Prediction heads: 3-way status over [CLS] and start/end span distributions.
+
+The heads emit logits; the loss is a log-softmax NLL on them, and the
+probabilities used for decoding are computed from them on demand.
+"""
 
 from __future__ import annotations
 
@@ -25,29 +29,29 @@ def status_class_of(value: str) -> int:
 
 @dataclass
 class StatusPrediction:
-    probs_t: Tensor  # shape (3,)
+    logits_t: Tensor  # shape (3,)
 
     @property
     def probs(self) -> np.ndarray:
-        return self.probs_t.data
+        return ad.softmax_array(self.logits_t.data)
 
     @property
     def argmax(self) -> int:
-        return int(np.argmax(self.probs_t.data))
+        return int(np.argmax(self.logits_t.data))
 
 
 @dataclass
 class SpanPrediction:
-    start_t: Tensor  # shape (T,)
-    end_t: Tensor  # shape (T,)
+    start_t: Tensor  # logits, shape (T,)
+    end_t: Tensor  # logits, shape (T,)
 
     @property
     def start_probs(self) -> np.ndarray:
-        return self.start_t.data
+        return ad.softmax_array(self.start_t.data)
 
     @property
     def end_probs(self) -> np.ndarray:
-        return self.end_t.data
+        return ad.softmax_array(self.end_t.data)
 
 
 @dataclass
@@ -62,7 +66,7 @@ def status_head(output: EncoderOutput, w: Tensor) -> StatusPrediction:
             f"status weight must be d_model x 3, got {w.data.shape}"
         )
     logits = ad.reshape(ad.matmul(output.cls, w), (3,))
-    return StatusPrediction(probs_t=ad.softmax(logits, axis=-1))
+    return StatusPrediction(logits_t=logits)
 
 
 def span_head(output: EncoderOutput, w_start: Tensor, w_end: Tensor) -> SpanPrediction:
@@ -72,8 +76,8 @@ def span_head(output: EncoderOutput, w_start: Tensor, w_end: Tensor) -> SpanPred
             raise ad.ShapeMismatchError(
                 f"span weight must be d_model x 1, got {w.data.shape}"
             )
-    start = ad.softmax(ad.reshape(ad.matmul(output.hidden, w_start), (T,)), axis=-1)
-    end = ad.softmax(ad.reshape(ad.matmul(output.hidden, w_end), (T,)), axis=-1)
+    start = ad.reshape(ad.matmul(output.hidden, w_start), (T,))
+    end = ad.reshape(ad.matmul(output.hidden, w_end), (T,))
     return SpanPrediction(start_t=start, end_t=end)
 
 
@@ -83,7 +87,7 @@ def joint_loss(status: StatusPrediction, span: SpanPrediction, gold: GoldStep) -
     Gold steps whose location text could not be aligned to the paragraph have
     gold.span = None; their span terms are skipped (callers flag them).
     """
-    loss = ad.cross_entropy(status.probs_t, gold.status_class)
+    loss = ad.cross_entropy(status.logits_t, gold.status_class)
     if gold.status_class == STATUS_KNOWN and gold.span is not None:
         s, e = gold.span
         loss = ad.add(loss, ad.cross_entropy(span.start_t, s))
@@ -101,16 +105,3 @@ def init_head_params(d_model: int, rng: np.random.Generator) -> dict:
                            requires_grad=True, name="head.end"),
     }
 
-
-def resolve_gold_span(location_tokens: list[str], paragraph: list[str]):
-    """First exact token-sequence occurrence of the location in the paragraph.
-
-    Returns (start, end) paragraph-global inclusive indices, or None.
-    """
-    k = len(location_tokens)
-    if k == 0:
-        return None
-    for i in range(len(paragraph) - k + 1):
-        if paragraph[i:i + k] == location_tokens:
-            return (i, i + k - 1)
-    return None

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heads import STATUS_GONE, STATUS_UNKNOWN, SpanPrediction, StatusPrediction
+from .heads import (
+    STATUS_GONE, STATUS_KNOWN, STATUS_UNKNOWN, SpanPrediction, StatusPrediction,
+)
 
 
 @dataclass
@@ -48,13 +50,9 @@ def decode_step(status: StatusPrediction, span: SpanPrediction,
 def decode_step_unfiltered(status: StatusPrediction, span: SpanPrediction,
                            span_text, paragraph_positions) -> DecodedState:
     """Ablation path: independent start/end argmax over paragraph tokens only."""
-    cls = status.argmax
-    if cls == STATUS_GONE:
-        return DecodedState("-")
-    if cls == STATUS_UNKNOWN:
-        return DecodedState("?")
-    if not paragraph_positions:
-        return DecodedState("?", flagged=True)
+    if status.argmax != STATUS_KNOWN or not paragraph_positions:
+        # decode_step's "-", "?" and flagged no-candidate results.
+        return decode_step(status, span, [], span_text)
     pos = np.asarray(paragraph_positions)
     s = int(pos[np.argmax(span.start_probs[pos])])
     e = int(pos[np.argmax(span.end_probs[pos])])

@@ -9,11 +9,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Procedure
+from .data import DataError, Procedure, find_token_occurrences
 from .encoder import EncoderConfig, embed, encode, init_encoder_params
 from .heads import (
     GoldStep, SpanPrediction, StatusPrediction, init_head_params, joint_loss,
-    resolve_gold_span, span_head, status_class_of, status_head,
+    span_head, status_class_of, status_head,
 )
 from .inference import (
     DecodedState, decode_step, decode_step_unfiltered, repair_timeline,
@@ -57,14 +57,27 @@ class TrackerModel:
 
     @classmethod
     def load(cls, directory) -> "TrackerModel":
+        """Load a checkpoint; DataError if its tensors are not the names and
+        shapes its config implies."""
         vocab = Vocab.load(os.path.join(directory, "vocab.json"))
-        config = EncoderConfig.load(os.path.join(directory, "config.json"))
-        params = ad.load_checkpoint(os.path.join(directory, "params.json"))
+        try:
+            config = EncoderConfig.load(os.path.join(directory, "config.json"))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{directory}: config.json: {exc}") from exc
         if config.vocab_size != len(vocab):
-            raise ValueError(
+            raise DataError(
                 f"checkpoint vocab size {config.vocab_size} does not match "
                 f"vocab file with {len(vocab)} entries"
             )
+        params = ad.load_checkpoint(os.path.join(directory, "params.json"))
+        found = {k: t.shape for k, t in params.items()}
+        implied = {k: t.shape for k, t in cls.fresh(vocab, config, 0).params.items()}
+        if found != implied:
+            raise DataError(f"{directory}: params.json does not match config.json: "
+                            + "; ".join(f"{k}: found {found.get(k, 'nothing')}, "
+                                        f"expected {implied.get(k, 'nothing')}"
+                                        for k in sorted(found.keys() | implied.keys())
+                                        if found.get(k) != implied.get(k)))
         return cls(vocab=vocab, config=config, params=params)
 
     # -- forward ------------------------------------------------------------
@@ -93,11 +106,12 @@ class TrackerModel:
             cls = status_class_of(value)
             span = None
             if cls == 2:
-                g = resolve_gold_span(tokenize(value), paragraph)
-                if g is None:
-                    unaligned += 1
+                occurrences = find_token_occurrences(tokenize(value), paragraph)
+                if occurrences:
+                    s, e = occurrences[0]
+                    span = (g2l[s], g2l[e])
                 else:
-                    span = (g2l[g[0]], g2l[g[1]])
+                    unaligned += 1
             steps.append(GoldStep(status_class=cls, span=span))
         return steps, unaligned
 

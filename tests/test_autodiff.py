@@ -39,6 +39,18 @@ class TestMatmul:
 
         check_gradients(loss, [a, b])
 
+    def test_batched_gradient_broadcasts_leading_axes(self, rng):
+        a, b, c = leaf(rng, 2, 3, 4), leaf(rng, 4, 5), leaf(rng, 1, 5, 2)
+        out = ad.matmul(ad.matmul(a, b), c)
+        np.testing.assert_allclose(out.data, a.data @ b.data @ c.data, atol=1e-12)
+        check_gradients(lambda: total(ad.matmul(ad.matmul(a, b), c)), [a, b, c])
+
+
+def total(t):
+    """Scalar sum of a tensor's entries, built from tape ops."""
+    flat = ad.reshape(t, (1, t.data.size))
+    return ad.reshape(ad.matmul(flat, Tensor(np.ones((t.data.size, 1)))), ())
+
 
 class TestSoftmax:
     def test_uniform_on_zeros(self):
@@ -84,18 +96,22 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
-        assert float(ad.cross_entropy(Tensor([1.0, 0.0, 0.0]), 0).data) == 0.0
+        assert float(ad.cross_entropy(Tensor([0.0, -np.inf, -np.inf]), 0).data) == 0.0
 
     def test_uniform_three_way_is_ln3(self):
         for gold in range(3):
-            loss = ad.cross_entropy(Tensor([1 / 3, 1 / 3, 1 / 3]), gold)
+            loss = ad.cross_entropy(Tensor(np.zeros(3)), gold)
             assert abs(float(loss.data) - math.log(3)) < 1e-12
 
     def test_matches_direct_formula(self, rng):
         p = rng.dirichlet(np.ones(7))
         for gold in range(7):
-            loss = ad.cross_entropy(Tensor(p), gold)
+            loss = ad.cross_entropy(Tensor(np.log(p)), gold)
             assert abs(float(loss.data) - (-math.log(p[gold]))) < 1e-12
+
+    def test_large_logit_gap_is_not_clamped(self):
+        loss = ad.cross_entropy(Tensor([1000.0, 0.0, 0.0]), 1)
+        assert float(loss.data) == pytest.approx(1000.0, abs=1e-9)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -103,7 +119,7 @@ class TestCrossEntropy:
 
     def test_gradient_through_softmax(self, rng):
         x = leaf(rng, 5)
-        check_gradients(lambda: ad.cross_entropy(ad.softmax(x), 2), [x])
+        check_gradients(lambda: ad.cross_entropy(x, 2), [x])
 
 
 class TestOtherOps:
@@ -145,13 +161,28 @@ class TestOtherOps:
 
         check_gradients(loss, [a, b])
 
+    def test_transpose_axes_gradient(self, rng):
+        x = leaf(rng, 2, 3, 4)
+        w = Tensor(rng.normal(0, 1, (24, 1)))
+        np.testing.assert_array_equal(ad.transpose(x).data, np.swapaxes(x.data, 1, 2))
+        check_gradients(lambda: ad.reshape(ad.matmul(ad.reshape(
+            ad.transpose(x, (2, 0, 1)), (1, 24)), w), ()), [x])
+
+    def test_mean_of_is_one_node(self, rng):
+        xs = [Tensor(v, requires_grad=True) for v in rng.normal(0, 1, 3)]
+        m = ad.mean_of(xs)
+        assert m._parents == tuple(xs)
+        assert float(m.data) == pytest.approx(np.mean([x.data for x in xs]))
+        m.backward()
+        assert [float(x.grad) for x in xs] == [pytest.approx(1 / 3)] * 3
+
     def test_grad_accumulation_is_additive(self, rng):
         x = leaf(rng, 3)
         for _ in range(2):
-            ad.cross_entropy(ad.softmax(x), 0).backward()
+            ad.cross_entropy(x, 0).backward()
         double = x.grad.copy()
         x.grad = None
-        ad.cross_entropy(ad.softmax(x), 0).backward()
+        ad.cross_entropy(x, 0).backward()
         np.testing.assert_allclose(double, 2 * x.grad, atol=1e-12)
 
 

@@ -1,12 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from proctrack.cli import (
     EXIT_CONFIG, EXIT_DATA, gold_tables, load_run_config, main,
 )
 from proctrack.data import load_procedures, save_procedures
+from proctrack.encoder import EncoderConfig
 from proctrack.fixtures import photosynthesis
+from proctrack.model import TrackerModel, vocab_from_procedures
 from proctrack.state_table import read_tsv, write_tsv
 
 
@@ -49,10 +52,42 @@ class TestRunConfig:
         cfg = load_run_config(path)
         assert cfg["sgd"].learning_rate == pytest.approx(3e-4)
         assert cfg["sgd"].effective_lr(120) == pytest.approx(3e-4 * 0.25)
+        assert load_run_config(None) == cfg  # `train` without --config
+
+    def test_non_integer_epochs_or_seed_is_config_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for bad in ({"epochs": "x"}, {"epochs": 2.5}, {"seed": "0"},
+                    {"seed": True}):
+            path.write_text(json.dumps(bad))
+            assert main(["train", "--data", "x.json", "--out",
+                         str(tmp_path / "o"), "--config", str(path)]) == EXIT_CONFIG
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o")]) == EXIT_DATA
+
+
+class TestCheckpointLayout:
+    def test_per_head_qkv_checkpoint_is_data_error(self, workspace):
+        """A checkpoint with separate attn.q{h}/k{h}/v{h} matrices, the layout
+        before the fused attn.qkv, is rejected instead of crashing."""
+        tmp_path, _, data = workspace
+        cfg = EncoderConfig(**TINY_CONFIG["encoder"])
+        ckpt = tmp_path / "ckpt"
+        TrackerModel.fresh(vocab_from_procedures(load_procedures(data)), cfg,
+                           seed=0).save(ckpt)
+        ppath = ckpt / "params.json"
+        blob = json.loads(ppath.read_text())
+        d, dh = cfg.d_model, cfg.d_model // cfg.n_heads
+        qkv = np.reshape(blob.pop("layer0.attn.qkv")["data"], (d, 3 * d))
+        for h in range(cfg.n_heads):
+            for i, part in enumerate("qkv"):
+                cols = qkv[:, (3 * h + i) * dh:(3 * h + i + 1) * dh]
+                blob[f"layer0.attn.{part}{h}"] = {"shape": [d, dh],
+                                                  "data": cols.ravel().tolist()}
+        ppath.write_text(json.dumps(blob))
+        assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
 
 
 class TestPipeline:

@@ -81,7 +81,8 @@ class TestEmbed:
 
 
 def straight_line_forward(inp, params, cfg):
-    """Independent numpy re-derivation for a 1-layer 1-head encoder."""
+    """Independent numpy re-derivation for a 1-layer encoder, one head at a
+    time, slicing each head's q, k, v columns out of the head-major qkv."""
     P = {k: v.data for k, v in params.items()}
     ids = list(inp.layout.token_ids)
     x = P["token_emb"][ids] + P["pos_emb"][:len(ids)] + \
@@ -101,8 +102,14 @@ def straight_line_forward(inp, params, cfg):
                                       * (v + 0.044715 * v ** 3)))
 
     h = ln(x, P["layer0.ln1.gain"], P["layer0.ln1.bias"])
-    q, k, v = h @ P["layer0.attn.q0"], h @ P["layer0.attn.k0"], h @ P["layer0.attn.v0"]
-    attn = sm(q @ k.T / math.sqrt(cfg.d_model // cfg.n_heads)) @ v
+    dh = cfg.d_model // cfg.n_heads
+    heads = []
+    for hd in range(cfg.n_heads):
+        col = 3 * dh * hd
+        q, k, v = (h @ P["layer0.attn.qkv"][:, col + i * dh:col + (i + 1) * dh]
+                   for i in range(3))
+        heads.append(sm(q @ k.T / math.sqrt(dh)) @ v)
+    attn = np.concatenate(heads, axis=1)
     x = x + attn @ P["layer0.attn.out"] + P["layer0.attn.out_bias"]
     h = ln(x, P["layer0.ln2.gain"], P["layer0.ln2.bias"])
     x = x + gelu(h @ P["layer0.ff.w1"] + P["layer0.ff.b1"]) @ P["layer0.ff.w2"] \
@@ -121,13 +128,17 @@ class TestEncode:
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_matches_straight_line_oracle(self, vocab):
-        cfg = tiny_config(vocab)
-        params = init_encoder_params(cfg, np.random.default_rng(4))
-        params["ts_emb"].data[:] = np.random.default_rng(5).normal(0, 0.3, (4, 8))
         inp = make_input(vocab, 2)
-        ours = encode(embed(inp, params), params, cfg).hidden.data
-        oracle = straight_line_forward(inp, params, cfg)
-        np.testing.assert_allclose(ours, oracle, atol=1e-9)
+        for n_heads in (1, 2):
+            cfg = tiny_config(vocab, n_heads=n_heads)
+            params = init_encoder_params(cfg, np.random.default_rng(4))
+            params["ts_emb"].data[:] = np.random.default_rng(5).normal(0, 0.3, (4, 8))
+            # Large enough that a wrong head split or merge shows at 1e-9.
+            params["layer0.attn.qkv"].data[:] = np.random.default_rng(6).normal(
+                0, 0.5, (8, 24))
+            ours = encode(embed(inp, params), params, cfg).hidden.data
+            oracle = straight_line_forward(inp, params, cfg)
+            np.testing.assert_allclose(ours, oracle, atol=1e-9)
 
     def test_identical_tokens_symmetric_when_positions_zeroed(self, vocab):
         cfg = tiny_config(vocab)
@@ -164,6 +175,21 @@ class TestEncode:
         for o in outs[1:]:
             np.testing.assert_array_equal(outs[0], o)
 
+    def test_tape_size_independent_of_head_count(self, vocab):
+        def tape_nodes(n_heads):
+            cfg = tiny_config(vocab, n_heads=n_heads)
+            params = init_encoder_params(cfg, np.random.default_rng(0))
+            out = encode(embed(make_input(vocab), params), params, cfg).hidden
+            seen, stack = set(), [out]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen and node._backward is not None:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+            return len(seen)
+
+        assert tape_nodes(1) == tape_nodes(2) == tape_nodes(4)
+
     def test_determinism_fixed_seed(self, vocab):
         cfg = tiny_config(vocab)
         runs = []
@@ -181,6 +207,9 @@ class TestEndToEndGradient:
         params = init_encoder_params(cfg, rng)
         params.update(init_head_params(cfg.d_model, rng))
         params["ts_emb"].data[:] = rng.normal(0, 0.3, (4, 8))
+        # At the 0.02 init the k gradients are ~2e-5, below what central
+        # differences resolve at this tolerance.
+        params["layer0.attn.qkv"].data[:] = rng.normal(0, 0.3, (8, 24))
         inp = make_input(vocab, 2)
         gold = GoldStep(status_class=2, span=(7, 8))
 
@@ -191,6 +220,6 @@ class TestEndToEndGradient:
             return joint_loss(status, span, gold)
 
         checked = [params[k] for k in
-                   ["ts_emb", "token_emb", "layer0.attn.q0", "layer0.ff.w1",
+                   ["ts_emb", "token_emb", "layer0.attn.qkv", "layer0.ff.w1",
                     "layer0.ln1.gain", "head.status", "head.start"]]
         check_gradients(loss, checked)

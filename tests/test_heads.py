@@ -8,7 +8,8 @@ from proctrack.autodiff import ShapeMismatchError, Tensor
 from proctrack.encoder import EncoderOutput
 from proctrack.heads import (
     GoldStep, STATUS_GONE, STATUS_KNOWN, STATUS_UNKNOWN, init_head_params,
-    joint_loss, resolve_gold_span, span_head, status_class_of, status_head,
+    SpanPrediction, StatusPrediction, joint_loss, span_head, status_class_of,
+    status_head,
 )
 
 from conftest import check_gradients, leaf
@@ -16,6 +17,12 @@ from conftest import check_gradients, leaf
 
 def enc_out(arr):
     return EncoderOutput(hidden=Tensor(arr, requires_grad=True))
+
+
+def logits_of(probs):
+    """Logits whose softmax is `probs` (zeros become -inf)."""
+    with np.errstate(divide="ignore"):
+        return Tensor(np.log(probs))
 
 
 class TestStatusHead:
@@ -49,7 +56,7 @@ class TestStatusHead:
         out = enc_out(rng.normal(0, 1, (5, 8)))
         w = leaf(rng, 8, 3)
         check_gradients(lambda: ad.cross_entropy(
-            status_head(out, w).probs_t, 1), [w])
+            status_head(out, w).logits_t, 1), [w])
 
 
 class TestSpanHead:
@@ -83,16 +90,15 @@ class TestSpanHead:
 
 class TestJointLoss:
     def _one_hot_preds(self, gold):
-        status = np.full(3, 1e-12)
+        status = np.zeros(3)
         status[gold.status_class] = 1.0
-        start = np.full(6, 1e-12)
-        end = np.full(6, 1e-12)
+        start = np.zeros(6)
+        end = np.zeros(6)
         if gold.span:
             start[gold.span[0]] = 1.0
             end[gold.span[1]] = 1.0
-        from proctrack.heads import SpanPrediction, StatusPrediction
-        return (StatusPrediction(Tensor(status)),
-                SpanPrediction(Tensor(start), Tensor(end)))
+        return (StatusPrediction(logits_of(status)),
+                SpanPrediction(logits_of(start), logits_of(end)))
 
     def test_perfect_prediction_zero(self):
         gold = GoldStep(status_class=STATUS_KNOWN, span=(2, 4))
@@ -100,49 +106,44 @@ class TestJointLoss:
         assert float(joint_loss(status, span, gold).data) == pytest.approx(0.0)
 
     def test_uniform_status_gone_is_ln3(self):
-        from proctrack.heads import SpanPrediction, StatusPrediction
-        status = StatusPrediction(Tensor(np.full(3, 1 / 3)))
-        span = SpanPrediction(Tensor(np.full(6, 1 / 6)), Tensor(np.full(6, 1 / 6)))
+        status = StatusPrediction(Tensor(np.zeros(3)))
+        span = SpanPrediction(Tensor(np.zeros(6)), Tensor(np.zeros(6)))
         loss = joint_loss(status, span, GoldStep(status_class=STATUS_GONE))
         assert float(loss.data) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_random_case_matches_hand_sum(self, rng):
-        from proctrack.heads import SpanPrediction, StatusPrediction
         sp = rng.dirichlet(np.ones(3))
         st = rng.dirichlet(np.ones(6))
         en = rng.dirichlet(np.ones(6))
         gold = GoldStep(status_class=STATUS_KNOWN, span=(1, 3))
-        loss = joint_loss(StatusPrediction(Tensor(sp)),
-                          SpanPrediction(Tensor(st), Tensor(en)), gold)
+        loss = joint_loss(StatusPrediction(logits_of(sp)),
+                          SpanPrediction(logits_of(st), logits_of(en)), gold)
         expected = -math.log(sp[2]) - math.log(st[1]) - math.log(en[3])
         assert float(loss.data) == pytest.approx(expected, abs=1e-9)
 
     def test_span_terms_skipped_for_gone_and_unknown(self, rng):
-        from proctrack.heads import SpanPrediction, StatusPrediction
-        status = StatusPrediction(Tensor(rng.dirichlet(np.ones(3))))
-        span = SpanPrediction(Tensor(rng.dirichlet(np.ones(6))),
-                              Tensor(rng.dirichlet(np.ones(6))))
+        status = StatusPrediction(logits_of(rng.dirichlet(np.ones(3))))
+        span = SpanPrediction(logits_of(rng.dirichlet(np.ones(6))),
+                              logits_of(rng.dirichlet(np.ones(6))))
         for cls in (STATUS_GONE, STATUS_UNKNOWN):
             loss = joint_loss(status, span, GoldStep(status_class=cls, span=(0, 1)))
             assert float(loss.data) == pytest.approx(
                 -math.log(status.probs[cls]), abs=1e-9)
 
     def test_unresolvable_gold_span_skips_span_terms(self, rng):
-        from proctrack.heads import SpanPrediction, StatusPrediction
-        status = StatusPrediction(Tensor(rng.dirichlet(np.ones(3))))
-        span = SpanPrediction(Tensor(rng.dirichlet(np.ones(6))),
-                              Tensor(rng.dirichlet(np.ones(6))))
+        status = StatusPrediction(logits_of(rng.dirichlet(np.ones(3))))
+        span = SpanPrediction(logits_of(rng.dirichlet(np.ones(6))),
+                              logits_of(rng.dirichlet(np.ones(6))))
         loss = joint_loss(status, span, GoldStep(status_class=STATUS_KNOWN, span=None))
         assert float(loss.data) == pytest.approx(-math.log(status.probs[2]), abs=1e-9)
 
     def test_loss_nonnegative(self, rng):
-        from proctrack.heads import SpanPrediction, StatusPrediction
         for _ in range(20):
             gold = GoldStep(status_class=int(rng.integers(0, 3)), span=(0, 2))
             loss = joint_loss(
-                StatusPrediction(Tensor(rng.dirichlet(np.ones(3)))),
-                SpanPrediction(Tensor(rng.dirichlet(np.ones(5))),
-                               Tensor(rng.dirichlet(np.ones(5)))), gold)
+                StatusPrediction(logits_of(rng.dirichlet(np.ones(3)))),
+                SpanPrediction(logits_of(rng.dirichlet(np.ones(5))),
+                               logits_of(rng.dirichlet(np.ones(5)))), gold)
             assert float(loss.data) >= 0.0
 
     def test_span_gradient_only_for_known_gold(self, rng):
@@ -160,20 +161,6 @@ class TestJointLoss:
         assert w_start.grad is None and w_end.grad is None
         run(GoldStep(status_class=STATUS_KNOWN, span=(2, 3)))
         assert np.any(w_start.grad != 0) and np.any(w_end.grad != 0)
-
-
-class TestGoldSpanResolution:
-    PARA = "the water flows to the leaf near the leaf".split()
-
-    def test_first_occurrence_wins(self):
-        assert resolve_gold_span(["the", "leaf"], self.PARA) == (4, 5)
-
-    def test_single_token(self):
-        assert resolve_gold_span(["water"], self.PARA) == (1, 1)
-
-    def test_absent_returns_none(self):
-        assert resolve_gold_span(["root"], self.PARA) is None
-        assert resolve_gold_span([], self.PARA) is None
 
 
 class TestStatusClassOf:

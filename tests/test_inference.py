@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from proctrack.autodiff import Tensor
 from proctrack.heads import SpanPrediction, StatusPrediction
 from proctrack.inference import (
-    decode_step, repair_timeline, violates_rules,
+    decode_step, decode_step_unfiltered, repair_timeline, violates_rules,
 )
 
 
 def preds(status, start, end):
-    return (StatusPrediction(Tensor(np.asarray(status, float))),
-            SpanPrediction(Tensor(np.asarray(start, float)),
-                           Tensor(np.asarray(end, float))))
+    """Predictions whose softmax probabilities are the given (normalised)
+    rows; zeros become -inf logits."""
+    with np.errstate(divide="ignore"):
+        status, start, end = (Tensor(np.log(np.asarray(v, float)))
+                              for v in (status, start, end))
+    return StatusPrediction(status), SpanPrediction(start, end)
 
 
 def join(s, e):
@@ -73,6 +76,37 @@ class TestDecodeStep:
     def test_empty_candidates_falls_back_to_unknown_flagged(self):
         status, span = preds([0.0, 0.0, 1.0], [0.5, 0.5], [0.5, 0.5])
         state = decode_step(status, span, [], join)
+        assert state.value == "?" and state.flagged
+
+
+class TestDecodeStepUnfiltered:
+    def test_status_branch_matches_filtered(self):
+        for status in ([0.8, 0.1, 0.1], [0.1, 0.8, 0.1]):
+            st, span = preds(status, [0.1] * 10, [0.1] * 10)
+            assert (decode_step_unfiltered(st, span, join, [2, 3])
+                    == decode_step(st, span, [(2, 3)], join))
+
+    def test_no_paragraph_positions_flagged(self):
+        status, span = preds([0.0, 0.0, 1.0], [0.5, 0.5], [0.5, 0.5])
+        state = decode_step_unfiltered(status, span, join, [])
+        assert state.value == "?" and state.flagged
+
+    def test_independent_argmax_within_paragraph(self):
+        start = np.full(10, 0.05)
+        start[0], start[4] = 0.4, 0.2  # position 0 is off-paragraph
+        end = np.full(10, 0.05)
+        end[6] = 0.3
+        status, span = preds([0.0, 0.0, 1.0], start, end)
+        state = decode_step_unfiltered(status, span, join, list(range(3, 9)))
+        assert state.value == "4:6" and state.span == (4, 6)
+
+    def test_end_before_start_flagged(self):
+        start = np.full(10, 0.05)
+        start[7] = 0.5
+        end = np.full(10, 0.05)
+        end[3] = 0.5
+        status, span = preds([0.0, 0.0, 1.0], start, end)
+        state = decode_step_unfiltered(status, span, join, list(range(10)))
         assert state.value == "?" and state.flagged
 
 

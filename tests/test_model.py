@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from proctrack.autodiff import SgdConfig
-from proctrack.data import GrammarConfig, generate_synthetic
+from proctrack.data import DataError, GrammarConfig, Procedure, generate_synthetic
 from proctrack.encoder import EncoderConfig
 from proctrack.fixtures import photosynthesis
 from proctrack.heads import STATUS_KNOWN
@@ -47,6 +49,34 @@ class TestForward:
         loss = model.procedure_loss(procs[0], train=False)
         assert loss.data.shape == ()
         assert float(loss.data) > 0
+
+
+class TestGoldSpanResolution:
+    # Paragraph: the water flows | to the leaf | near the leaf
+    PROC = Procedure(id="p", sentences=[["the", "water", "flows"],
+                                        ["to", "the", "leaf"],
+                                        ["near", "the", "leaf"]],
+                     entities=["water"],
+                     grid={"water": ["the leaf", "water", "root", ""]})
+
+    def golds(self, model):
+        layout = model.layout_for("water", self.PROC)
+        golds, unaligned = model.gold_steps(self.PROC, "water", layout)
+        return golds, unaligned, layout.layout_pos_of_paragraph()
+
+    def test_first_occurrence_wins(self, model):
+        golds, _, g2l = self.golds(model)
+        assert golds[0].span == (g2l[4], g2l[5])
+
+    def test_single_token(self, model):
+        golds, _, g2l = self.golds(model)
+        assert golds[1].span == (g2l[1], g2l[1])
+
+    def test_absent_returns_none(self, model):
+        golds, unaligned, _ = self.golds(model)
+        assert golds[2].span is None  # absent location
+        assert golds[3].span is None  # empty location
+        assert unaligned == 2
 
 
 class TestPredict:
@@ -98,6 +128,30 @@ class TestPersistence:
         vocab["extra_token"] = len(vocab)
         vpath.write_text(json.dumps(vocab))
         with pytest.raises(ValueError, match="vocab"):
+            TrackerModel.load(tmp_path / "ckpt")
+
+    def test_tensor_shape_checked_against_config(self, model, tmp_path):
+        model.save(tmp_path / "ckpt")
+        ppath = tmp_path / "ckpt" / "params.json"
+        blob = json.loads(ppath.read_text())
+        blob["head.status"] = {"shape": [16, 4], "data": [0.0] * 64}
+        blob["head.extra"] = {"shape": [1], "data": [0.0]}
+        del blob["final_ln.bias"]
+        ppath.write_text(json.dumps(blob))
+        with pytest.raises(DataError) as err:
+            TrackerModel.load(tmp_path / "ckpt")
+        for part in ("final_ln.bias: found nothing, expected (16,)",
+                     "head.extra: found (1,), expected nothing",
+                     "head.status: found (16, 4), expected (16, 3)"):
+            assert part in str(err.value)
+
+    def test_unknown_config_key_is_data_error(self, model, tmp_path):
+        model.save(tmp_path / "ckpt")
+        cpath = tmp_path / "ckpt" / "config.json"
+        cfg = json.loads(cpath.read_text())
+        cfg["bogus"] = 1
+        cpath.write_text(json.dumps(cfg))
+        with pytest.raises(DataError, match="bogus"):
             TrackerModel.load(tmp_path / "ckpt")
 
 
