@@ -134,13 +134,13 @@ def scale(a: Tensor, c) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * x * x * x)
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
     def bw(g):
         if a.requires_grad:
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
             a._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner))
 
     return _result(out, (a,), bw)
@@ -262,14 +262,17 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(a.data.reshape(shape), (a,), bw)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+def slice_rows(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
+    """a[start:stop] along `axis`."""
+    idx = (slice(None),) * (axis % a.data.ndim) + (slice(start, stop),)
+
     def bw(g):
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[start:stop] += g
+            a.grad[idx] += g
 
-    return _result(a.data[start:stop], (a,), bw)
+    return _result(a.data[idx], (a,), bw)
 
 
 def mean_of(tensors) -> Tensor:
@@ -305,14 +308,16 @@ class SgdConfig:
 def sgd_step(params: dict, config: SgdConfig, step_count: int) -> None:
     """One SGD update: p -= lr(step) * p.grad for every parameter, then zero grads.
 
-    Parameters with no accumulated gradient are left untouched.
+    Parameters with no accumulated gradient are left untouched. Every gradient
+    is checked before any is applied, so a non-finite one leaves all
+    parameters and gradients as they were.
     """
-    lr = config.effective_lr(step_count)
-    for name, p in params.items():
-        if p.grad is None:
-            continue
+    stepped = {name: p for name, p in params.items() if p.grad is not None}
+    for name, p in stepped.items():
         if not np.all(np.isfinite(p.grad)):
             raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
+    lr = config.effective_lr(step_count)
+    for p in stepped.values():
         p.data -= lr * p.grad
         p.grad = None
 
@@ -327,10 +332,27 @@ def save_checkpoint(params: dict, path) -> None:
 
 
 def load_checkpoint(path) -> dict:
+    """Parameters saved by `save_checkpoint`; ValueError naming the first
+    record that is not a flat list of numbers filling its shape."""
     with open(path, encoding="utf-8") as f:
         blob = json.load(f)
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: expected an object of named tensors")
     params = {}
     for name, rec in blob.items():
-        arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
-        params[name] = Tensor(arr, requires_grad=True, name=name)
+        if not (isinstance(rec, dict) and {"shape", "data"} <= rec.keys()):
+            raise ValueError(f"{path}: {name}: expected a record with "
+                             f"'shape' and 'data'")
+        shape, flat = rec["shape"], rec["data"]
+        if not (isinstance(shape, list) and isinstance(flat, list)
+                and all(type(n) is int and n >= 0 for n in shape)
+                and math.prod(shape) == len(flat)):
+            raise ValueError(f"{path}: {name}: data does not fit shape {shape!r}")
+        try:
+            arr = np.asarray(flat, dtype=np.float64)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.ndim != 1:
+            raise ValueError(f"{path}: {name}: data is not a flat list of numbers")
+        params[name] = Tensor(arr.reshape(shape), requires_grad=True, name=name)
     return params

@@ -91,6 +91,11 @@ def validate_procedure(proc: Procedure, path: str = "") -> None:
         raise DataError(f"{path}.sentences: procedure has no sentences")
     if not proc.entities:
         raise DataError(f"{path}.entities: procedure has no entities")
+    seen = set()
+    for i, entity in enumerate(proc.entities):
+        if entity in seen:
+            raise DataError(f"{path}.entities[{i}]: duplicate entity {entity!r}")
+        seen.add(entity)
     if set(proc.grid) != set(proc.entities):
         raise DataError(f"{path}.grid: grid entities do not match entity list")
     for entity, timeline in proc.grid.items():
@@ -116,6 +121,18 @@ def _proc_from_obj(obj: dict, path: str) -> Procedure:
     unknown = set(obj) - required - {"candidate_spans"}
     if unknown:
         raise DataError(f"{path}: unknown keys {sorted(unknown)}")
+    if not isinstance(obj["sentences"], list):
+        raise DataError(f"{path}.sentences: expected a list of token lists")
+    for j, sent in enumerate(obj["sentences"]):
+        if not (isinstance(sent, list) and all(isinstance(t, str) for t in sent)):
+            raise DataError(f"{path}.sentences[{j}]: expected a list of token "
+                            f"strings, got {sent!r}")
+    if not isinstance(obj["grid"], dict):
+        raise DataError(f"{path}.grid: expected an object of entity timelines")
+    for entity, tl in obj["grid"].items():
+        if not (isinstance(tl, list) and all(isinstance(v, str) for v in tl)):
+            raise DataError(f"{path}.grid.{entity}: expected a list of location "
+                            f"strings, got {tl!r}")
     grid = {e: [_normalize(v) for v in tl] for e, tl in obj["grid"].items()}
     proc = Procedure(
         id=str(obj["id"]),

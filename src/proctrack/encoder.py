@@ -3,11 +3,15 @@
 Pre-norm residual blocks, one fused q/k/v projection split into heads, GELU
 feedforward, and a final layer norm. The time-id table starts at zero so a
 fresh model is step-agnostic until training moves it.
+
+Every function takes one input, (T, d_model), or a batch of inputs with any
+leading axes, (..., T, d_model), through the same code.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -52,13 +56,15 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    hidden: Tensor  # T x d_model
-    attn_probs: list = field(default_factory=list)  # per (layer, head) ndarray
+    hidden: Tensor  # (..., T, d_model)
+    # Per layer, the (T, T) array of each head for one input, or the
+    # (H, T, T) array of each input for a batch.
+    attn_probs: list = field(default_factory=list)
 
     @property
     def cls(self) -> Tensor:
-        """The [CLS] row as a 1 x d_model tensor."""
-        return ad.slice_rows(self.hidden, 0, 1)
+        """The [CLS] row of each input, (..., 1, d_model)."""
+        return ad.slice_rows(self.hidden, 0, 1, axis=-2)
 
 
 def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
@@ -96,11 +102,24 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict
     return {k: Tensor(v, requires_grad=True, name=k) for k, v in params.items()}
 
 
-def embed(inp: TimestampedInput, params: dict) -> Tensor:
-    """Sum of token, position, and time-id embeddings, one row per token."""
-    tok = ad.embedding(params["token_emb"], inp.layout.token_ids)
-    pos = ad.embedding(params["pos_emb"], inp.layout.position_ids)
-    ts = ad.embedding(params["ts_emb"], inp.timestamp_ids)
+def embed(inp: TimestampedInput | Sequence[TimestampedInput],
+          params: dict) -> Tensor:
+    """Sum of token, position, and time-id embeddings, one row per token.
+
+    One input gives (T, d_model). A sequence of inputs stamped on one layout
+    gives (B, T, d_model): the token and position rows are looked up once
+    and broadcast over the B rows of time ids.
+    """
+    if isinstance(inp, TimestampedInput):
+        layout, ts_ids = inp.layout, inp.timestamp_ids
+    else:
+        layout = inp[0].layout
+        if any(i.layout != layout for i in inp):
+            raise ValueError("a batch of inputs must share one layout")
+        ts_ids = [i.timestamp_ids for i in inp]
+    tok = ad.embedding(params["token_emb"], layout.token_ids)
+    pos = ad.embedding(params["pos_emb"], layout.position_ids)
+    ts = ad.embedding(params["ts_emb"], ts_ids)
     return ad.add(ad.add(tok, pos), ts)
 
 
@@ -114,26 +133,31 @@ def _dropout(x: Tensor, rate: float, rng) -> Tensor:
 def encode(embedded: Tensor, params: dict, config: EncoderConfig,
            train: bool = False, rng: np.random.Generator | None = None,
            collect_attn: bool = False) -> EncoderOutput:
-    T = embedded.data.shape[0]
+    *lead, T, _ = embedded.data.shape
     if T > config.max_len:
         raise ValueError(f"sequence length {T} exceeds max length {config.max_len}")
-    dh = config.d_model // config.n_heads
+    H, dh, L = config.n_heads, config.d_model // config.n_heads, len(lead)
     drop_rng = rng if train else None
     x = embedded
     attn_probs = []
     for l in range(config.n_layers):
         p = f"layer{l}."
         h = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
-        # (T, 3d) -> (T, H, 3, dh) -> (3, H, T, dh): q, k, v with a head axis.
-        qkv = ad.transpose(ad.reshape(ad.matmul(h, params[p + "attn.qkv"]),
-                                      (T, config.n_heads, 3, dh)), (2, 1, 0, 3))
+        # (..., T, 3d) -> (..., T, H, 3, dh) -> (3, ..., H, T, dh): q, k, v
+        # with a head axis.
+        qkv = ad.transpose(
+            ad.reshape(ad.matmul(h, params[p + "attn.qkv"]), (*lead, T, H, 3, dh)),
+            (L + 2, *range(L), L + 1, L, L + 3))
         q, k, v = (ad.slice_rows(qkv, i, i + 1) for i in range(3))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh))
-        probs = ad.softmax(scores, axis=-1)  # (1, H, T, T)
+        # Nested so that a tape-free pass frees each (T, T) array once used.
+        probs = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)),
+                                    1.0 / np.sqrt(dh)), axis=-1)  # (1, ..., H, T, T)
         if collect_attn:
             attn_probs.extend(probs.data[0].copy())
-        merged = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)),
-                            (T, config.d_model))
+        # (1, ..., H, T, dh) -> (1, ..., T, H, dh) -> (..., T, d)
+        merged = ad.reshape(
+            ad.transpose(ad.matmul(probs, v), (0, *range(1, L + 1), L + 2, L + 1, L + 3)),
+            (*lead, T, config.d_model))
         attn_out = ad.add(ad.matmul(merged, params[p + "attn.out"]),
                           params[p + "attn.out_bias"])
         x = ad.add(x, _dropout(attn_out, config.dropout, drop_rng))

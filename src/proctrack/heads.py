@@ -1,7 +1,9 @@
 """Prediction heads: 3-way status over [CLS] and start/end span distributions.
 
 The heads emit logits; the loss is a log-softmax NLL on them, and the
-probabilities used for decoding are computed from them on demand.
+probabilities used for decoding are computed from them on demand. Over a
+batched encoder output the logits carry the same leading axes, and `row(i)`
+takes one input's prediction out of it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ def status_class_of(value: str) -> int:
 
 @dataclass
 class StatusPrediction:
-    logits_t: Tensor  # shape (3,)
+    logits_t: Tensor  # shape (..., 3)
+
+    def row(self, i: int) -> "StatusPrediction":
+        return StatusPrediction(Tensor(self.logits_t.data[i]))
 
     @property
     def probs(self) -> np.ndarray:
@@ -42,8 +47,12 @@ class StatusPrediction:
 
 @dataclass
 class SpanPrediction:
-    start_t: Tensor  # logits, shape (T,)
-    end_t: Tensor  # logits, shape (T,)
+    start_t: Tensor  # logits, shape (..., T)
+    end_t: Tensor  # logits, shape (..., T)
+
+    def row(self, i: int) -> "SpanPrediction":
+        return SpanPrediction(Tensor(self.start_t.data[i]),
+                              Tensor(self.end_t.data[i]))
 
     @property
     def start_probs(self) -> np.ndarray:
@@ -61,23 +70,24 @@ class GoldStep:
 
 
 def status_head(output: EncoderOutput, w: Tensor) -> StatusPrediction:
-    if w.data.shape[0] != output.hidden.data.shape[1] or w.data.shape[1] != 3:
+    *lead, _, d = output.hidden.data.shape
+    if w.data.shape != (d, 3):
         raise ad.ShapeMismatchError(
             f"status weight must be d_model x 3, got {w.data.shape}"
         )
-    logits = ad.reshape(ad.matmul(output.cls, w), (3,))
+    logits = ad.reshape(ad.matmul(output.cls, w), (*lead, 3))
     return StatusPrediction(logits_t=logits)
 
 
 def span_head(output: EncoderOutput, w_start: Tensor, w_end: Tensor) -> SpanPrediction:
-    T, d = output.hidden.data.shape
+    *lead, T, d = output.hidden.data.shape
     for w in (w_start, w_end):
         if w.data.shape != (d, 1):
             raise ad.ShapeMismatchError(
                 f"span weight must be d_model x 1, got {w.data.shape}"
             )
-    start = ad.reshape(ad.matmul(output.hidden, w_start), (T,))
-    end = ad.reshape(ad.matmul(output.hidden, w_end), (T,))
+    start = ad.reshape(ad.matmul(output.hidden, w_start), (*lead, T))
+    end = ad.reshape(ad.matmul(output.hidden, w_end), (*lead, T))
     return SpanPrediction(start_t=start, end_t=end)
 
 

@@ -50,10 +50,23 @@ class TrackerModel:
     # -- persistence --------------------------------------------------------
 
     def save(self, directory) -> None:
+        """Write the checkpoint files; each goes to a temporary file in
+        `directory` first and then replaces the old one, so a failed save
+        leaves the previous checkpoint whole."""
         os.makedirs(directory, exist_ok=True)
-        ad.save_checkpoint(self.params, os.path.join(directory, "params.json"))
-        self.config.save(os.path.join(directory, "config.json"))
-        self.vocab.save(os.path.join(directory, "vocab.json"))
+        for name, write in (
+                ("params.json", lambda p: ad.save_checkpoint(self.params, p)),
+                ("config.json", self.config.save),
+                ("vocab.json", self.vocab.save)):
+            path = os.path.join(directory, name)
+            tmp = path + ".tmp"
+            try:
+                write(tmp)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+                raise
+            os.replace(tmp, path)
 
     @classmethod
     def load(cls, directory) -> "TrackerModel":
@@ -69,7 +82,10 @@ class TrackerModel:
                 f"checkpoint vocab size {config.vocab_size} does not match "
                 f"vocab file with {len(vocab)} entries"
             )
-        params = ad.load_checkpoint(os.path.join(directory, "params.json"))
+        try:
+            params = ad.load_checkpoint(os.path.join(directory, "params.json"))
+        except ValueError as exc:
+            raise DataError(str(exc)) from exc
         found = {k: t.shape for k, t in params.items()}
         implied = {k: t.shape for k, t in cls.fresh(vocab, config, 0).params.items()}
         if found != implied:
@@ -89,11 +105,26 @@ class TrackerModel:
     def forward(self, layout: QueryLayout, step: int, train: bool = False,
                 rng: np.random.Generator | None = None
                 ) -> tuple[StatusPrediction, SpanPrediction]:
-        ts = timestamp(layout, step)
-        out = encode(embed(ts, self.params), self.params, self.config,
-                     train=train, rng=rng)
-        return (status_head(out, self.params["head.status"]),
-                span_head(out, self.params["head.start"], self.params["head.end"]))
+        """One pass for one step, recorded on the tape."""
+        return self._heads(timestamp(layout, step), self.params, train, rng)
+
+    def forward_steps(self, layout: QueryLayout
+                      ) -> tuple[StatusPrediction, SpanPrediction]:
+        """Steps 0..n in one batched pass, with a leading step axis.
+
+        The pass runs on views of the parameters that need no gradient, so
+        it records no tape and each intermediate is freed once used.
+        """
+        params = {k: Tensor(t.data) for k, t in self.params.items()}
+        steps = [timestamp(layout, s) for s in range(layout.n_sentences + 1)]
+        return self._heads(steps, params)
+
+    def _heads(self, inp, params: dict, train: bool = False,
+               rng: np.random.Generator | None = None
+               ) -> tuple[StatusPrediction, SpanPrediction]:
+        out = encode(embed(inp, params), params, self.config, train=train, rng=rng)
+        return (status_head(out, params["head.status"]),
+                span_head(out, params["head.start"], params["head.end"]))
 
     # -- training targets ---------------------------------------------------
 
@@ -148,9 +179,10 @@ class TrackerModel:
         def span_text(s, e):
             return " ".join(l2text[s:e + 1])
 
+        statuses, spans = self.forward_steps(layout)
         raw, flagged = [], 0
         for step in range(proc.n_steps + 1):
-            status, span = self.forward(layout, step, train=False)
+            status, span = statuses.row(step), spans.row(step)
             if np_filter:
                 state = decode_step(status, span, candidates, span_text)
             else:

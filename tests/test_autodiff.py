@@ -161,6 +161,12 @@ class TestOtherOps:
 
         check_gradients(loss, [a, b])
 
+    def test_slice_rows_along_an_inner_axis(self, rng):
+        a = leaf(rng, 2, 5, 3)
+        top = ad.slice_rows(a, 1, 3, axis=-2)
+        np.testing.assert_array_equal(top.data, a.data[:, 1:3])
+        check_gradients(lambda: total(ad.slice_rows(a, 1, 3, axis=-2)), [a])
+
     def test_transpose_axes_gradient(self, rng):
         x = leaf(rng, 2, 3, 4)
         w = Tensor(rng.normal(0, 1, (24, 1)))
@@ -218,6 +224,19 @@ class TestSgd:
         p.grad = np.array([np.nan])
         with pytest.raises(NonFiniteGradientError, match="my_param"):
             sgd_step({"my_param": p}, SgdConfig(learning_rate=0.1), 0)
+
+    def test_nonfinite_gradient_applies_no_update(self):
+        """The NaN is in the last parameter, after one that would step."""
+        a = Tensor([1.0], requires_grad=True)
+        a.grad = np.array([1.0])
+        b = Tensor([2.0, 3.0], requires_grad=True)
+        b.grad = np.array([0.5, np.nan])
+        with pytest.raises(NonFiniteGradientError, match="'b'"):
+            sgd_step({"a": a, "b": b}, SgdConfig(learning_rate=0.1), 0)
+        np.testing.assert_array_equal(a.data, [1.0])
+        np.testing.assert_array_equal(a.grad, [1.0])
+        np.testing.assert_array_equal(b.data, [2.0, 3.0])
+        np.testing.assert_array_equal(b.grad, [0.5, np.nan])
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):

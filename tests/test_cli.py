@@ -89,6 +89,61 @@ class TestCheckpointLayout:
         assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
 
+    @pytest.mark.parametrize("record", [
+        {"data": [0.0] * 48},  # no shape
+        {"shape": [16, 3]},  # no data
+        {"shape": [16, 3], "data": [0.0] * 47},  # data does not fit the shape
+        {"shape": [16, 3], "data": ["x"] * 48},
+        [0.0] * 48,
+    ])
+    def test_malformed_record_is_data_error(self, workspace, caplog, record):
+        tmp_path, _, data = workspace
+        cfg = EncoderConfig(**TINY_CONFIG["encoder"])
+        ckpt = tmp_path / "ckpt"
+        TrackerModel.fresh(vocab_from_procedures(load_procedures(data)), cfg,
+                           seed=0).save(ckpt)
+        ppath = ckpt / "params.json"
+        blob = json.loads(ppath.read_text())
+        blob["head.status"] = record
+        ppath.write_text(json.dumps(blob))
+        assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
+        assert "head.status" in caplog.text
+
+
+class TestMalformedCorpus:
+    RECORD = {"id": "p", "sentences": [["roots", "absorb", "water"]],
+              "entities": ["water"], "grid": {"water": ["?", "roots"]}}
+
+    def train(self, tmp_path, corpus):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(corpus))
+        return main(["train", "--data", str(data), "--epochs", "1",
+                     "--out", str(tmp_path / "ckpt")])
+
+    def test_sentence_as_string_is_data_error(self, tmp_path, caplog):
+        bad = dict(self.RECORD, sentences=["roots absorb water"])
+        assert self.train(tmp_path, [self.RECORD, bad]) == EXIT_DATA
+        assert "$[1].sentences[0]" in caplog.text
+
+    def test_grid_value_not_a_string_is_data_error(self, tmp_path, caplog):
+        bad = dict(self.RECORD, grid={"water": ["?", 7]})
+        assert self.train(tmp_path, [bad]) == EXIT_DATA
+        assert "$[0].grid.water" in caplog.text
+
+    def test_duplicate_entity_is_data_error(self, tmp_path, caplog):
+        bad = dict(self.RECORD, entities=["water", "water"])
+        assert self.train(tmp_path, [bad]) == EXIT_DATA
+        assert "$[0].entities[1]: duplicate entity 'water'" in caplog.text
+
+    def test_duplicate_entity_in_grid_tsv_is_data_error(self, tmp_path, caplog):
+        tsv = tmp_path / "grid.tsv"
+        tsv.write_text("p1\twater\twater\nstate0\t\t?\t?\n"
+                       "state1\troots absorb water\troots\troots\n")
+        assert main(["convert", "--tsv", str(tsv),
+                     "--out", str(tmp_path / "out.json")]) == EXIT_DATA
+        assert "block0.entities[1]: duplicate entity 'water'" in caplog.text
+
 
 class TestPipeline:
     def test_generate_is_deterministic(self, tmp_path):

@@ -200,6 +200,43 @@ class TestEncode:
         np.testing.assert_array_equal(runs[0], runs[1])
 
 
+class TestStepBatch:
+    """All n+1 time-stamped copies of one query as one (n+1, T, d) pass."""
+
+    def test_rows_match_steps_run_alone(self, vocab):
+        layout = build_query("water", SENTS, vocab)
+        steps = [timestamp(layout, s) for s in range(layout.n_sentences + 1)]
+        for n_heads in (1, 2):
+            cfg = tiny_config(vocab, n_heads=n_heads, n_layers=2)
+            rng = np.random.default_rng(11)
+            params = init_encoder_params(cfg, rng)
+            params.update(init_head_params(cfg.d_model, rng))
+            for t in params.values():  # large enough that a mixed-up row shows
+                if t.data.ndim == 2:
+                    t.data[:] = rng.normal(0, 0.5, t.data.shape)
+            assert np.all(params["ts_emb"].data != 0.0)
+
+            def heads(inp):
+                out = encode(embed(inp, params), params, cfg)
+                status = status_head(out, params["head.status"])
+                span = span_head(out, params["head.start"], params["head.end"])
+                return (out.hidden.data, status.logits_t.data,
+                        span.start_t.data, span.end_t.data)
+
+            batched = heads(steps)
+            assert batched[0].shape == (len(steps), len(layout), cfg.d_model)
+            for s, inp in enumerate(steps):
+                for got, alone in zip(batched, heads(inp)):
+                    np.testing.assert_allclose(got[s], alone, rtol=0, atol=1e-12)
+
+    def test_batch_must_share_one_layout(self, vocab):
+        cfg = tiny_config(vocab)
+        params = init_encoder_params(cfg, np.random.default_rng(0))
+        other = timestamp(build_query("water", SENTS[:2], vocab), 1)
+        with pytest.raises(ValueError, match="one layout"):
+            embed([make_input(vocab), other], params)
+
+
 class TestEndToEndGradient:
     def test_finite_difference_through_embed_encode_heads(self, vocab):
         cfg = tiny_config(vocab)

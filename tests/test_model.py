@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from proctrack.autodiff import SgdConfig
+from proctrack import autodiff as ad
+from proctrack.autodiff import SgdConfig, Tensor
 from proctrack.data import DataError, GrammarConfig, Procedure, generate_synthetic
 from proctrack.encoder import EncoderConfig
 from proctrack.fixtures import photosynthesis
@@ -44,6 +45,30 @@ class TestForward:
         assert unaligned == 1
         s, e = golds[0].span
         assert layout.tokens[s:e + 1] == ("soil",)
+
+    def test_step_batch_is_tape_free_and_matches_single_steps(self, model, procs):
+        params = {k: Tensor(t.data.copy(), requires_grad=True)
+                  for k, t in model.params.items()}
+        params["ts_emb"].data[:] = np.random.default_rng(2).normal(0, 0.5, (4, 16))
+        model = TrackerModel(model.vocab, model.config, params)
+        proc = procs[0]
+        layout = model.layout_for(proc.entities[0], proc)
+        statuses, spans = model.forward_steps(layout)
+        for t in (statuses.logits_t, spans.start_t, spans.end_t):
+            assert t._backward is None and t._parents == ()
+            assert not t.requires_grad
+        for step in range(proc.n_steps + 1):
+            status, span = model.forward(layout, step)
+            np.testing.assert_allclose(statuses.row(step).logits_t.data,
+                                       status.logits_t.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(spans.row(step).start_t.data,
+                                       span.start_t.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(spans.row(step).end_t.data,
+                                       span.end_t.data, rtol=0, atol=1e-12)
+
+    def test_prediction_leaves_no_gradients(self, model, procs):
+        model.predict_procedure(procs[0])
+        assert all(p.grad is None for p in model.params.values())
 
     def test_procedure_loss_positive_scalar(self, model, procs):
         loss = model.procedure_loss(procs[0], train=False)
@@ -119,6 +144,27 @@ class TestPersistence:
         a, _ = model.predict_procedure(procs[0])
         b, _ = loaded.predict_procedure(procs[0])
         assert a == b
+
+    def test_failed_save_keeps_previous_checkpoint(self, model, procs, tmp_path,
+                                                   monkeypatch):
+        ckpt = tmp_path / "ckpt"
+        model.save(ckpt)
+        before = {f.name: f.read_bytes() for f in ckpt.iterdir()}
+        changed = TrackerModel(model.vocab, model.config,
+                               {k: Tensor(t.data + 1.0) for k, t in model.params.items()})
+
+        def dump_half_then_fail(obj, f):
+            f.write(json.dumps(obj)[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ad.json, "dump", dump_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            changed.save(ckpt)
+        monkeypatch.undo()
+        assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == before
+        loaded = TrackerModel.load(ckpt)
+        for name, p in model.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data)
 
     def test_vocab_mismatch_rejected(self, model, tmp_path):
         model.save(tmp_path / "ckpt")
