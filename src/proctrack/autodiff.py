@@ -45,8 +45,9 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self):
         if self.data.size != 1:
@@ -106,7 +107,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            if b.data.ndim == 2:  # a weight matrix: one GEMM over every row of a
+                b._accumulate(a.data.reshape(-1, a.data.shape[-1]).T
+                              @ g.reshape(-1, g.shape[-1]))
+            else:
+                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g,
+                                           b.data.shape))
 
     return _result(a.data @ b.data, (a, b), bw)
 
@@ -162,25 +168,33 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(y, (a,), bw)
 
 
-def cross_entropy(logits: Tensor, gold_index: int) -> Tensor:
-    """-log_softmax(logits)[gold_index] on a 1-D vector of logits."""
-    if logits.data.ndim != 1:
+def cross_entropy(logits: Tensor, gold) -> Tensor:
+    """-log_softmax(logits)[gold], summed over the rows of (..., C) logits.
+
+    `gold` holds one class index per row: an int for 1-D logits, else an
+    integer array of the leading shape.
+    """
+    x = logits.data
+    gold = np.asarray(gold)
+    if x.ndim < 1 or gold.shape != x.shape[:-1]:
         raise ShapeMismatchError(
-            f"cross_entropy expects 1-D logits, got {logits.shape}")
-    if not 0 <= gold_index < logits.data.shape[0]:
+            f"cross_entropy needs one gold index per row of logits {x.shape}, "
+            f"got shape {gold.shape}")
+    n_classes = x.shape[-1]
+    if gold.size and (gold.min() < 0 or gold.max() >= n_classes):
         raise IndexError(
-            f"gold index {gold_index} out of range for {logits.data.shape[0]} classes"
-        )
-    shifted = logits.data - logits.data.max()
-    log_z = math.log(np.exp(shifted).sum())
+            f"gold index out of range for {n_classes} classes: {gold.tolist()}")
+    shifted = (x - x.max(axis=-1, keepdims=True)).reshape(-1, n_classes)
+    rows, cols = np.arange(shifted.shape[0]), gold.ravel()
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
 
     def bw(g):
         if logits.requires_grad:
-            d = np.exp(shifted - log_z)
-            d[gold_index] -= 1.0
-            logits._accumulate(g * d)
+            d = np.exp(shifted - log_z[:, None])
+            d[rows, cols] -= 1.0
+            logits._accumulate(g * d.reshape(x.shape))
 
-    return _result(log_z - shifted[gold_index], (logits,), bw)
+    return _result((log_z - shifted[rows, cols]).sum(), (logits,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -210,6 +224,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def embedding(table: Tensor, ids) -> Tensor:
+    """Rows `ids` of `table`, such as token vectors or the logit rows a loss
+    scores; repeated ids add their gradients."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(
@@ -275,9 +291,10 @@ def slice_rows(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
     return _result(a.data[idx], (a,), bw)
 
 
-def mean_of(tensors) -> Tensor:
-    """Mean of a list of scalar tensors, as one tape node."""
-    c = 1.0 / len(tensors)
+def mean_of(tensors, count: int | None = None) -> Tensor:
+    """Sum of a list of scalar tensors over `count` (by default, over how
+    many there are), as one tape node."""
+    c = 1.0 / (len(tensors) if count is None else count)
 
     def bw(g):
         for t in tensors:

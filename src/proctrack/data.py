@@ -121,6 +121,8 @@ def _proc_from_obj(obj: dict, path: str) -> Procedure:
     unknown = set(obj) - required - {"candidate_spans"}
     if unknown:
         raise DataError(f"{path}: unknown keys {sorted(unknown)}")
+    if not isinstance(obj["id"], str):
+        raise DataError(f"{path}.id: expected a string, got {obj['id']!r}")
     if not isinstance(obj["sentences"], list):
         raise DataError(f"{path}.sentences: expected a list of token lists")
     for j, sent in enumerate(obj["sentences"]):
@@ -135,7 +137,7 @@ def _proc_from_obj(obj: dict, path: str) -> Procedure:
                             f"strings, got {tl!r}")
     grid = {e: [_normalize(v) for v in tl] for e, tl in obj["grid"].items()}
     proc = Procedure(
-        id=str(obj["id"]),
+        id=obj["id"],
         sentences=[list(s) for s in obj["sentences"]],
         entities=list(obj["entities"]),
         grid=grid,

@@ -8,6 +8,7 @@ takes one input's prediction out of it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,17 +92,28 @@ def span_head(output: EncoderOutput, w_start: Tensor, w_end: Tensor) -> SpanPred
     return SpanPrediction(start_t=start, end_t=end)
 
 
-def joint_loss(status: StatusPrediction, span: SpanPrediction, gold: GoldStep) -> Tensor:
+def joint_loss(status: StatusPrediction, span: SpanPrediction,
+               gold: GoldStep | Sequence[GoldStep]) -> Tensor:
     """Status cross-entropy, plus start+end cross-entropy when gold has a span.
 
-    Gold steps whose location text could not be aligned to the paragraph have
-    gold.span = None; their span terms are skipped (callers flag them).
+    One GoldStep scores one unbatched prediction; a sequence of them scores
+    the rows of a batched one, (B, 3) and (B, T), and the terms are summed
+    over the rows. Gold steps whose location text could not be aligned to the
+    paragraph have gold.span = None; their span terms are skipped (callers
+    flag them).
     """
-    loss = ad.cross_entropy(status.logits_t, gold.status_class)
-    if gold.status_class == STATUS_KNOWN and gold.span is not None:
-        s, e = gold.span
-        loss = ad.add(loss, ad.cross_entropy(span.start_t, s))
-        loss = ad.add(loss, ad.cross_entropy(span.end_t, e))
+    if isinstance(gold, GoldStep):  # a batch of one
+        status = StatusPrediction(ad.reshape(status.logits_t, (1, -1)))
+        span = SpanPrediction(ad.reshape(span.start_t, (1, -1)),
+                              ad.reshape(span.end_t, (1, -1)))
+        gold = [gold]
+    loss = ad.cross_entropy(status.logits_t, [g.status_class for g in gold])
+    rows = [i for i, g in enumerate(gold)
+            if g.status_class == STATUS_KNOWN and g.span is not None]
+    if rows:
+        starts, ends = zip(*(gold[i].span for i in rows))
+        loss = ad.add(loss, ad.cross_entropy(ad.embedding(span.start_t, rows), starts))
+        loss = ad.add(loss, ad.cross_entropy(ad.embedding(span.end_t, rows), ends))
     return loss
 
 

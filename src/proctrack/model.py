@@ -72,7 +72,10 @@ class TrackerModel:
     def load(cls, directory) -> "TrackerModel":
         """Load a checkpoint; DataError if its tensors are not the names and
         shapes its config implies."""
-        vocab = Vocab.load(os.path.join(directory, "vocab.json"))
+        try:
+            vocab = Vocab.load(os.path.join(directory, "vocab.json"))
+        except ValueError as exc:
+            raise DataError(str(exc)) from exc
         try:
             config = EncoderConfig.load(os.path.join(directory, "config.json"))
         except (TypeError, ValueError) as exc:
@@ -102,11 +105,10 @@ class TrackerModel:
         return build_query(entity, proc.sentences, self.vocab,
                            max_len=self.config.max_len)
 
-    def forward(self, layout: QueryLayout, step: int, train: bool = False,
-                rng: np.random.Generator | None = None
+    def forward(self, layout: QueryLayout, step: int
                 ) -> tuple[StatusPrediction, SpanPrediction]:
         """One pass for one step, recorded on the tape."""
-        return self._heads(timestamp(layout, step), self.params, train, rng)
+        return self._heads(timestamp(layout, step), self.params)
 
     def forward_steps(self, layout: QueryLayout
                       ) -> tuple[StatusPrediction, SpanPrediction]:
@@ -148,15 +150,20 @@ class TrackerModel:
 
     def procedure_loss(self, proc: Procedure, train: bool = True,
                        rng: np.random.Generator | None = None) -> Tensor:
-        """Mean joint loss over every (entity, step 0..n) pair."""
-        losses = []
+        """Mean joint loss over every (entity, step 0..n) pair.
+
+        Each entity's steps run as one batched pass on the tape, scored by
+        one loss over its rows.
+        """
+        losses, passes = [], 0
         for entity in proc.entities:
             layout = self.layout_for(entity, proc)
             golds, _ = self.gold_steps(proc, entity, layout)
-            for step, gold in enumerate(golds):
-                status, span = self.forward(layout, step, train=train, rng=rng)
-                losses.append(joint_loss(status, span, gold))
-        return ad.mean_of(losses)
+            steps = [timestamp(layout, s) for s in range(len(golds))]
+            status, span = self._heads(steps, self.params, train, rng)
+            losses.append(joint_loss(status, span, golds))
+            passes += len(golds)
+        return ad.mean_of(losses, passes)
 
     # -- prediction ---------------------------------------------------------
 

@@ -60,8 +60,15 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
+        """The vocabulary saved at `path`; ValueError naming the file unless
+        it is a JSON object mapping each token to an integer id."""
         with open(path, encoding="utf-8") as f:
-            return cls(json.load(f))
+            mapping = json.load(f)
+        if not (isinstance(mapping, dict)
+                and all(type(i) is int for i in mapping.values())):
+            raise ValueError(
+                f"{path}: expected an object mapping each token to an integer id")
+        return cls(mapping)
 
 
 def build_vocab(corpus) -> Vocab:

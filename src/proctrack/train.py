@@ -25,6 +25,9 @@ class TrainResult:
     epoch_losses: list = field(default_factory=list)
     steps: int = 0
     dev_status_accuracy: list = field(default_factory=list)
+    # Gold known-location steps left out of the span loss because their
+    # text is not in the paragraph, counted once over the corpus.
+    unaligned_spans: int = 0
 
 
 def status_accuracy(model: TrackerModel, procs: list[Procedure]) -> float:
@@ -57,7 +60,9 @@ def train_model(model: TrackerModel, procs: list[Procedure], sgd: SgdConfig,
         model.params["ts_emb"].data[:] = 0.0
         model.params["ts_emb"].requires_grad = False
     rng = np.random.default_rng(seed)
-    result = TrainResult()
+    result = TrainResult(unaligned_spans=sum(
+        model.gold_steps(p, e, model.layout_for(e, p))[1]
+        for p in procs for e in p.entities))
     for epoch in range(epochs):
         epoch_losses = []
         for proc in procs:
@@ -80,11 +85,11 @@ def train_model(model: TrackerModel, procs: list[Procedure], sgd: SgdConfig,
         if dev_procs and eval_every and (epoch + 1) % eval_every == 0:
             acc = status_accuracy(model, dev_procs)
             result.dev_status_accuracy.append((epoch, acc))
-            log.info("epoch %d: loss %.4f, dev status acc %.3f",
-                     epoch, mean_loss, acc)
+            detail = f"dev status acc {acc:.3f}"
         else:
-            log.info("epoch %d: loss %.4f (lr %.2e)", epoch, mean_loss,
-                     sgd.effective_lr(result.steps))
+            detail = f"lr {sgd.effective_lr(result.steps):.2e}"
+        log.info("epoch %d: loss %.4f, %s, %d gold spans not in the paragraph",
+                 epoch, mean_loss, detail, result.unaligned_spans)
         if checkpoint_dir:
             model.save(checkpoint_dir)
         if stop_fn is not None and stop_fn(model, epoch):

@@ -121,6 +121,22 @@ class TestCrossEntropy:
         x = leaf(rng, 5)
         check_gradients(lambda: ad.cross_entropy(x, 2), [x])
 
+    def test_leading_axes_sum_the_rows(self, rng):
+        x = leaf(rng, 2, 3, 4)
+        gold = np.array([[0, 3, 1], [2, 2, 0]])
+        rows = sum(float(ad.cross_entropy(Tensor(x.data[i, j]), int(gold[i, j])).data)
+                   for i in range(2) for j in range(3))
+        assert float(ad.cross_entropy(x, gold).data) == pytest.approx(rows, abs=1e-12)
+        check_gradients(lambda: ad.cross_entropy(x, gold), [x])
+
+    def test_gold_must_match_the_leading_shape(self, rng):
+        x = leaf(rng, 2, 4)
+        for gold in (1, [1, 2, 3]):
+            with pytest.raises(ShapeMismatchError):
+                ad.cross_entropy(x, gold)
+        with pytest.raises(IndexError):
+            ad.cross_entropy(x, [0, -1])
+
 
 class TestOtherOps:
     def test_gelu_gradient(self, rng):
@@ -181,6 +197,13 @@ class TestOtherOps:
         assert float(m.data) == pytest.approx(np.mean([x.data for x in xs]))
         m.backward()
         assert [float(x.grad) for x in xs] == [pytest.approx(1 / 3)] * 3
+
+    def test_first_gradient_is_a_copy(self, rng):
+        x = leaf(rng, 2, 3)
+        y = ad.reshape(x, (6,))  # backward hands x a view of y's gradient
+        ad.cross_entropy(y, 4).backward()
+        assert not np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(x.grad, y.grad.reshape(2, 3))
 
     def test_grad_accumulation_is_additive(self, rng):
         x = leaf(rng, 3)

@@ -110,6 +110,16 @@ class TestCheckpointLayout:
                      "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
         assert "head.status" in caplog.text
 
+    def test_vocab_not_an_object_is_data_error(self, workspace, caplog):
+        tmp_path, _, data = workspace
+        ckpt = tmp_path / "ckpt"
+        TrackerModel.fresh(vocab_from_procedures(load_procedures(data)),
+                           EncoderConfig(**TINY_CONFIG["encoder"]), seed=0).save(ckpt)
+        (ckpt / "vocab.json").write_text(json.dumps(["a", "b"]))
+        assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
+        assert "vocab.json: expected an object" in caplog.text
+
 
 class TestMalformedCorpus:
     RECORD = {"id": "p", "sentences": [["roots", "absorb", "water"]],
@@ -130,6 +140,11 @@ class TestMalformedCorpus:
         bad = dict(self.RECORD, grid={"water": ["?", 7]})
         assert self.train(tmp_path, [bad]) == EXIT_DATA
         assert "$[0].grid.water" in caplog.text
+
+    def test_id_not_a_string_is_data_error(self, tmp_path, caplog):
+        bad = dict(self.RECORD, id=["x"])
+        assert self.train(tmp_path, [self.RECORD, bad]) == EXIT_DATA
+        assert "$[1].id: expected a string" in caplog.text
 
     def test_duplicate_entity_is_data_error(self, tmp_path, caplog):
         bad = dict(self.RECORD, entities=["water", "water"])

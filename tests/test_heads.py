@@ -163,6 +163,33 @@ class TestJointLoss:
         assert np.any(w_start.grad != 0) and np.any(w_end.grad != 0)
 
 
+class TestBatchedJointLoss:
+    GOLDS = [GoldStep(STATUS_GONE, span=(0, 1)),  # a span on a non-known row
+             GoldStep(STATUS_UNKNOWN),
+             GoldStep(STATUS_KNOWN, span=(1, 3)),
+             GoldStep(STATUS_KNOWN, span=None),  # text not in the paragraph
+             GoldStep(STATUS_KNOWN, span=(4, 4))]
+
+    def test_matches_hand_sum_over_rows(self, rng):
+        B, T = len(self.GOLDS), 6
+        sp, st, en = (rng.dirichlet(np.ones(n), size=B) for n in (3, T, T))
+        loss = joint_loss(StatusPrediction(logits_of(sp)),
+                          SpanPrediction(logits_of(st), logits_of(en)), self.GOLDS)
+        expected = sum(-math.log(sp[i, g.status_class])
+                       for i, g in enumerate(self.GOLDS))
+        expected -= math.log(st[2, 1]) + math.log(en[2, 3])
+        expected -= math.log(st[4, 4]) + math.log(en[4, 4])
+        assert float(loss.data) == pytest.approx(expected, abs=1e-9)
+
+    def test_gradient_through_a_batch(self, rng):
+        out = enc_out(rng.normal(0, 1, (len(self.GOLDS), 6, 8)))
+        w_status, w_start, w_end = leaf(rng, 8, 3), leaf(rng, 8, 1), leaf(rng, 8, 1)
+        check_gradients(lambda: joint_loss(status_head(out, w_status),
+                                           span_head(out, w_start, w_end),
+                                           self.GOLDS),
+                        [out.hidden, w_status, w_start, w_end])
+
+
 class TestStatusClassOf:
     def test_mapping(self):
         assert status_class_of("-") == STATUS_GONE

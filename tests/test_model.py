@@ -8,7 +8,7 @@ from proctrack.autodiff import SgdConfig, Tensor
 from proctrack.data import DataError, GrammarConfig, Procedure, generate_synthetic
 from proctrack.encoder import EncoderConfig
 from proctrack.fixtures import photosynthesis
-from proctrack.heads import STATUS_KNOWN
+from proctrack.heads import STATUS_KNOWN, joint_loss
 from proctrack.inference import violates_rules
 from proctrack.model import TrackerModel, vocab_from_procedures
 from proctrack.train import TrainingDiverged, status_accuracy, train_model
@@ -74,6 +74,71 @@ class TestForward:
         loss = model.procedure_loss(procs[0], train=False)
         assert loss.data.shape == ()
         assert float(loss.data) > 0
+
+
+class TestBatchedLoss:
+    """`procedure_loss` runs each entity's steps as one batch; the oracle runs
+    one pass per (entity, step) and averages the per-pass losses."""
+
+    @pytest.fixture
+    def nudged(self):
+        """A model whose weights, `ts_emb` included, are all nonzero."""
+        cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=2, d_ff=32, max_len=96)
+        model = TrackerModel.fresh(vocab_from_procedures([photosynthesis()]),
+                                   cfg, seed=5)
+        rng = np.random.default_rng(4)
+        for t in model.params.values():
+            t.data += rng.normal(0, 0.3, t.data.shape)
+        return model
+
+    @staticmethod
+    def loss_and_grads(model, build_loss):
+        loss = build_loss()
+        loss.backward()
+        grads = {k: t.grad for k, t in model.params.items()}
+        for t in model.params.values():
+            t.grad = None
+        return float(loss.data), grads
+
+    def per_pass_loss(self, model, proc):
+        losses = []
+        for entity in proc.entities:
+            layout = model.layout_for(entity, proc)
+            golds, _ = model.gold_steps(proc, entity, layout)
+            for step, gold in enumerate(golds):
+                status, span = model.forward(layout, step)
+                losses.append(joint_loss(status, span, gold))
+        return ad.mean_of(losses)
+
+    def test_matches_per_pass_oracle(self, nudged):
+        proc = photosynthesis()  # all three statuses; water's "root" unaligned
+        assert np.any(nudged.params["ts_emb"].data != 0)
+        assert {g.status_class for e in proc.entities for g in nudged.gold_steps(
+            proc, e, nudged.layout_for(e, proc))[0]} == {0, 1, 2}
+        batched, got = self.loss_and_grads(
+            nudged, lambda: nudged.procedure_loss(proc, train=False))
+        oracle, want = self.loss_and_grads(
+            nudged, lambda: self.per_pass_loss(nudged, proc))
+        assert batched == pytest.approx(oracle, rel=0, abs=1e-12)
+        assert want.keys() == got.keys()
+        for name, g in want.items():
+            assert g is not None, name
+            np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_dropout_training_repeats_under_a_seed(self, procs):
+        cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
+                            max_len=96, dropout=0.2)
+        runs = []
+        for _ in range(2):
+            m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=1)
+            result = train_model(m, procs, SgdConfig(learning_rate=0.1),
+                                 epochs=2, seed=7)
+            runs.append((result.epoch_losses, m.params))
+        (losses_a, params_a), (losses_b, params_b) = runs
+        assert losses_a == losses_b
+        for name, t in params_a.items():
+            assert np.array_equal(t.data, params_b[name].data), name
 
 
 class TestGoldSpanResolution:
@@ -244,6 +309,20 @@ class TestTraining:
         train_model(m, procs, SgdConfig(learning_rate=0.1), epochs=2,
                     freeze_timestamps=True)
         assert np.all(m.params["ts_emb"].data == 0.0)
+
+    def test_unaligned_spans_counted_once_per_corpus(self, caplog):
+        proc = photosynthesis()  # water's state 1 "root": the text has "roots"
+        cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
+        m = TrackerModel.fresh(vocab_from_procedures([proc]), cfg, seed=1)
+        with caplog.at_level("INFO", logger="proctrack.train"):
+            result = train_model(m, [proc], SgdConfig(learning_rate=0.01),
+                                 epochs=3)
+        assert result.unaligned_spans == 1
+        epoch_lines = [r.getMessage() for r in caplog.records
+                       if r.getMessage().startswith("epoch ")]
+        assert len(epoch_lines) == 3
+        assert all("1 gold spans not in the paragraph" in line
+                   for line in epoch_lines)
 
     def test_status_accuracy_bounds(self, model, procs):
         acc = status_accuracy(model, procs)
