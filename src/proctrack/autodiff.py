@@ -168,6 +168,34 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(y, (a,), bw)
 
 
+def attention(qkv: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
+    """softmax(q kᵀ · scale) v over the last two axes, as one tape node.
+
+    `qkv` stacks q, k and v on axis 0. Returns the output and the attention
+    probabilities, a plain array that is also all backward keeps. The score
+    array is allocated once and normalised in place, by the same ufuncs in
+    the same order as `matmul`, `scale` and `softmax`, so the results are the
+    same to the bit.
+    """
+    q, k, v = qkv.data
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        ds = g @ np.swapaxes(v, -1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        qkv._accumulate(np.stack((
+            ds @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2),
+            np.swapaxes(p, -1, -2) @ g)))
+
+    return _result(p @ v, (qkv,), bw), p
+
+
 def cross_entropy(logits: Tensor, gold) -> Tensor:
     """-log_softmax(logits)[gold], summed over the rows of (..., C) logits.
 
@@ -350,7 +378,7 @@ def save_checkpoint(params: dict, path) -> None:
 
 def load_checkpoint(path) -> dict:
     """Parameters saved by `save_checkpoint`; ValueError naming the first
-    record that is not a flat list of numbers filling its shape."""
+    record that is not a flat list of finite numbers filling its shape."""
     with open(path, encoding="utf-8") as f:
         blob = json.load(f)
     if not isinstance(blob, dict):
@@ -371,5 +399,7 @@ def load_checkpoint(path) -> dict:
             arr = None
         if arr is None or arr.ndim != 1:
             raise ValueError(f"{path}: {name}: data is not a flat list of numbers")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: {name}: data holds NaN or infinity")
         params[name] = Tensor(arr.reshape(shape), requires_grad=True, name=name)
     return params

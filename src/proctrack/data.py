@@ -114,6 +114,8 @@ def validate_procedure(proc: Procedure, path: str = "") -> None:
 
 
 def _proc_from_obj(obj: dict, path: str) -> Procedure:
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a procedure object, got {obj!r}")
     required = {"id", "sentences", "entities", "grid"}
     missing = required - set(obj)
     if missing:
@@ -129,19 +131,29 @@ def _proc_from_obj(obj: dict, path: str) -> Procedure:
         if not (isinstance(sent, list) and all(isinstance(t, str) for t in sent)):
             raise DataError(f"{path}.sentences[{j}]: expected a list of token "
                             f"strings, got {sent!r}")
+    if not (isinstance(obj["entities"], list)
+            and all(isinstance(e, str) for e in obj["entities"])):
+        raise DataError(f"{path}.entities: expected a list of entity names, "
+                        f"got {obj['entities']!r}")
     if not isinstance(obj["grid"], dict):
         raise DataError(f"{path}.grid: expected an object of entity timelines")
     for entity, tl in obj["grid"].items():
         if not (isinstance(tl, list) and all(isinstance(v, str) for v in tl)):
             raise DataError(f"{path}.grid.{entity}: expected a list of location "
                             f"strings, got {tl!r}")
+    spans = obj.get("candidate_spans", [])
+    if not (isinstance(spans, list)
+            and all(isinstance(sp, list) and len(sp) == 2
+                    and all(type(i) is int for i in sp) for sp in spans)):
+        raise DataError(f"{path}.candidate_spans: expected a list of [start, end] "
+                        f"integer pairs, got {spans!r}")
     grid = {e: [_normalize(v) for v in tl] for e, tl in obj["grid"].items()}
     proc = Procedure(
         id=obj["id"],
         sentences=[list(s) for s in obj["sentences"]],
         entities=list(obj["entities"]),
         grid=grid,
-        candidate_spans=[tuple(sp) for sp in obj.get("candidate_spans", [])],
+        candidate_spans=[tuple(sp) for sp in spans],
     )
     if not proc.candidate_spans:
         proc.candidate_spans, proc.unresolved_locations = candidate_spans_from_grid(
@@ -247,35 +259,73 @@ def load_recipe_annotations(path) -> list[Procedure]:
         data = json.load(f)
     if not isinstance(data, list):
         raise DataError("$: top level must be a list of recipes")
-    procs = []
-    for i, obj in enumerate(data):
-        where = f"$[{i}]"
-        for key in ("id", "sentences", "ingredients", "locations"):
-            if key not in obj:
-                raise DataError(f"{where}: missing key {key!r}")
-        sentences = [tokenize(s) if isinstance(s, str) else list(s)
-                     for s in obj["sentences"]]
-        n = len(sentences)
-        entities, grid = [], {}
-        for name in obj["ingredients"]:
-            ann = obj["locations"].get(name)
-            if not ann:
-                log.warning("%s: ingredient %r has no location annotations; skipped",
-                            obj["id"], name)
-                continue
-            ann = {int(k): _normalize(v) for k, v in ann.items()}
-            timeline = [ann.get(0, "?")]
-            for step in range(1, n + 1):
-                timeline.append(ann.get(step, timeline[-1]))
-            entities.append(name)
-            grid[name] = timeline
-        spans, missing = candidate_spans_from_grid(sentences, grid)
-        proc = Procedure(id=str(obj["id"]), sentences=sentences, entities=entities,
-                         grid=grid, candidate_spans=spans,
-                         unresolved_locations=missing)
-        validate_procedure(proc, where)
-        procs.append(proc)
-    return procs
+    return [_recipe_from_obj(obj, f"$[{i}]") for i, obj in enumerate(data)]
+
+
+def _recipe_from_obj(obj, where: str) -> Procedure:
+    """One recipe: sentences as strings or token lists, and per ingredient
+    an object of step -> location, carried forward between steps."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{where}: expected a recipe object, got {obj!r}")
+    for key in ("id", "sentences", "ingredients", "locations"):
+        if key not in obj:
+            raise DataError(f"{where}: missing key {key!r}")
+    if not isinstance(obj["id"], str):
+        raise DataError(f"{where}.id: expected a string, got {obj['id']!r}")
+    if not isinstance(obj["sentences"], list):
+        raise DataError(f"{where}.sentences: expected a list of sentences")
+    sentences = []
+    for j, sent in enumerate(obj["sentences"]):
+        if isinstance(sent, str):
+            sentences.append(tokenize(sent))
+        elif isinstance(sent, list) and all(isinstance(t, str) for t in sent):
+            sentences.append(list(sent))
+        else:
+            raise DataError(f"{where}.sentences[{j}]: expected a string or a "
+                            f"list of token strings, got {sent!r}")
+    ingredients, locations = obj["ingredients"], obj["locations"]
+    if not (isinstance(ingredients, list)
+            and all(isinstance(name, str) for name in ingredients)):
+        raise DataError(f"{where}.ingredients: expected a list of strings, "
+                        f"got {ingredients!r}")
+    if not isinstance(locations, dict):
+        raise DataError(f"{where}.locations: expected an object of ingredient "
+                        f"annotations, got {locations!r}")
+    n = len(sentences)
+    entities, grid = [], {}
+    for name in ingredients:
+        ann = locations.get(name, {})
+        if not isinstance(ann, dict):
+            raise DataError(f"{where}.locations.{name}: expected an object of "
+                            f"step -> location, got {ann!r}")
+        if not ann:
+            log.warning("%s: ingredient %r has no location annotations; skipped",
+                        obj["id"], name)
+            continue
+        steps = {}
+        for key, value in ann.items():
+            try:
+                step = int(key)
+            except ValueError:
+                step = -1
+            if not 0 <= step <= n:
+                raise DataError(f"{where}.locations.{name}.{key}: expected a "
+                                f"step number 0..{n}")
+            if not isinstance(value, str):
+                raise DataError(f"{where}.locations.{name}.{key}: expected a "
+                                f"location string, got {value!r}")
+            steps[step] = _normalize(value)
+        timeline = [steps.get(0, "?")]
+        for step in range(1, n + 1):
+            timeline.append(steps.get(step, timeline[-1]))
+        entities.append(name)
+        grid[name] = timeline
+    spans, missing = candidate_spans_from_grid(sentences, grid)
+    proc = Procedure(id=obj["id"], sentences=sentences, entities=entities,
+                     grid=grid, candidate_spans=spans,
+                     unresolved_locations=missing)
+    validate_procedure(proc, where)
+    return proc
 
 
 # ---------------------------------------------------------------------------

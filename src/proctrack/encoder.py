@@ -35,6 +35,13 @@ class EncoderConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        sizes = {"d_model": 1, "n_heads": 1, "n_layers": 1, "d_ff": 1,
+                 "vocab_size": 0, "max_len": 1}
+        for name, least in sizes.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
@@ -148,16 +155,12 @@ def encode(embedded: Tensor, params: dict, config: EncoderConfig,
         qkv = ad.transpose(
             ad.reshape(ad.matmul(h, params[p + "attn.qkv"]), (*lead, T, H, 3, dh)),
             (L + 2, *range(L), L + 1, L, L + 3))
-        q, k, v = (ad.slice_rows(qkv, i, i + 1) for i in range(3))
-        # Nested so that a tape-free pass frees each (T, T) array once used.
-        probs = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)),
-                                    1.0 / np.sqrt(dh)), axis=-1)  # (1, ..., H, T, T)
+        attended, probs = ad.attention(qkv, 1.0 / np.sqrt(dh))  # (..., H, T, dh)
         if collect_attn:
-            attn_probs.extend(probs.data[0].copy())
-        # (1, ..., H, T, dh) -> (1, ..., T, H, dh) -> (..., T, d)
-        merged = ad.reshape(
-            ad.transpose(ad.matmul(probs, v), (0, *range(1, L + 1), L + 2, L + 1, L + 3)),
-            (*lead, T, config.d_model))
+            attn_probs.extend(probs.copy())
+        # (..., H, T, dh) -> (..., T, H, dh) -> (..., T, d)
+        merged = ad.reshape(ad.transpose(attended, (*range(L), L + 1, L, L + 2)),
+                            (*lead, T, config.d_model))
         attn_out = ad.add(ad.matmul(merged, params[p + "attn.out"]),
                           params[p + "attn.out_bias"])
         x = ad.add(x, _dropout(attn_out, config.dropout, drop_rng))

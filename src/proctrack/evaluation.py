@@ -10,6 +10,7 @@ derived from the state-change table, macro-averaged over processes.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, asdict
 
 from .state_table import (
@@ -155,21 +156,21 @@ def document_level(pred_tables: dict[str, list[StateChangeRow]],
         raise ValueError(f"process ids differ between pred and gold: {sorted(missing)}")
 
     criteria = ("inputs", "outputs", "conversions", "moves")
-    sums = {c: [0.0, 0.0] for c in criteria}  # precision, recall accumulators
+    # Per-process precisions and recalls; summed with fsum, whose result does
+    # not depend on the order of the processes.
+    scores = {c: ([], []) for c in criteria}
     for pid in gold_tables:
         pred_sets = answer_sets(pred_tables[pid])
         gold_sets = answer_sets(gold_tables[pid])
         for c in criteria:
             inter = len(pred_sets[c] & gold_sets[c])
-            p = inter / len(pred_sets[c]) if pred_sets[c] else 1.0
-            r = inter / len(gold_sets[c]) if gold_sets[c] else 1.0
-            sums[c][0] += p
-            sums[c][1] += r
+            scores[c][0].append(inter / len(pred_sets[c]) if pred_sets[c] else 1.0)
+            scores[c][1].append(inter / len(gold_sets[c]) if gold_sets[c] else 1.0)
 
     n = len(gold_tables)
     per_criterion = {}
     for c in criteria:
-        p, r = sums[c][0] / n, sums[c][1] / n
+        p, r = math.fsum(scores[c][0]) / n, math.fsum(scores[c][1]) / n
         per_criterion[c] = {"precision": p, "recall": r, "f1": _f1(p, r)}
     overall_p = sum(per_criterion[c]["precision"] for c in criteria) / len(criteria)
     overall_r = sum(per_criterion[c]["recall"] for c in criteria) / len(criteria)

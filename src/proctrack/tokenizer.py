@@ -35,6 +35,9 @@ class Vocab:
         self._id_to_token = {i: t for t, i in token_to_id.items()}
         if len(self._id_to_token) != len(self._token_to_id):
             raise ValueError("vocab ids must be unique")
+        if not all(type(i) is int and 0 <= i < len(self._token_to_id)
+                   for i in self._id_to_token):
+            raise ValueError("vocab ids must be 0 .. size - 1")
 
     def __len__(self):
         return len(self._token_to_id)

@@ -94,6 +94,33 @@ class TestSoftmax:
                       Tensor(w.reshape(6, 1))), ()), [x])
 
 
+class TestAttention:
+    @staticmethod
+    def weighted_sum(out, w):
+        """A scalar that weighs every output entry differently."""
+        flat = ad.reshape(out, (1, -1))
+        return ad.reshape(ad.matmul(flat, Tensor(w.reshape(-1, 1))), ())
+
+    def test_matches_softmax_of_scaled_scores(self, rng):
+        q, k, v = qkv = rng.normal(0, 1, (3, 2, 3, 5, 4))
+        out, probs = ad.attention(Tensor(qkv), 0.5)
+        want = ad.softmax_array(q @ np.swapaxes(k, -1, -2) * 0.5)
+        np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, want @ v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_gradient_on_q_k_v_with_two_leading_axes(self, rng):
+        qkv = leaf(rng, 3, 2, 3, 5, 4)  # q, k, v of shape (2, 3, 5, 4)
+        w = rng.normal(0, 1, (2, 3, 5, 4))
+        check_gradients(
+            lambda: self.weighted_sum(ad.attention(qkv, 0.5)[0], w), [qkv])
+
+    def test_one_tape_node(self, rng):
+        qkv = leaf(rng, 3, 2, 5, 4)
+        out, _ = ad.attention(qkv, 0.5)
+        assert out._parents == (qkv,)
+
+
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
         assert float(ad.cross_entropy(Tensor([0.0, -np.inf, -np.inf]), 0).data) == 0.0

@@ -1,12 +1,18 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from proctrack.cli import (
-    EXIT_CONFIG, EXIT_DATA, gold_tables, load_run_config, main,
+    EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, gold_tables, load_run_config, main,
 )
-from proctrack.data import load_procedures, save_procedures
+from proctrack.data import (
+    GrammarConfig, generate_synthetic, load_procedures, save_procedures,
+)
 from proctrack.encoder import EncoderConfig
 from proctrack.fixtures import photosynthesis
 from proctrack.model import TrackerModel, vocab_from_procedures
@@ -94,6 +100,8 @@ class TestCheckpointLayout:
         {"shape": [16, 3]},  # no data
         {"shape": [16, 3], "data": [0.0] * 47},  # data does not fit the shape
         {"shape": [16, 3], "data": ["x"] * 48},
+        {"shape": [16, 3], "data": [float("nan")] * 48},
+        {"shape": [16, 3], "data": [0.0] * 47 + [float("inf")]},
         [0.0] * 48,
     ])
     def test_malformed_record_is_data_error(self, workspace, caplog, record):
@@ -304,3 +312,115 @@ class TestEvaluateGolden:
         direct = tmp_path / "direct.json"
         save_procedures([p], direct)
         assert out.read_bytes() == direct.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: `predict` and `evaluate` on mutated corpus and checkpoint files
+# end with a contract exit code and never raise.
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 200) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+class Files(dict):
+    """File name -> text, shown by name only in a failing example."""
+
+    def __repr__(self):
+        return f"Files({sorted(self)})"
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """A two-procedure corpus, a tiny checkpoint and its predicted TSV."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = root / "data.json"
+    procs = generate_synthetic(8, 2, GrammarConfig(min_steps=2, max_steps=3))
+    save_procedures(procs, data)
+    cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=1, d_ff=8, max_len=64)
+    TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=0).save(root / "ckpt")
+    assert main(["predict", "--data", str(data), "--checkpoint",
+                 str(root / "ckpt"), "--out", str(root / "pred.tsv")]) == 0
+    return Files({name: (root / name).read_text() for name in (
+        "data.json", "pred.tsv", "ckpt/config.json", "ckpt/params.json",
+        "ckpt/vocab.json")})
+
+
+@st.composite
+def mutated(draw, text):
+    """`text` (JSON) with one value replaced or deleted at a random depth,
+    or cut short."""
+    if draw(st.integers(0, 9)) == 0:
+        return text[:draw(st.integers(0, len(text) - 1))]
+    root = node = json.loads(text)
+    while True:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(keys)) if keys else None
+        child = None if key is None else node[key]
+        if key is None or not isinstance(child, (dict, list)) \
+                or draw(st.integers(0, 2)) == 0:
+            break
+        node = child
+    if key is None:
+        return json.dumps(draw(JSON_VALUES))
+    if draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(JSON_VALUES)
+    return json.dumps(root)
+
+
+def write_files(root, files):
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(exist_ok=True)
+        (root / rel).write_text(text)
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("name, path, value", [
+        ("data.json", [0], None),
+        ("data.json", [0, "entities"], [{"x": 1}]),
+        ("data.json", [0, "candidate_spans"], 0.5),
+        ("data.json", [0, "candidate_spans"], [[1.5, 2]]),
+        ("ckpt/config.json", ["n_heads"], 0),
+        ("ckpt/config.json", ["n_heads"], True),
+        ("ckpt/config.json", ["max_len"], 64.0),
+        ("ckpt/config.json", ["n_layers"], [1]),
+        ("ckpt/vocab.json", ["the"], -3),
+    ], ids=["non-object-procedure", "non-string-entity", "number-spans",
+            "float-span", "zero-heads", "bool-heads", "float-max-len",
+            "list-layers", "vocab-id-out-of-range"])
+    def test_escapes_found_by_fuzzing_are_data_errors(self, clean_run, tmp_path,
+                                                      name, path, value):
+        doc = node = json.loads(clean_run[name])
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        write_files(tmp_path, {**clean_run, name: json.dumps(doc)})
+        assert main(["predict", "--data", str(tmp_path / "data.json"),
+                     "--checkpoint", str(tmp_path / "ckpt"),
+                     "--out", str(tmp_path / "out.tsv")]) == EXIT_DATA
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_predict_and_evaluate_exit_with_a_contract_code(self, clean_run, data):
+        name = data.draw(st.sampled_from(["data.json", "ckpt/config.json",
+                                          "ckpt/params.json", "ckpt/vocab.json"]))
+        files = dict(clean_run, **{name: data.draw(mutated(clean_run[name]))})
+        mode = data.draw(st.sampled_from(["sentence", "document", "npn"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_files(root, files)
+            codes = [
+                main(["predict", "--data", str(root / "data.json"), "--checkpoint",
+                      str(root / "ckpt"), "--out", str(root / "out.tsv")]),
+                main(["evaluate", "--pred", str(root / "pred.tsv"), "--gold",
+                      str(root / "data.json"), "--mode", mode,
+                      "--out", str(root / "metrics.json")]),
+            ]
+        assert set(codes) <= {0, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC}, (name, codes)

@@ -145,6 +145,46 @@ class TestRecipeAnnotations:
         assert "flour" in caplog.text
 
 
+class TestRecipeAnnotationErrors:
+    """Each malformed recipe is a DataError naming its JSON path."""
+
+    RECIPE = {"id": "r1", "sentences": ["melt butter in the pan", "serve"],
+              "ingredients": ["butter"], "locations": {"butter": {"1": "pan"}}}
+
+    def load(self, tmp_path, recipe):
+        path = tmp_path / "recipes.json"
+        path.write_text(json.dumps([self.RECIPE, recipe]))
+        return load_recipe_annotations(path)
+
+    def test_well_formed_recipe_loads(self, tmp_path):
+        assert [p.id for p in self.load(tmp_path, self.RECIPE)] == ["r1", "r1"]
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("id", ["x"], r"\$\[1\]\.id:"),
+        ("id", 7, r"\$\[1\]\.id:"),
+        ("ingredients", "butter", r"\$\[1\]\.ingredients:"),
+        ("ingredients", [["butter"]], r"\$\[1\]\.ingredients:"),
+        ("locations", ["butter"], r"\$\[1\]\.locations:"),
+        ("locations", {"butter": ["pan"]}, r"\$\[1\]\.locations\.butter:"),
+        ("locations", {"butter": {"one": "pan"}},
+         r"\$\[1\]\.locations\.butter\.one:"),
+        ("locations", {"butter": {"9": "pan"}},
+         r"\$\[1\]\.locations\.butter\.9:"),
+        ("locations", {"butter": {"1": 5}}, r"\$\[1\]\.locations\.butter\.1:"),
+        ("sentences", "melt butter", r"\$\[1\]\.sentences:"),
+        ("sentences", ["melt", 5], r"\$\[1\]\.sentences\[1\]:"),
+    ], ids=["list-id", "int-id", "string-ingredients", "nested-ingredients",
+            "list-locations", "list-annotation", "word-step", "step-past-end",
+            "number-location", "string-sentences", "number-sentence"])
+    def test_malformed_field_names_its_path(self, tmp_path, field, value, where):
+        with pytest.raises(DataError, match=where):
+            self.load(tmp_path, {**self.RECIPE, field: value})
+
+    def test_non_object_recipe(self, tmp_path):
+        with pytest.raises(DataError, match=r"\$\[1\]: expected a recipe object"):
+            self.load(tmp_path, ["r1"])
+
+
 class TestSyntheticGenerator:
     def test_deterministic_per_seed(self):
         a = generate_synthetic(7, 5)

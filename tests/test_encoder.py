@@ -237,6 +237,73 @@ class TestStepBatch:
             embed([make_input(vocab), other], params)
 
 
+def chain_attention(qkv, scale):
+    """Attention as the separate tape ops the fused op replaced: slices,
+    `matmul(q, kᵀ)`, `scale`, `softmax` and `matmul(·, v)`."""
+    q, k, v = (ad.slice_rows(qkv, i, i + 1) for i in range(3))
+    probs = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), scale), axis=-1)
+    out = ad.matmul(probs, v)
+    return ad.reshape(out, out.shape[1:]), probs.data[0]
+
+
+class TestFusedAttention:
+    def taped_entity_pass(self, vocab, cfg, seed=12):
+        """A batch of every step of one query with every weight nonzero, and
+        the logits of both heads on one tape."""
+        layout = build_query("water", SENTS, vocab)
+        steps = [timestamp(layout, s) for s in range(layout.n_sentences + 1)]
+        rng = np.random.default_rng(seed)
+        params = init_encoder_params(cfg, rng)
+        params.update(init_head_params(cfg.d_model, rng))
+        for t in params.values():
+            t.data += rng.normal(0, 0.3, t.data.shape)
+        out = encode(embed(steps, params), params, cfg, collect_attn=True)
+        status = status_head(out, params["head.status"])
+        span = span_head(out, params["head.start"], params["head.end"])
+        return params, out, (status.logits_t, span.start_t, span.end_t)
+
+    def run(self, vocab, cfg):
+        params, out, logits = self.taped_entity_pass(vocab, cfg)
+        assert np.all(params["ts_emb"].data != 0.0)
+        loss = ad.mean_of([ad.cross_entropy(logits[0], np.arange(4) % 3),
+                           ad.cross_entropy(logits[1], np.arange(4) + 4),
+                           ad.cross_entropy(logits[2], np.arange(4) + 5)])
+        loss.backward()
+        return ([out.hidden.data, *out.attn_probs, *(t.data for t in logits),
+                 loss.data], {k: t.grad for k, t in params.items()})
+
+    def test_equals_the_unfused_chain_exactly(self, vocab, monkeypatch):
+        for n_heads in (1, 2, 4):
+            cfg = tiny_config(vocab, n_heads=n_heads, n_layers=2)
+            fused, fused_grads = self.run(vocab, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(ad, "attention", chain_attention)
+                chain, chain_grads = self.run(vocab, cfg)
+            assert len(fused) == len(chain)
+            for got, want in zip(fused, chain):
+                np.testing.assert_array_equal(got, want)
+            assert fused_grads.keys() == chain_grads.keys()
+            for name, want in chain_grads.items():
+                np.testing.assert_array_equal(fused_grads[name], want,
+                                              err_msg=name)
+
+    def test_tape_nodes_of_one_entity_pass(self, vocab):
+        # Per layer: ln1, the qkv matmul, reshape, transpose, attention,
+        # transpose, reshape, out matmul, bias add, residual add, ln2 and six
+        # feed-forward nodes make 17; embed adds 5, the final layer norm 1,
+        # the [CLS] slice and the heads 7.
+        _, _, logits = self.taped_entity_pass(vocab, EncoderConfig(
+            d_model=8, n_heads=2, n_layers=2, d_ff=16, vocab_size=len(vocab),
+            max_len=32))
+        seen, stack = set(), list(logits)
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._backward is not None:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert len(seen) == 47
+
+
 class TestEndToEndGradient:
     def test_finite_difference_through_embed_encode_heads(self, vocab):
         cfg = tiny_config(vocab)

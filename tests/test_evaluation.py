@@ -1,13 +1,17 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from proctrack.data import GrammarConfig, generate_synthetic
 from proctrack.evaluation import (
     EventRecord, answer_sets, document_level, extract_events,
     location_change_accuracy, sentence_level,
 )
 from proctrack.fixtures import photosynthesis
-from proctrack.state_table import StateChangeRow, build_table
+from proctrack.state_table import StateChangeRow, build_table, timeline_from_rows
 
 
 def grid_tables(grid, n_steps):
@@ -108,6 +112,29 @@ class TestDocumentLevel:
     def test_process_id_mismatch_rejected(self, photo_tables):
         with pytest.raises(ValueError, match="process ids"):
             document_level(photo_tables, {"other": []})
+
+    def test_process_order_does_not_change_a_digit(self):
+        """Per-process scores summed in another order can differ in the last
+        bit; this corpus was found by `TestMetricProperties`."""
+        pred = {"p0": {"resin": ["-", "-", "-", "soil"], "paste": ["?", "-", "?", "oven"],
+                       "sand": ["?", "?", "bowl", "bowl"]},
+                "p1": {"water": ["-", "-", "-"], "sand": ["?", "-", "-"],
+                       "ash": ["?", "?", "mill"]},
+                "p2": {"ash": ["-", "-", "-"], "resin": ["?", "-", "-"]},
+                "p3": {"smoke": ["-", "?", "soil"], "sand": ["?", "?", "soil"],
+                       "dough": ["-", "-", "-"], "salt": ["-", "tank", "river"]}}
+        gold = {"p0": {"resin": ["-", "-", "soil", "soil"], "paste": ["?", "?", "?", "oven"],
+                       "sand": ["?", "bowl", "bowl", "bowl"]},
+                "p1": pred["p1"],
+                "p2": {"ash": ["-", "-", "cloud"], "resin": ["?", "-", "-"]},
+                "p3": {"smoke": ["-", "-", "-"], "sand": ["?", "-", "-"],
+                       "dough": ["?", "-", "-"], "salt": ["-", "tank", "river"]}}
+        pt, gt = tables_of(pred), tables_of(gold)
+        want = document_level(pt, gt).to_dict()
+        for order in itertools.permutations(gt):
+            got = document_level({pid: pt[pid] for pid in order},
+                                 {pid: gt[pid] for pid in order})
+            assert got.to_dict() == want, order
 
     def test_row_order_invariance(self, photo_tables):
         pid = next(iter(photo_tables))
@@ -260,3 +287,93 @@ class TestLocationChangeAccuracy:
             expected = sum(1 for i in changes if pred[i] == gold[i]) / len(changes)
             got = location_change_accuracy({"p": {"e": pred}}, {"p": {"e": gold}})
             assert got == pytest.approx(expected)
+
+
+# ---------------------------------------------------------------------------
+# Properties of all three metrics on generated corpora.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def scored_corpus(draw):
+    """Gold grids of a synthetic corpus, a prediction that mutates some of
+    their values, and a random generator for shuffles and renamings."""
+    min_steps = draw(st.integers(1, 5))
+    procs = generate_synthetic(
+        draw(st.integers(0, 10**6)), draw(st.integers(1, 5)),
+        GrammarConfig(min_steps=min_steps, max_steps=min_steps + draw(st.integers(0, 3))))
+    rng = draw(st.randoms(use_true_random=False))
+    mutate = draw(st.floats(0.0, 0.6))
+    gold = {p.id: {e: p.timeline(e) for e in p.entities} for p in procs}
+    values = ["-", "?", "soil", "oven", "bowl"]
+    pred = {pid: {e: [rng.choice(values) if rng.random() < mutate else v
+                      for v in tl] for e, tl in grid.items()}
+            for pid, grid in gold.items()}
+    return pred, gold, rng
+
+
+def tables_of(grids):
+    return {pid: grid_tables(grid, len(next(iter(grid.values()))) - 1)
+            for pid, grid in grids.items()}
+
+
+def all_scores(pred, gold):
+    """Every number the three metrics report for grids `pred` and `gold`."""
+    pt, gt = tables_of(pred), tables_of(gold)
+    return (document_level(pt, gt).to_dict(), sentence_level(pt, gt).to_dict(),
+            location_change_accuracy(pred, gold))
+
+
+def shuffled_rows(tables, rng):
+    out = {}
+    for pid in rng.sample(list(tables), len(tables)):
+        rows = list(tables[pid])
+        rng.shuffle(rows)
+        out[pid] = rows
+    return out
+
+
+def timelines_of(tables):
+    """Per-entity timelines recovered from table rows in any order."""
+    out = {}
+    for pid, rows in tables.items():
+        per_entity = {}
+        for r in rows:
+            per_entity.setdefault(r.entity, []).append(r)
+        out[pid] = {e: timeline_from_rows(rs) for e, rs in per_entity.items()}
+    return out
+
+
+class TestMetricProperties:
+    @given(scored_corpus())
+    @settings(max_examples=40, deadline=None)
+    def test_gold_against_gold_is_one(self, case):
+        _, gold, _ = case
+        doc, sent, lca = all_scores(gold, gold)
+        assert doc["precision"] == doc["recall"] == doc["f1"] == 1.0
+        assert all(v == 1.0 for m in doc["criteria"].values() for v in m.values())
+        assert sent == {k: 1.0 for k in ("cat1", "cat2", "cat3", "macro_avg",
+                                         "micro_avg")}
+        assert lca == 1.0
+
+    @given(scored_corpus())
+    @settings(max_examples=40, deadline=None)
+    def test_invariant_to_row_order(self, case):
+        pred, gold, rng = case
+        pt, gt = tables_of(pred), tables_of(gold)
+        ps, gs = shuffled_rows(pt, rng), shuffled_rows(gt, rng)
+        assert document_level(ps, gs).to_dict() == document_level(pt, gt).to_dict()
+        assert sentence_level(ps, gs).to_dict() == sentence_level(pt, gt).to_dict()
+        assert (location_change_accuracy(timelines_of(ps), timelines_of(gs))
+                == location_change_accuracy(pred, gold))
+
+    @given(scored_corpus())
+    @settings(max_examples=40, deadline=None)
+    def test_invariant_to_renaming_entities(self, case):
+        pred, gold, rng = case
+        # Per procedure, a permutation of its own names plus a suffix, so that
+        # the renaming also reorders the entities.
+        new = {pid: dict(zip(grid, (n + "_x" for n in rng.sample(list(grid), len(grid)))))
+               for pid, grid in gold.items()}
+        renamed = [{pid: {new[pid][e]: tl for e, tl in grid.items()}
+                    for pid, grid in grids.items()} for grids in (pred, gold)]
+        assert all_scores(*renamed) == all_scores(pred, gold)
