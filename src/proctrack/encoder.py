@@ -11,7 +11,6 @@ leading axes, (..., T, d_model), through the same code.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -74,59 +73,82 @@ class EncoderOutput:
         return ad.slice_rows(self.hidden, 0, 1, axis=-2)
 
 
-def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
-    """Parameter dict for embeddings and all encoder layers.
+def _shape_groups(config: EncoderConfig) -> tuple[dict, dict, dict]:
+    """Shapes of the tensors before the layers, in each layer (unprefixed)
+    and after the layers."""
+    d, ff = config.d_model, config.d_ff
+    before = {"token_emb": (config.vocab_size, d), "pos_emb": (config.max_len, d),
+              "ts_emb": (N_TIMESTAMPS, d)}
+    # attn.qkv columns are head-major: q0 k0 v0 q1 k1 v1 ...
+    layer = {"ln1.gain": (d,), "ln1.bias": (d,), "attn.qkv": (d, 3 * d),
+             "attn.out": (d, d), "attn.out_bias": (d,), "ln2.gain": (d,),
+             "ln2.bias": (d,), "ff.w1": (d, ff), "ff.b1": (ff,), "ff.w2": (ff, d),
+             "ff.b2": (d,)}
+    after = {"final_ln.gain": (d,), "final_ln.bias": (d,),
+             "head.status": (d, 3), "head.start": (d, 1), "head.end": (d, 1)}
+    return before, layer, after
 
-    The time-id embedding table is zero-initialized on purpose.
-    """
-    d, dh, ff = config.d_model, config.d_model // config.n_heads, config.d_ff
 
-    def normal(*shape):
-        return rng.normal(0.0, 0.02, size=shape)
+def param_count(config: EncoderConfig) -> int:
+    """How many tensors `param_shapes(config)` lists, without listing them."""
+    before, layer, after = _shape_groups(config)
+    return len(before) + config.n_layers * len(layer) + len(after)
 
-    params = {
-        "token_emb": normal(config.vocab_size, d),
-        "pos_emb": normal(config.max_len, d),
-        "ts_emb": np.zeros((N_TIMESTAMPS, d)),
-    }
+
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor of a model with this config (encoder,
+    then heads), in the order a fresh model draws and saves them."""
+    before, layer, after = _shape_groups(config)
+    shapes = dict(before)
     for l in range(config.n_layers):
-        p = f"layer{l}."
-        params[p + "ln1.gain"] = np.ones(d)
-        params[p + "ln1.bias"] = np.zeros(d)
-        # Columns are head-major: q0 k0 v0 q1 k1 v1 ...
-        params[p + "attn.qkv"] = np.concatenate(
-            [normal(d, dh) for _ in range(3 * config.n_heads)], axis=1)
-        params[p + "attn.out"] = normal(d, d)
-        params[p + "attn.out_bias"] = np.zeros(d)
-        params[p + "ln2.gain"] = np.ones(d)
-        params[p + "ln2.bias"] = np.zeros(d)
-        params[p + "ff.w1"] = normal(d, ff)
-        params[p + "ff.b1"] = np.zeros(ff)
-        params[p + "ff.w2"] = normal(ff, d)
-        params[p + "ff.b2"] = np.zeros(d)
-    params["final_ln.gain"] = np.ones(d)
-    params["final_ln.bias"] = np.zeros(d)
-    return {k: Tensor(v, requires_grad=True, name=k) for k, v in params.items()}
+        shapes.update((f"layer{l}.{k}", v) for k, v in layer.items())
+    shapes.update(after)
+    return shapes
 
 
-def embed(inp: TimestampedInput | Sequence[TimestampedInput],
-          params: dict) -> Tensor:
+def init_params(config: EncoderConfig, rng: np.random.Generator,
+                heads: bool) -> dict:
+    """The encoder's tensors of `param_shapes`, or with `heads` the heads'.
+
+    Gains start at one, biases and the time-id table at zero (so a fresh
+    model is step-agnostic), every other matrix from N(0, 0.02), drawn in
+    `param_shapes` order; attn.qkv is drawn one (d_model, d_head) block at a
+    time.
+    """
+    dh = config.d_model // config.n_heads
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if name.startswith("head.") != heads:
+            continue
+        if name.endswith(".gain"):
+            value = np.ones(shape)
+        elif len(shape) == 1 or name == "ts_emb":
+            value = np.zeros(shape)
+        elif name.endswith("attn.qkv"):
+            value = np.concatenate([rng.normal(0.0, 0.02, (shape[0], dh))
+                                    for _ in range(3 * config.n_heads)], axis=1)
+        else:
+            value = rng.normal(0.0, 0.02, shape)
+        params[name] = Tensor(value, requires_grad=True, name=name)
+    return params
+
+
+def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
+    """Parameter dict for embeddings and all encoder layers."""
+    return init_params(config, rng, heads=False)
+
+
+def embed(inp: TimestampedInput, params: dict) -> Tensor:
     """Sum of token, position, and time-id embeddings, one row per token.
 
-    One input gives (T, d_model). A sequence of inputs stamped on one layout
+    One step's time ids, (T,), give (T, d_model); a batch of them, (B, T),
     gives (B, T, d_model): the token and position rows are looked up once
     and broadcast over the B rows of time ids.
     """
-    if isinstance(inp, TimestampedInput):
-        layout, ts_ids = inp.layout, inp.timestamp_ids
-    else:
-        layout = inp[0].layout
-        if any(i.layout != layout for i in inp):
-            raise ValueError("a batch of inputs must share one layout")
-        ts_ids = [i.timestamp_ids for i in inp]
+    layout = inp.layout
     tok = ad.embedding(params["token_emb"], layout.token_ids)
     pos = ad.embedding(params["pos_emb"], layout.position_ids)
-    ts = ad.embedding(params["ts_emb"], ts_ids)
+    ts = ad.embedding(params["ts_emb"], inp.timestamp_ids)
     return ad.add(ad.add(tok, pos), ts)
 
 
@@ -161,13 +183,12 @@ def encode(embedded: Tensor, params: dict, config: EncoderConfig,
         # (..., H, T, dh) -> (..., T, H, dh) -> (..., T, d)
         merged = ad.reshape(ad.transpose(attended, (*range(L), L + 1, L, L + 2)),
                             (*lead, T, config.d_model))
-        attn_out = ad.add(ad.matmul(merged, params[p + "attn.out"]),
-                          params[p + "attn.out_bias"])
+        attn_out = ad.affine(merged, params[p + "attn.out"],
+                             params[p + "attn.out_bias"])
         x = ad.add(x, _dropout(attn_out, config.dropout, drop_rng))
         h = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
-        ff = ad.add(ad.matmul(ad.gelu(
-            ad.add(ad.matmul(h, params[p + "ff.w1"]), params[p + "ff.b1"])
-        ), params[p + "ff.w2"]), params[p + "ff.b2"])
+        ff = ad.affine(ad.gelu(ad.affine(h, params[p + "ff.w1"], params[p + "ff.b1"])),
+                       params[p + "ff.w2"], params[p + "ff.b2"])
         x = ad.add(x, _dropout(ff, config.dropout, drop_rng))
     x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
     return EncoderOutput(hidden=x, attn_probs=attn_probs)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import EncoderOutput
+from .encoder import EncoderConfig, EncoderOutput, init_params
 
 # Fixed class order for entity status.
 STATUS_GONE, STATUS_UNKNOWN, STATUS_KNOWN = 0, 1, 2
@@ -117,13 +117,6 @@ def joint_loss(status: StatusPrediction, span: SpanPrediction,
     return loss
 
 
-def init_head_params(d_model: int, rng: np.random.Generator) -> dict:
-    return {
-        "head.status": Tensor(rng.normal(0.0, 0.02, (d_model, 3)),
-                              requires_grad=True, name="head.status"),
-        "head.start": Tensor(rng.normal(0.0, 0.02, (d_model, 1)),
-                             requires_grad=True, name="head.start"),
-        "head.end": Tensor(rng.normal(0.0, 0.02, (d_model, 1)),
-                           requires_grad=True, name="head.end"),
-    }
-
+def init_head_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
+    """The status and span head weights for an encoder with `config`."""
+    return init_params(config, rng, heads=True)

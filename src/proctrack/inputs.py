@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .tokenizer import CLS, SEP, Vocab, tokenize
 
 TS_QUESTION, TS_PAST, TS_CURRENT, TS_FUTURE = 0, 1, 2, 3
@@ -38,11 +40,11 @@ class QueryLayout:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimestampedInput:
+    """A layout with time ids: (T,) for one step, or (B, T) for B steps."""
     layout: QueryLayout
-    step: int
-    timestamp_ids: tuple[int, ...]
+    timestamp_ids: np.ndarray
 
     def __len__(self):
         return len(self.layout)
@@ -83,18 +85,20 @@ def build_query(entity: str, sentences: list[list[str]], vocab: Vocab,
     )
 
 
+def time_ids(layout: QueryLayout) -> np.ndarray:
+    """The (n+1, T) time ids of `layout` by the rule above, one row per step
+    0..n, built once for all steps."""
+    sentence = np.array(layout.sentence_index)
+    step = np.arange(layout.n_sentences + 1)[:, None]
+    ids = np.where(sentence < step, TS_PAST, TS_FUTURE)
+    ids[(sentence == step) | (step == 0)] = TS_CURRENT
+    ids[:, sentence == 0] = TS_QUESTION
+    return ids
+
+
 def timestamp(layout: QueryLayout, step: int) -> TimestampedInput:
+    """`layout` stamped for one step: row `step` of `time_ids(layout)`."""
     n = layout.n_sentences
     if not 0 <= step <= n:
         raise ValueError(f"step {step} out of range 0..{n}")
-    ids = []
-    for s in layout.sentence_index:
-        if s == 0:
-            ids.append(TS_QUESTION)
-        elif step == 0 or s == step:
-            ids.append(TS_CURRENT)
-        elif s < step:
-            ids.append(TS_PAST)
-        else:
-            ids.append(TS_FUTURE)
-    return TimestampedInput(layout=layout, step=step, timestamp_ids=tuple(ids))
+    return TimestampedInput(layout=layout, timestamp_ids=time_ids(layout)[step])

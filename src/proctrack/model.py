@@ -10,7 +10,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import DataError, Procedure, find_token_occurrences
-from .encoder import EncoderConfig, embed, encode, init_encoder_params
+from .encoder import (
+    EncoderConfig, embed, encode, init_encoder_params, param_count, param_shapes,
+)
 from .heads import (
     GoldStep, SpanPrediction, StatusPrediction, init_head_params, joint_loss,
     span_head, status_class_of, status_head,
@@ -19,7 +21,9 @@ from .inference import (
     DecodedState, decode_step, decode_step_unfiltered, repair_timeline,
     violates_rules,
 )
-from .inputs import QueryLayout, build_query, timestamp
+from .inputs import (
+    QueryLayout, TimestampedInput, build_query, time_ids, timestamp,
+)
 from .tokenizer import Vocab, build_vocab, tokenize
 
 
@@ -44,7 +48,7 @@ class TrackerModel:
         config.vocab_size = len(vocab)
         rng = np.random.default_rng(seed)
         params = init_encoder_params(config, rng)
-        params.update(init_head_params(config.d_model, rng))
+        params.update(init_head_params(config, rng))
         return cls(vocab=vocab, config=config, params=params)
 
     # -- persistence --------------------------------------------------------
@@ -89,8 +93,13 @@ class TrackerModel:
             params = ad.load_checkpoint(os.path.join(directory, "params.json"))
         except ValueError as exc:
             raise DataError(str(exc)) from exc
+        # A count first: a config with a huge n_layers must not be listed.
+        count = param_count(config)
+        if len(params) != count:
+            raise DataError(f"{directory}: params.json holds {len(params)} "
+                            f"tensors, config.json implies {count}")
         found = {k: t.shape for k, t in params.items()}
-        implied = {k: t.shape for k, t in cls.fresh(vocab, config, 0).params.items()}
+        implied = param_shapes(config)
         if found != implied:
             raise DataError(f"{directory}: params.json does not match config.json: "
                             + "; ".join(f"{k}: found {found.get(k, 'nothing')}, "
@@ -118,10 +127,9 @@ class TrackerModel:
         it records no tape and each intermediate is freed once used.
         """
         params = {k: Tensor(t.data) for k, t in self.params.items()}
-        steps = [timestamp(layout, s) for s in range(layout.n_sentences + 1)]
-        return self._heads(steps, params)
+        return self._heads(TimestampedInput(layout, time_ids(layout)), params)
 
-    def _heads(self, inp, params: dict, train: bool = False,
+    def _heads(self, inp: TimestampedInput, params: dict, train: bool = False,
                rng: np.random.Generator | None = None
                ) -> tuple[StatusPrediction, SpanPrediction]:
         out = encode(embed(inp, params), params, self.config, train=train, rng=rng)
@@ -159,8 +167,8 @@ class TrackerModel:
         for entity in proc.entities:
             layout = self.layout_for(entity, proc)
             golds, _ = self.gold_steps(proc, entity, layout)
-            steps = [timestamp(layout, s) for s in range(len(golds))]
-            status, span = self._heads(steps, self.params, train, rng)
+            status, span = self._heads(TimestampedInput(layout, time_ids(layout)),
+                                       self.params, train, rng)
             losses.append(joint_loss(status, span, golds))
             passes += len(golds)
         return ad.mean_of(losses, passes)

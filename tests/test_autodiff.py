@@ -121,6 +121,94 @@ class TestAttention:
         assert out._parents == (qkv,)
 
 
+def parent_gelu(a):
+    """`ad.gelu` as written out before its chain was computed in place."""
+    x = a.data
+    t = np.tanh(ad._GELU_C * (x + 0.044715 * x * x * x))
+
+    def bw(g):
+        d_inner = ad._GELU_C * (1.0 + 3 * 0.044715 * x * x)
+        a._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner))
+
+    return ad._result(0.5 * x * (1.0 + t), (a,), bw)
+
+
+def parent_layer_norm(x, gain, bias, eps=1e-5):
+    """`ad.layer_norm` as written out with `mean` and fresh temporaries."""
+    d = x.data.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    istd = 1.0 / np.sqrt((xc**2).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * istd
+
+    def bw(g):
+        gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        bias._accumulate(g.reshape(-1, d).sum(axis=0))
+        dxhat = g * gain.data
+        x._accumulate(istd * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)))
+
+    return ad._result(gain.data * xhat + bias.data, (x, gain, bias), bw)
+
+
+def parent_affine(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+class TestInPlaceChains:
+    """gelu, layer_norm and affine give the same bits as the expressions
+    written out, taped and tape-free, on inputs with two leading axes."""
+
+    # A last axis of 6, not a power of two, so that dividing by it rounds.
+    CASES = {
+        "gelu": (ad.gelu, parent_gelu, [(2, 3, 5, 6)]),
+        "layer_norm": (ad.layer_norm, parent_layer_norm, [(2, 3, 5, 6), (6,), (6,)]),
+        "affine": (ad.affine, parent_affine, [(2, 3, 5, 6), (6, 4), (4,)]),
+    }
+
+    @staticmethod
+    def run(op, arrays, taped):
+        inputs = [Tensor(a.copy(), requires_grad=taped) for a in arrays]
+        out = op(*inputs)
+        if not taped:
+            assert out._backward is None
+            return out.data, []
+        w = np.random.default_rng(1).normal(0, 1, out.data.size)
+        TestAttention.weighted_sum(out, w).backward()
+        return out.data, [t.grad for t in inputs]
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_same_bits_as_the_written_out_expression(self, rng, name, taped):
+        op, reference, shapes = self.CASES[name]
+        # Wide enough that gelu's tanh saturates on some entries.
+        arrays = [rng.normal(0, 3, shape) for shape in shapes]
+        got, got_grads = self.run(op, arrays, taped)
+        want, want_grads = self.run(reference, arrays, taped)
+        np.testing.assert_array_equal(got, want)
+        assert len(got_grads) == len(want_grads)
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_array_equal(g, w)
+
+
+class TestAffine:
+    def test_gradient_with_two_leading_axes(self, rng):
+        x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
+        weights = rng.normal(0, 1, (2, 3, 5))
+        check_gradients(
+            lambda: TestAttention.weighted_sum(ad.affine(x, w, b), weights),
+            [x, w, b])
+
+    def test_one_tape_node(self, rng):
+        x, w, b = leaf(rng, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
+        assert ad.affine(x, w, b)._parents == (x, w, b)
+
+    def test_shape_mismatch_names_the_shapes(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(3, 4\).*\(4, 5\).*\(4,\)"):
+            ad.affine(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 5))),
+                      Tensor(np.zeros(4)))
+
+
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
         assert float(ad.cross_entropy(Tensor([0.0, -np.inf, -np.inf]), 0).data) == 0.0

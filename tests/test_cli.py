@@ -405,6 +405,26 @@ class TestFuzz:
                      "--checkpoint", str(tmp_path / "ckpt"),
                      "--out", str(tmp_path / "out.tsv")]) == EXIT_DATA
 
+    @pytest.mark.parametrize("key", ["max_len", "n_layers", "d_model", "d_ff"])
+    def test_huge_config_size_is_data_error_without_allocating(
+            self, clean_run, tmp_path, monkeypatch, key):
+        """A config.json implying a model of 10⁹ rows or layers is checked
+        against params.json without building that model."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("load must not build a model to learn shapes")
+
+        import proctrack.encoder
+        import proctrack.model
+        monkeypatch.setattr(TrackerModel, "fresh", refuse)
+        monkeypatch.setattr(proctrack.model, "init_encoder_params", refuse)
+        monkeypatch.setattr(proctrack.encoder, "init_encoder_params", refuse)
+        doc = json.loads(clean_run["ckpt/config.json"])
+        doc[key] = 10**9
+        write_files(tmp_path, {**clean_run, "ckpt/config.json": json.dumps(doc)})
+        assert main(["predict", "--data", str(tmp_path / "data.json"),
+                     "--checkpoint", str(tmp_path / "ckpt"),
+                     "--out", str(tmp_path / "out.tsv")]) == EXIT_DATA
+
     @given(data=st.data())
     @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from proctrack import autodiff as ad
-from proctrack.encoder import EncoderConfig, embed, encode, init_encoder_params
+from proctrack.encoder import (
+    EncoderConfig, embed, encode, init_encoder_params, param_count, param_shapes,
+)
 from proctrack.heads import init_head_params, joint_loss, span_head, status_head, GoldStep
-from proctrack.inputs import build_query, timestamp
+from proctrack.inputs import TimestampedInput, build_query, time_ids, timestamp
 from proctrack.tokenizer import build_vocab
 
 from conftest import check_gradients
@@ -46,6 +48,47 @@ class TestConfig:
                             vocab_size=99, max_len=64)
         cfg.save(tmp_path / "cfg.json")
         assert EncoderConfig.load(tmp_path / "cfg.json") == cfg
+
+
+def drawn_layer_by_layer(config, rng):
+    """Every tensor of a fresh model, drawn as written out before the shapes
+    were listed in one place."""
+    d, dh, ff = config.d_model, config.d_model // config.n_heads, config.d_ff
+
+    def normal(*shape):
+        return rng.normal(0.0, 0.02, size=shape)
+
+    params = {"token_emb": normal(config.vocab_size, d),
+              "pos_emb": normal(config.max_len, d), "ts_emb": np.zeros((4, d))}
+    for l in range(config.n_layers):
+        p = f"layer{l}."
+        params[p + "ln1.gain"], params[p + "ln1.bias"] = np.ones(d), np.zeros(d)
+        params[p + "attn.qkv"] = np.concatenate(
+            [normal(d, dh) for _ in range(3 * config.n_heads)], axis=1)
+        params[p + "attn.out"], params[p + "attn.out_bias"] = normal(d, d), np.zeros(d)
+        params[p + "ln2.gain"], params[p + "ln2.bias"] = np.ones(d), np.zeros(d)
+        params[p + "ff.w1"], params[p + "ff.b1"] = normal(d, ff), np.zeros(ff)
+        params[p + "ff.w2"], params[p + "ff.b2"] = normal(ff, d), np.zeros(d)
+    params["final_ln.gain"], params["final_ln.bias"] = np.ones(d), np.zeros(d)
+    for name, cols in (("head.status", 3), ("head.start", 1), ("head.end", 1)):
+        params[name] = normal(d, cols)
+    return params
+
+
+class TestParamShapes:
+    @pytest.mark.parametrize("n_layers, n_heads", [(1, 1), (3, 2), (2, 4)])
+    def test_fresh_draw_is_unchanged_and_listed_in_order(self, n_layers, n_heads):
+        cfg = EncoderConfig(d_model=8, n_heads=n_heads, n_layers=n_layers, d_ff=12,
+                            vocab_size=7, max_len=20)
+        rng = np.random.default_rng(0)
+        params = init_encoder_params(cfg, rng)
+        params.update(init_head_params(cfg, rng))
+        want = drawn_layer_by_layer(cfg, np.random.default_rng(0))
+        assert list(params) == list(want) == list(param_shapes(cfg))
+        assert param_count(cfg) == len(want)
+        for name, value in want.items():
+            assert params[name].shape == param_shapes(cfg)[name]
+            np.testing.assert_array_equal(params[name].data, value, err_msg=name)
 
 
 class TestEmbed:
@@ -205,12 +248,12 @@ class TestStepBatch:
 
     def test_rows_match_steps_run_alone(self, vocab):
         layout = build_query("water", SENTS, vocab)
-        steps = [timestamp(layout, s) for s in range(layout.n_sentences + 1)]
+        steps = TimestampedInput(layout, time_ids(layout))
         for n_heads in (1, 2):
             cfg = tiny_config(vocab, n_heads=n_heads, n_layers=2)
             rng = np.random.default_rng(11)
             params = init_encoder_params(cfg, rng)
-            params.update(init_head_params(cfg.d_model, rng))
+            params.update(init_head_params(cfg, rng))
             for t in params.values():  # large enough that a mixed-up row shows
                 if t.data.ndim == 2:
                     t.data[:] = rng.normal(0, 0.5, t.data.shape)
@@ -224,17 +267,11 @@ class TestStepBatch:
                         span.start_t.data, span.end_t.data)
 
             batched = heads(steps)
-            assert batched[0].shape == (len(steps), len(layout), cfg.d_model)
-            for s, inp in enumerate(steps):
-                for got, alone in zip(batched, heads(inp)):
+            n_steps = layout.n_sentences + 1
+            assert batched[0].shape == (n_steps, len(layout), cfg.d_model)
+            for s in range(n_steps):
+                for got, alone in zip(batched, heads(timestamp(layout, s))):
                     np.testing.assert_allclose(got[s], alone, rtol=0, atol=1e-12)
-
-    def test_batch_must_share_one_layout(self, vocab):
-        cfg = tiny_config(vocab)
-        params = init_encoder_params(cfg, np.random.default_rng(0))
-        other = timestamp(build_query("water", SENTS[:2], vocab), 1)
-        with pytest.raises(ValueError, match="one layout"):
-            embed([make_input(vocab), other], params)
 
 
 def chain_attention(qkv, scale):
@@ -251,10 +288,10 @@ class TestFusedAttention:
         """A batch of every step of one query with every weight nonzero, and
         the logits of both heads on one tape."""
         layout = build_query("water", SENTS, vocab)
-        steps = [timestamp(layout, s) for s in range(layout.n_sentences + 1)]
+        steps = TimestampedInput(layout, time_ids(layout))
         rng = np.random.default_rng(seed)
         params = init_encoder_params(cfg, rng)
-        params.update(init_head_params(cfg.d_model, rng))
+        params.update(init_head_params(cfg, rng))
         for t in params.values():
             t.data += rng.normal(0, 0.3, t.data.shape)
         out = encode(embed(steps, params), params, cfg, collect_attn=True)
@@ -289,9 +326,9 @@ class TestFusedAttention:
 
     def test_tape_nodes_of_one_entity_pass(self, vocab):
         # Per layer: ln1, the qkv matmul, reshape, transpose, attention,
-        # transpose, reshape, out matmul, bias add, residual add, ln2 and six
-        # feed-forward nodes make 17; embed adds 5, the final layer norm 1,
-        # the [CLS] slice and the heads 7.
+        # transpose, reshape, the out affine, residual add, ln2, and the
+        # feed-forward affine, gelu, affine and residual add make 14; embed
+        # adds 5, the final layer norm 1, the [CLS] slice and the heads 7.
         _, _, logits = self.taped_entity_pass(vocab, EncoderConfig(
             d_model=8, n_heads=2, n_layers=2, d_ff=16, vocab_size=len(vocab),
             max_len=32))
@@ -301,7 +338,7 @@ class TestFusedAttention:
             if id(node) not in seen and node._backward is not None:
                 seen.add(id(node))
                 stack.extend(node._parents)
-        assert len(seen) == 47
+        assert len(seen) == 41
 
 
 class TestEndToEndGradient:
@@ -309,7 +346,7 @@ class TestEndToEndGradient:
         cfg = tiny_config(vocab)
         rng = np.random.default_rng(10)
         params = init_encoder_params(cfg, rng)
-        params.update(init_head_params(cfg.d_model, rng))
+        params.update(init_head_params(cfg, rng))
         params["ts_emb"].data[:] = rng.normal(0, 0.3, (4, 8))
         # At the 0.02 init the k gradients are ~2e-5, below what central
         # differences resolve at this tolerance.

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proctrack.inputs import (
-    TS_CURRENT, TS_FUTURE, TS_PAST, TS_QUESTION, build_query, timestamp,
+    TS_CURRENT, TS_FUTURE, TS_PAST, TS_QUESTION, build_query, time_ids, timestamp,
 )
 from proctrack.tokenizer import CLS, SEP, build_vocab, tokenize
 from proctrack.fixtures import photosynthesis
@@ -109,7 +110,7 @@ class TestTimestamp:
         a, b = timestamp(layout, 1), timestamp(layout, 4)
         assert a.layout is b.layout
         assert a.layout.token_ids == b.layout.token_ids
-        assert a.timestamp_ids != b.timestamp_ids
+        assert not np.array_equal(a.timestamp_ids, b.timestamp_ids)
 
 
 @st.composite
@@ -151,10 +152,37 @@ class TestTimestampInvariants:
         prev_past, prev_future = -1, float("inf")
         for step in range(1, len(sentences) + 1):
             ids = timestamp(layout, step).timestamp_ids
-            n_past = ids.count(TS_PAST)
-            n_future = ids.count(TS_FUTURE)
-            n_current = ids.count(TS_CURRENT)
+            n_past = np.count_nonzero(ids == TS_PAST)
+            n_future = np.count_nonzero(ids == TS_FUTURE)
+            n_current = np.count_nonzero(ids == TS_CURRENT)
             assert n_past >= prev_past
             assert n_future <= prev_future
             assert n_current == len(sentences[step - 1]) + 1  # words + its SEP
             prev_past, prev_future = n_past, n_future
+
+
+def rule(sentence: int, step: int) -> int:
+    """The documented time id of a token of `sentence` at `step`."""
+    if sentence == 0:
+        return TS_QUESTION
+    if step == 0 or sentence == step:
+        return TS_CURRENT
+    return TS_PAST if sentence < step else TS_FUTURE
+
+
+class TestTimeIds:
+    @given(random_layout())
+    @settings(max_examples=100, deadline=None)
+    def test_every_row_follows_the_rule(self, ent_sents):
+        entity, sentences = ent_sents
+        vocab = build_vocab(sentences + [[entity]])
+        layout = build_query(entity, sentences, vocab)
+        ids = time_ids(layout)
+        assert ids.shape == (len(sentences) + 1, len(layout))
+        for step, row in enumerate(ids):
+            assert row.tolist() == [rule(s, step) for s in layout.sentence_index]
+            np.testing.assert_array_equal(timestamp(layout, step).timestamp_ids, row)
+        question = np.array(layout.sentence_index) == 0
+        assert question.sum() == 5 + len(tokenize(entity))  # [CLS] where is ? [SEP]
+        assert np.all(ids[:, question] == TS_QUESTION)
+        assert np.all(ids[0, ~question] == TS_CURRENT)

@@ -256,6 +256,28 @@ class TestPersistence:
                      "head.status: found (16, 4), expected (16, 3)"):
             assert part in str(err.value)
 
+    def test_load_draws_no_fresh_model(self, model, tmp_path, monkeypatch):
+        model.save(tmp_path / "ckpt")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load must not draw a model")
+
+        monkeypatch.setattr(TrackerModel, "fresh", refuse)
+        loaded = TrackerModel.load(tmp_path / "ckpt")
+        assert list(loaded.params) == list(model.params)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(loaded.params[name].data, p.data)
+
+    def test_tensor_count_checked_before_shapes(self, model, tmp_path):
+        model.save(tmp_path / "ckpt")
+        cpath = tmp_path / "ckpt" / "config.json"
+        cfg = json.loads(cpath.read_text())
+        cfg["n_layers"] = 3
+        cpath.write_text(json.dumps(cfg))
+        with pytest.raises(DataError, match="holds 19 tensors, config.json "
+                                            "implies 41"):
+            TrackerModel.load(tmp_path / "ckpt")
+
     def test_unknown_config_key_is_data_error(self, model, tmp_path):
         model.save(tmp_path / "ckpt")
         cpath = tmp_path / "ckpt" / "config.json"
