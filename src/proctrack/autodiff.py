@@ -207,16 +207,22 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(y, (a,), bw)
 
 
-def attention(qkv: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
-    """softmax(q kᵀ · scale) v over the last two axes, as one tape node.
+def attention(qkv: Tensor, n_heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head softmax(q kᵀ / sqrt(d_head)) v, as one tape node.
 
-    `qkv` stacks q, k and v on axis 0. Returns the output and the attention
-    probabilities, a plain array that is also all backward keeps. The score
-    array is allocated once and normalised in place, by the same ufuncs in
-    the same order as `matmul`, `scale` and `softmax`, so the results are the
+    `qkv` is the (..., T, 3·d) projection, its columns head-major (q0 k0 v0
+    q1 ...). Returns the heads merged to (..., T, d) and the (..., H, T, T)
+    probabilities, a plain array that is also all backward keeps. Heads are
+    split and merged by views and the scores normalised in place, by the same
+    ufuncs in the same order as the separate tape ops, so the results are the
     same to the bit.
     """
-    q, k, v = qkv.data
+    *lead, T, d3 = qkv.data.shape
+    dh = d3 // (3 * n_heads)
+    scale = 1.0 / np.sqrt(dh)
+    # (..., T, H, 3, dh) -> (3, ..., H, T, dh)
+    split = qkv.data.reshape(*lead, T, n_heads, 3, dh)
+    q, k, v = np.moveaxis(split, -2, 0).swapaxes(-3, -2)
     p = q @ np.swapaxes(k, -1, -2)
     p *= scale
     p -= p.max(axis=-1, keepdims=True)
@@ -224,15 +230,17 @@ def attention(qkv: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
     p /= p.sum(axis=-1, keepdims=True)
 
     def bw(g):
+        g = g.reshape(*lead, T, n_heads, dh).swapaxes(-3, -2)
         ds = g @ np.swapaxes(v, -1, -2)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        qkv._accumulate(np.stack((
-            ds @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2),
-            np.swapaxes(p, -1, -2) @ g)))
+        dqkv = np.stack((ds @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2),
+                         np.swapaxes(p, -1, -2) @ g))
+        qkv._accumulate(np.moveaxis(dqkv.swapaxes(-3, -2), 0, -2).reshape(qkv.shape))
 
-    return _result(p @ v, (qkv,), bw), p
+    merged = (p @ v).swapaxes(-3, -2).reshape(*lead, T, d3 // 3)
+    return _result(merged, (qkv,), bw), p
 
 
 def cross_entropy(logits: Tensor, gold) -> Tensor:

@@ -17,10 +17,10 @@ from .data import (
 )
 from .encoder import EncoderConfig
 from .evaluation import (
-    document_level, location_change_accuracy, sentence_level,
+    MetricsReport, document_level, location_change_accuracy, sentence_level,
 )
 from .model import TrackerModel, vocab_from_procedures
-from .state_table import build_table, read_tsv, timeline_from_rows, write_tsv
+from .state_table import build_table, read_tsv, timelines_from_table, write_tsv
 from .train import TrainingDiverged, train_model
 
 log = logging.getLogger("proctrack")
@@ -34,13 +34,19 @@ class ConfigError(ValueError):
     pass
 
 
-def load_run_config(path=None) -> dict:
-    """The run config in the JSON file at `path`; defaults for what it omits,
-    or for everything when `path` is None."""
+def load_run_config(path=None, **overrides) -> dict:
+    """The run config in the JSON file at `path` (defaults for all it omits,
+    or for all with no path), with the `overrides` that are not None."""
     cfg = {}
     if path is not None:
         with open(path, encoding="utf-8") as f:
-            cfg = json.load(f)
+            try:
+                cfg = json.load(f)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: not JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
+    cfg.update((k, v) for k, v in overrides.items() if v is not None)
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -52,9 +58,9 @@ def load_run_config(path=None) -> dict:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     epochs, seed = cfg.get("epochs", 50), cfg.get("seed", 0)
-    if type(epochs) is not int or type(seed) is not int:
-        raise ConfigError(
-            f"epochs and seed must be integers, got {epochs!r}, {seed!r}")
+    if type(epochs) is not int or type(seed) is not int or epochs < 1:
+        raise ConfigError(f"epochs must be a positive integer and seed an "
+                          f"integer, got {epochs!r}, {seed!r}")
     return {"encoder": encoder, "sgd": sgd, "epochs": epochs, "seed": seed}
 
 
@@ -79,12 +85,10 @@ def cmd_convert(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.epochs is not None:
-        cfg["epochs"] = args.epochs
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = load_run_config(args.config, epochs=args.epochs, seed=args.seed)
     procs = load_procedures(args.data)
+    if not procs:
+        raise DataError(f"{args.data}: no procedures to train on")
     dev = load_procedures(args.dev) if args.dev else procs
     vocab = vocab_from_procedures(procs)
     model = TrackerModel.fresh(vocab, cfg["encoder"], cfg["seed"])
@@ -125,6 +129,8 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     gold_procs = load_procedures(args.gold)
+    if not gold_procs:
+        raise DataError(f"{args.gold}: no procedures to score against")
     gold = gold_tables(gold_procs)
     pred = read_tsv(args.pred)
     unmatched = set(pred) ^ set(gold)
@@ -146,11 +152,10 @@ def cmd_evaluate(args) -> int:
         print(f"{'overall':>12} {report.precision:8.3f} {report.recall:8.3f} "
               f"{report.f1:8.3f}", file=sys.stderr)
     else:  # npn
-        pred_tl = {pid: _timelines_from_table(rows) for pid, rows in pred.items()}
+        pred_tl = {pid: timelines_from_table(rows) for pid, rows in pred.items()}
         gold_tl = {p.id: {e: p.timeline(e) for e in p.entities}
                    for p in gold_procs}
         acc = location_change_accuracy(pred_tl, gold_tl)
-        from .evaluation import MetricsReport
         report = MetricsReport(location_change_accuracy=acc)
         print(f"location-change accuracy: {acc:.3f}", file=sys.stderr)
 
@@ -161,13 +166,6 @@ def cmd_evaluate(args) -> int:
     else:
         print(payload)
     return EXIT_OK
-
-
-def _timelines_from_table(rows):
-    per_entity = {}
-    for r in rows:
-        per_entity.setdefault(r.entity, []).append(r)
-    return {e: timeline_from_rows(rs) for e, rs in per_entity.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,13 +228,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
-        log.error("data error: %s", exc)
-        return EXIT_DATA
     except (TrainingDiverged, NonFiniteGradientError) as exc:
         log.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # DataError among them
         log.error("data error: %s", exc)
         return EXIT_DATA
 

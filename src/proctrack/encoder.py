@@ -162,27 +162,19 @@ def _dropout(x: Tensor, rate: float, rng) -> Tensor:
 def encode(embedded: Tensor, params: dict, config: EncoderConfig,
            train: bool = False, rng: np.random.Generator | None = None,
            collect_attn: bool = False) -> EncoderOutput:
-    *lead, T, _ = embedded.data.shape
+    T = embedded.data.shape[-2]
     if T > config.max_len:
         raise ValueError(f"sequence length {T} exceeds max length {config.max_len}")
-    H, dh, L = config.n_heads, config.d_model // config.n_heads, len(lead)
     drop_rng = rng if train else None
     x = embedded
     attn_probs = []
     for l in range(config.n_layers):
         p = f"layer{l}."
         h = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
-        # (..., T, 3d) -> (..., T, H, 3, dh) -> (3, ..., H, T, dh): q, k, v
-        # with a head axis.
-        qkv = ad.transpose(
-            ad.reshape(ad.matmul(h, params[p + "attn.qkv"]), (*lead, T, H, 3, dh)),
-            (L + 2, *range(L), L + 1, L, L + 3))
-        attended, probs = ad.attention(qkv, 1.0 / np.sqrt(dh))  # (..., H, T, dh)
+        merged, probs = ad.attention(ad.matmul(h, params[p + "attn.qkv"]),
+                                     config.n_heads)
         if collect_attn:
             attn_probs.extend(probs.copy())
-        # (..., H, T, dh) -> (..., T, H, dh) -> (..., T, d)
-        merged = ad.reshape(ad.transpose(attended, (*range(L), L + 1, L, L + 2)),
-                            (*lead, T, config.d_model))
         attn_out = ad.affine(merged, params[p + "attn.out"],
                              params[p + "attn.out_bias"])
         x = ad.add(x, _dropout(attn_out, config.dropout, drop_rng))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 from .state_table import (
     ACTION_CREATE, ACTION_DESTROY, ACTION_MOVE, ACTION_NONE,
-    StateChangeRow, timeline_from_rows,
+    StateChangeRow, timelines_from_table,
 )
 
 log = logging.getLogger(__name__)
@@ -122,13 +122,8 @@ def sentence_level(pred_tables: dict[str, list[StateChangeRow]],
 
 def answer_sets(table: list[StateChangeRow]) -> dict[str, set]:
     """Inputs/outputs/conversions/moves answer sets for one process table."""
-    per_entity: dict[str, list[StateChangeRow]] = {}
-    for r in table:
-        per_entity.setdefault(r.entity, []).append(r)
-
     inputs, outputs = set(), set()
-    for entity, rows in per_entity.items():
-        timeline = timeline_from_rows(rows)
+    for entity, timeline in timelines_from_table(table).items():
         exists0, existsN = timeline[0] != "-", timeline[-1] != "-"
         if exists0 and not existsN:
             inputs.add(entity)
@@ -154,6 +149,8 @@ def document_level(pred_tables: dict[str, list[StateChangeRow]],
     if set(pred_tables) != set(gold_tables):
         missing = set(gold_tables) ^ set(pred_tables)
         raise ValueError(f"process ids differ between pred and gold: {sorted(missing)}")
+    if not gold_tables:
+        raise ValueError("no processes to score")
 
     criteria = ("inputs", "outputs", "conversions", "moves")
     # Per-process precisions and recalls; summed with fsum, whose result does

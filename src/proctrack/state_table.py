@@ -61,6 +61,14 @@ def timeline_from_rows(rows: list[StateChangeRow]) -> list[str]:
     return [rows[0].before] + [r.after for r in rows]
 
 
+def timelines_from_table(table: list[StateChangeRow]) -> dict[str, list[str]]:
+    """Entity -> timeline (state 0..n) for every entity of one process table."""
+    per_entity: dict[str, list[StateChangeRow]] = {}
+    for r in table:
+        per_entity.setdefault(r.entity, []).append(r)
+    return {e: timeline_from_rows(rows) for e, rows in per_entity.items()}
+
+
 def write_tsv(tables: dict[str, list[StateChangeRow]], path) -> None:
     """process_id, step, entity, action, before, after; lowercase locations."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:

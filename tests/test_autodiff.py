@@ -101,23 +101,34 @@ class TestAttention:
         flat = ad.reshape(out, (1, -1))
         return ad.reshape(ad.matmul(flat, Tensor(w.reshape(-1, 1))), ())
 
+    @staticmethod
+    def split(qkv, n_heads):
+        """q, k and v of each head, sliced out of the head-major columns."""
+        dh = qkv.shape[-1] // (3 * n_heads)
+        cols = [qkv[..., i * dh:(i + 1) * dh] for i in range(3 * n_heads)]
+        return (np.stack(cols[i::3], axis=-3) for i in range(3))
+
     def test_matches_softmax_of_scaled_scores(self, rng):
-        q, k, v = qkv = rng.normal(0, 1, (3, 2, 3, 5, 4))
-        out, probs = ad.attention(Tensor(qkv), 0.5)
+        qkv = rng.normal(0, 1, (2, 3, 5, 24))  # two heads of width 4
+        q, k, v = self.split(qkv, 2)
+        out, probs = ad.attention(Tensor(qkv), 2)
         want = ad.softmax_array(q @ np.swapaxes(k, -1, -2) * 0.5)
+        heads = want @ v
         np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.data, want @ v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            out.data, np.concatenate([heads[..., 0, :, :], heads[..., 1, :, :]], -1),
+            rtol=0, atol=1e-12)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_gradient_on_q_k_v_with_two_leading_axes(self, rng):
-        qkv = leaf(rng, 3, 2, 3, 5, 4)  # q, k, v of shape (2, 3, 5, 4)
-        w = rng.normal(0, 1, (2, 3, 5, 4))
+        qkv = leaf(rng, 2, 3, 5, 24)  # two heads of q, k, v of width 4
+        w = rng.normal(0, 1, (2, 3, 5, 8))
         check_gradients(
-            lambda: self.weighted_sum(ad.attention(qkv, 0.5)[0], w), [qkv])
+            lambda: self.weighted_sum(ad.attention(qkv, 2)[0], w), [qkv])
 
     def test_one_tape_node(self, rng):
-        qkv = leaf(rng, 3, 2, 5, 4)
-        out, _ = ad.attention(qkv, 0.5)
+        qkv = leaf(rng, 2, 5, 12)
+        out, _ = ad.attention(qkv, 1)
         assert out._parents == (qkv,)
 
 

@@ -63,8 +63,9 @@ class TestRunConfig:
     def test_non_integer_epochs_or_seed_is_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         for bad in ({"epochs": "x"}, {"epochs": 2.5}, {"seed": "0"},
-                    {"seed": True}):
-            path.write_text(json.dumps(bad))
+                    {"seed": True}, {"epochs": 0}, {"epochs": -1}, [],
+                    "{not json"):
+            path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
             assert main(["train", "--data", "x.json", "--out",
                          str(tmp_path / "o"), "--config", str(path)]) == EXIT_CONFIG
 
@@ -234,6 +235,29 @@ class TestPipeline:
                          "--checkpoint", str(ckpt), "--out", str(pred),
                          "--no-constraints"]) == 0
         assert "constraints disabled" in caplog.text
+
+    @pytest.mark.parametrize("argv, code", [
+        (["train", "--data", "{data}", "--epochs", "0", "--out", "{out}"],
+         EXIT_CONFIG),
+        (["train", "--data", "{data}", "--epochs", "-1", "--out", "{out}"],
+         EXIT_CONFIG),
+        (["train", "--data", "{empty}", "--out", "{out}"], EXIT_DATA),
+        *((["evaluate", "--pred", "{pred}", "--gold", "{empty}", "--mode", mode],
+           EXIT_DATA) for mode in ("sentence", "document", "npn")),
+    ], ids=["epochs-0", "epochs-minus-1", "empty-corpus", "empty-gold-sentence",
+            "empty-gold-document", "empty-gold-npn"])
+    def test_no_epochs_or_no_procedures_exit_with_a_contract_code(
+            self, workspace, caplog, argv, code):
+        tmp_path, _, data = workspace
+        paths = {"data": data, "empty": tmp_path / "empty.json",
+                 "pred": tmp_path / "empty.tsv", "out": tmp_path / "ckpt"}
+        paths["empty"].write_text("[]")
+        paths["pred"].write_text("")
+        assert main([a.format(**paths) for a in argv]) == code
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        if code == EXIT_DATA:
+            assert str(paths["empty"]) in errors[0]
 
     def test_evaluate_rejects_unaligned_ids(self, workspace):
         tmp_path, cfg, data = workspace

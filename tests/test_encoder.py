@@ -274,13 +274,21 @@ class TestStepBatch:
                     np.testing.assert_allclose(got[s], alone, rtol=0, atol=1e-12)
 
 
-def chain_attention(qkv, scale):
-    """Attention as the separate tape ops the fused op replaced: slices,
-    `matmul(q, kᵀ)`, `scale`, `softmax` and `matmul(·, v)`."""
-    q, k, v = (ad.slice_rows(qkv, i, i + 1) for i in range(3))
-    probs = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), scale), axis=-1)
-    out = ad.matmul(probs, v)
-    return ad.reshape(out, out.shape[1:]), probs.data[0]
+def chain_attention(qkv, n_heads):
+    """Attention as the separate tape ops the fused op replaced: a `reshape`
+    and `transpose` split into heads, slices, `matmul(q, kᵀ)`, `scale`,
+    `softmax`, `matmul(·, v)`, and a `transpose` and `reshape` merge."""
+    *lead, T, d3 = qkv.shape
+    L, dh = len(lead), d3 // (3 * n_heads)
+    heads = ad.transpose(ad.reshape(qkv, (*lead, T, n_heads, 3, dh)),
+                         (L + 2, *range(L), L + 1, L, L + 3))
+    q, k, v = (ad.slice_rows(heads, i, i + 1) for i in range(3))
+    probs = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh)),
+                       axis=-1)
+    out = ad.reshape(ad.matmul(probs, v), (*lead, n_heads, T, dh))
+    merged = ad.reshape(ad.transpose(out, (*range(L), L + 1, L, L + 2)),
+                        (*lead, T, d3 // 3))
+    return merged, probs.data[0]
 
 
 class TestFusedAttention:
@@ -325,10 +333,10 @@ class TestFusedAttention:
                                               err_msg=name)
 
     def test_tape_nodes_of_one_entity_pass(self, vocab):
-        # Per layer: ln1, the qkv matmul, reshape, transpose, attention,
-        # transpose, reshape, the out affine, residual add, ln2, and the
-        # feed-forward affine, gelu, affine and residual add make 14; embed
-        # adds 5, the final layer norm 1, the [CLS] slice and the heads 7.
+        # Per layer: ln1, the qkv matmul, attention (split, heads and merge),
+        # the out affine, residual add, ln2, and the feed-forward affine,
+        # gelu, affine and residual add make 10; embed adds 5, the final
+        # layer norm 1, the [CLS] slice and the heads 7.
         _, _, logits = self.taped_entity_pass(vocab, EncoderConfig(
             d_model=8, n_heads=2, n_layers=2, d_ff=16, vocab_size=len(vocab),
             max_len=32))
@@ -338,7 +346,7 @@ class TestFusedAttention:
             if id(node) not in seen and node._backward is not None:
                 seen.add(id(node))
                 stack.extend(node._parents)
-        assert len(seen) == 41
+        assert len(seen) == 33
 
 
 class TestEndToEndGradient:

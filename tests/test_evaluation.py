@@ -113,6 +113,10 @@ class TestDocumentLevel:
         with pytest.raises(ValueError, match="process ids"):
             document_level(photo_tables, {"other": []})
 
+    def test_no_processes_rejected(self):
+        with pytest.raises(ValueError, match="no processes"):
+            document_level({}, {})
+
     def test_process_order_does_not_change_a_digit(self):
         """Per-process scores summed in another order can differ in the last
         bit; this corpus was found by `TestMetricProperties`."""
