@@ -50,6 +50,8 @@ def load_run_config(path=None, **overrides) -> dict:
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if isinstance(cfg.get("encoder"), dict) and "vocab_size" in cfg["encoder"]:
+        raise ConfigError("encoder.vocab_size is set by the training corpus")
     try:
         encoder = EncoderConfig(**cfg.get("encoder", {}))
         sgd = SgdConfig(**cfg.get("sgd", {"learning_rate": 3e-4,
@@ -86,6 +88,8 @@ def cmd_convert(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, epochs=args.epochs, seed=args.seed)
+    if args.eval_every < 0:
+        raise ConfigError(f"--eval-every must be >= 0, got {args.eval_every}")
     procs = load_procedures(args.data)
     if not procs:
         raise DataError(f"{args.data}: no procedures to train on")

@@ -155,12 +155,9 @@ def _proc_from_obj(obj: dict, path: str) -> Procedure:
         grid=grid,
         candidate_spans=[tuple(sp) for sp in spans],
     )
-    if not proc.candidate_spans:
-        proc.candidate_spans, proc.unresolved_locations = candidate_spans_from_grid(
-            proc.sentences, proc.grid)
-    else:
-        _, proc.unresolved_locations = candidate_spans_from_grid(
-            proc.sentences, proc.grid)
+    found, proc.unresolved_locations = candidate_spans_from_grid(
+        proc.sentences, proc.grid)
+    proc.candidate_spans = proc.candidate_spans or found
     validate_procedure(proc, path)
     return proc
 

@@ -1,9 +1,7 @@
 """Prediction heads: 3-way status over [CLS] and start/end span distributions.
 
-The heads emit logits; the loss is a log-softmax NLL on them, and the
-probabilities used for decoding are computed from them on demand. Over a
-batched encoder output the logits carry the same leading axes, and `row(i)`
-takes one input's prediction out of it.
+The heads emit logits with the encoder output's leading axes; the loss is a
+log-softmax NLL on them, and decoding takes their softmax.
 """
 
 from __future__ import annotations
@@ -31,56 +29,24 @@ def status_class_of(value: str) -> int:
 
 
 @dataclass
-class StatusPrediction:
-    logits_t: Tensor  # shape (..., 3)
-
-    def row(self, i: int) -> "StatusPrediction":
-        return StatusPrediction(Tensor(self.logits_t.data[i]))
-
-    @property
-    def probs(self) -> np.ndarray:
-        return ad.softmax_array(self.logits_t.data)
-
-    @property
-    def argmax(self) -> int:
-        return int(np.argmax(self.logits_t.data))
-
-
-@dataclass
-class SpanPrediction:
-    start_t: Tensor  # logits, shape (..., T)
-    end_t: Tensor  # logits, shape (..., T)
-
-    def row(self, i: int) -> "SpanPrediction":
-        return SpanPrediction(Tensor(self.start_t.data[i]),
-                              Tensor(self.end_t.data[i]))
-
-    @property
-    def start_probs(self) -> np.ndarray:
-        return ad.softmax_array(self.start_t.data)
-
-    @property
-    def end_probs(self) -> np.ndarray:
-        return ad.softmax_array(self.end_t.data)
-
-
-@dataclass
 class GoldStep:
     status_class: int
     span: tuple[int, int] | None = None  # layout positions, inclusive
 
 
-def status_head(output: EncoderOutput, w: Tensor) -> StatusPrediction:
+def status_head(output: EncoderOutput, w: Tensor) -> Tensor:
+    """Status logits, (..., 3), from the [CLS] rows."""
     *lead, _, d = output.hidden.data.shape
     if w.data.shape != (d, 3):
         raise ad.ShapeMismatchError(
             f"status weight must be d_model x 3, got {w.data.shape}"
         )
-    logits = ad.reshape(ad.matmul(output.cls, w), (*lead, 3))
-    return StatusPrediction(logits_t=logits)
+    return ad.reshape(ad.matmul(output.cls, w), (*lead, 3))
 
 
-def span_head(output: EncoderOutput, w_start: Tensor, w_end: Tensor) -> SpanPrediction:
+def span_head(output: EncoderOutput, w_start: Tensor, w_end: Tensor
+              ) -> tuple[Tensor, Tensor]:
+    """Start and end logits, each (..., T)."""
     *lead, T, d = output.hidden.data.shape
     for w in (w_start, w_end):
         if w.data.shape != (d, 1):
@@ -89,31 +55,25 @@ def span_head(output: EncoderOutput, w_start: Tensor, w_end: Tensor) -> SpanPred
             )
     start = ad.reshape(ad.matmul(output.hidden, w_start), (*lead, T))
     end = ad.reshape(ad.matmul(output.hidden, w_end), (*lead, T))
-    return SpanPrediction(start_t=start, end_t=end)
+    return start, end
 
 
-def joint_loss(status: StatusPrediction, span: SpanPrediction,
-               gold: GoldStep | Sequence[GoldStep]) -> Tensor:
-    """Status cross-entropy, plus start+end cross-entropy when gold has a span.
+def joint_loss(status: Tensor, start: Tensor, end: Tensor,
+               golds: Sequence[GoldStep]) -> Tensor:
+    """Status cross-entropy, plus start+end cross-entropy where gold has a span.
 
-    One GoldStep scores one unbatched prediction; a sequence of them scores
-    the rows of a batched one, (B, 3) and (B, T), and the terms are summed
-    over the rows. Gold steps whose location text could not be aligned to the
-    paragraph have gold.span = None; their span terms are skipped (callers
-    flag them).
+    Scores the rows of (B, 3) status and (B, T) start/end logits against one
+    GoldStep per row; the terms are summed over the rows. Gold steps whose
+    location text could not be aligned to the paragraph have gold.span =
+    None; their span terms are skipped (callers flag them).
     """
-    if isinstance(gold, GoldStep):  # a batch of one
-        status = StatusPrediction(ad.reshape(status.logits_t, (1, -1)))
-        span = SpanPrediction(ad.reshape(span.start_t, (1, -1)),
-                              ad.reshape(span.end_t, (1, -1)))
-        gold = [gold]
-    loss = ad.cross_entropy(status.logits_t, [g.status_class for g in gold])
-    rows = [i for i, g in enumerate(gold)
+    loss = ad.cross_entropy(status, [g.status_class for g in golds])
+    rows = [i for i, g in enumerate(golds)
             if g.status_class == STATUS_KNOWN and g.span is not None]
     if rows:
-        starts, ends = zip(*(gold[i].span for i in rows))
-        loss = ad.add(loss, ad.cross_entropy(ad.embedding(span.start_t, rows), starts))
-        loss = ad.add(loss, ad.cross_entropy(ad.embedding(span.end_t, rows), ends))
+        starts, ends = zip(*(golds[i].span for i in rows))
+        loss = ad.add(loss, ad.cross_entropy(ad.embedding(start, rows), starts))
+        loss = ad.add(loss, ad.cross_entropy(ad.embedding(end, rows), ends))
     return loss
 
 

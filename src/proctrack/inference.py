@@ -8,57 +8,49 @@ created after a completed destruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .heads import (
-    STATUS_GONE, STATUS_KNOWN, STATUS_UNKNOWN, SpanPrediction, StatusPrediction,
-)
+from .autodiff import softmax_array
+from .heads import STATUS_GONE, STATUS_KNOWN
 
 
-@dataclass
-class DecodedState:
-    value: str  # "-", "?", or location text
-    span: tuple[int, int] | None = None  # layout positions when value is text
-    flagged: bool = False  # known-location status with no usable candidate
+def decode_step(status: np.ndarray, start: np.ndarray, end: np.ndarray,
+                candidates, paragraph_positions):
+    """Resolve every step of one entity from its (n+1, 3) status logits and
+    (n+1, T) start/end logits.
 
+    A row whose status argmax is known-location gets a span from the start
+    and end probabilities. With `candidates`, the (start, end) layout spans
+    allowed, it is the candidate with the highest start*end product; ties go
+    to the earliest start, then the shortest. With candidates=None (the
+    --no-np-filter ablation) it is the independent start and end argmax over
+    `paragraph_positions`, and an end before its start gives no span.
 
-def decode_step(status: StatusPrediction, span: SpanPrediction,
-                candidates: list[tuple[int, int]],
-                span_text) -> DecodedState:
-    """Resolve one (entity, step) prediction.
-
-    `candidates` are (start, end) layout positions of allowed spans;
-    `span_text(s, e)` renders a chosen span to its location text.
+    Returns each row's "-", "?" or inclusive (start, end) span, and the count
+    of known-location rows left with no span, which decode to "?".
     """
-    cls = status.argmax
-    if cls == STATUS_GONE:
-        return DecodedState("-")
-    if cls == STATUS_UNKNOWN:
-        return DecodedState("?")
-    if not candidates:
-        return DecodedState("?", flagged=True)
-    start_p, end_p = span.start_probs, span.end_probs
-    # Highest start*end product; ties go to the earliest start, then shortest.
-    best = min(candidates,
-               key=lambda se: (-float(start_p[se[0]] * end_p[se[1]]),
-                               se[0], se[1] - se[0]))
-    return DecodedState(span_text(*best), span=best)
-
-
-def decode_step_unfiltered(status: StatusPrediction, span: SpanPrediction,
-                           span_text, paragraph_positions) -> DecodedState:
-    """Ablation path: independent start/end argmax over paragraph tokens only."""
-    if status.argmax != STATUS_KNOWN or not paragraph_positions:
-        # decode_step's "-", "?" and flagged no-candidate results.
-        return decode_step(status, span, [], span_text)
-    pos = np.asarray(paragraph_positions)
-    s = int(pos[np.argmax(span.start_probs[pos])])
-    e = int(pos[np.argmax(span.end_probs[pos])])
-    if e < s:
-        return DecodedState("?", flagged=True)
-    return DecodedState(span_text(s, e), span=(s, e))
+    start_p, end_p = softmax_array(start), softmax_array(end)
+    spans = [None] * len(status)
+    if candidates is None and len(paragraph_positions):
+        pos = np.asarray(paragraph_positions)
+        spans = [(s, e) if s <= e else None for s, e in zip(
+            pos[start_p[:, pos].argmax(-1)].tolist(),
+            pos[end_p[:, pos].argmax(-1)].tolist())]
+    elif candidates:
+        # In this order the first maximum is the tie rule's winner.
+        ranked = sorted(candidates, key=lambda se: (se[0], se[1] - se[0]))
+        s, e = np.array(ranked).T
+        spans = [ranked[i] for i in (start_p[:, s] * end_p[:, e]).argmax(-1)]
+    values, flagged = [], 0
+    for cls, span in zip(status.argmax(-1).tolist(), spans):
+        if cls == STATUS_GONE:
+            values.append("-")
+        elif cls == STATUS_KNOWN and span is not None:
+            values.append(span)
+        else:
+            values.append("?")
+            flagged += cls == STATUS_KNOWN
+    return values, flagged
 
 
 def _exists(value: str) -> bool:

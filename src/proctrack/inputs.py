@@ -46,9 +46,6 @@ class TimestampedInput:
     layout: QueryLayout
     timestamp_ids: np.ndarray
 
-    def __len__(self):
-        return len(self.layout)
-
 
 def build_query(entity: str, sentences: list[list[str]], vocab: Vocab,
                 max_len: int | None = None) -> QueryLayout:

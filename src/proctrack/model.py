@@ -14,13 +14,10 @@ from .encoder import (
     EncoderConfig, embed, encode, init_encoder_params, param_count, param_shapes,
 )
 from .heads import (
-    GoldStep, SpanPrediction, StatusPrediction, init_head_params, joint_loss,
-    span_head, status_class_of, status_head,
+    GoldStep, init_head_params, joint_loss, span_head, status_class_of,
+    status_head,
 )
-from .inference import (
-    DecodedState, decode_step, decode_step_unfiltered, repair_timeline,
-    violates_rules,
-)
+from .inference import decode_step, repair_timeline, violates_rules
 from .inputs import (
     QueryLayout, TimestampedInput, build_query, time_ids, timestamp,
 )
@@ -115,12 +112,13 @@ class TrackerModel:
                            max_len=self.config.max_len)
 
     def forward(self, layout: QueryLayout, step: int
-                ) -> tuple[StatusPrediction, SpanPrediction]:
-        """One pass for one step, recorded on the tape."""
+                ) -> tuple[Tensor, Tensor, Tensor]:
+        """Status, start and end logits of one pass for one step, recorded on
+        the tape."""
         return self._heads(timestamp(layout, step), self.params)
 
     def forward_steps(self, layout: QueryLayout
-                      ) -> tuple[StatusPrediction, SpanPrediction]:
+                      ) -> tuple[Tensor, Tensor, Tensor]:
         """Steps 0..n in one batched pass, with a leading step axis.
 
         The pass runs on views of the parameters that need no gradient, so
@@ -131,10 +129,10 @@ class TrackerModel:
 
     def _heads(self, inp: TimestampedInput, params: dict, train: bool = False,
                rng: np.random.Generator | None = None
-               ) -> tuple[StatusPrediction, SpanPrediction]:
+               ) -> tuple[Tensor, Tensor, Tensor]:
         out = encode(embed(inp, params), params, self.config, train=train, rng=rng)
         return (status_head(out, params["head.status"]),
-                span_head(out, params["head.start"], params["head.end"]))
+                *span_head(out, params["head.start"], params["head.end"]))
 
     # -- training targets ---------------------------------------------------
 
@@ -167,17 +165,13 @@ class TrackerModel:
         for entity in proc.entities:
             layout = self.layout_for(entity, proc)
             golds, _ = self.gold_steps(proc, entity, layout)
-            status, span = self._heads(TimestampedInput(layout, time_ids(layout)),
-                                       self.params, train, rng)
-            losses.append(joint_loss(status, span, golds))
+            logits = self._heads(TimestampedInput(layout, time_ids(layout)),
+                                 self.params, train, rng)
+            losses.append(joint_loss(*logits, golds))
             passes += len(golds)
         return ad.mean_of(losses, passes)
 
     # -- prediction ---------------------------------------------------------
-
-    def candidate_layout_spans(self, proc: Procedure, layout: QueryLayout):
-        g2l = layout.layout_pos_of_paragraph()
-        return [(g2l[s], g2l[e]) for s, e in proc.candidate_spans]
 
     def predict_entity(self, proc: Procedure, entity: str,
                        np_filter: bool = True, repair: bool = True):
@@ -186,26 +180,13 @@ class TrackerModel:
         Returns (timeline, flagged_count, violation_count_before_repair).
         """
         layout = self.layout_for(entity, proc)
-        candidates = self.candidate_layout_spans(proc, layout)
-        l2text = layout.tokens
-        para_positions = [i for i, g in enumerate(layout.paragraph_index)
-                          if g is not None]
-
-        def span_text(s, e):
-            return " ".join(l2text[s:e + 1])
-
-        statuses, spans = self.forward_steps(layout)
-        raw, flagged = [], 0
-        for step in range(proc.n_steps + 1):
-            status, span = statuses.row(step), spans.row(step)
-            if np_filter:
-                state = decode_step(status, span, candidates, span_text)
-            else:
-                state = decode_step_unfiltered(status, span, span_text,
-                                               para_positions)
-            if state.flagged:
-                flagged += 1
-            raw.append(state.value)
+        g2l = layout.layout_pos_of_paragraph()
+        candidates = ([(g2l[s], g2l[e]) for s, e in proc.candidate_spans]
+                      if np_filter else None)
+        states, flagged = decode_step(*(t.data for t in self.forward_steps(layout)),
+                                      candidates, list(g2l.values()))
+        raw = [v if isinstance(v, str) else " ".join(layout.tokens[v[0]:v[1] + 1])
+               for v in states]
         violations = int(violates_rules(raw))
         timeline = repair_timeline(raw) if repair else raw
         return timeline, flagged, violations

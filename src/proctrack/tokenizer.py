@@ -42,9 +42,6 @@ class Vocab:
     def __len__(self):
         return len(self._token_to_id)
 
-    def __contains__(self, token):
-        return token in self._token_to_id
-
     def encode(self, token: str) -> int:
         return self._token_to_id.get(token, RESERVED[UNK])
 

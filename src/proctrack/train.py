@@ -56,6 +56,10 @@ def train_model(model: TrackerModel, procs: list[Procedure], sgd: SgdConfig,
     `freeze_timestamps` zeroes the time-id table and excludes it from updates
     (the step-blind ablation). `stop_fn(model, epoch)` may end training early.
     """
+    if not procs:
+        raise ValueError("no procedures to train on")
+    if eval_every < 0:
+        raise ValueError(f"eval_every must be >= 0, got {eval_every}")
     if freeze_timestamps:
         model.params["ts_emb"].data[:] = 0.0
         model.params["ts_emb"].requires_grad = False

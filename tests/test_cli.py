@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from proctrack.cli import (
-    EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, gold_tables, load_run_config, main,
+    EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, ConfigError, gold_tables,
+    load_run_config, main,
 )
 from proctrack.data import (
     GrammarConfig, generate_synthetic, load_procedures, save_procedures,
@@ -64,10 +65,13 @@ class TestRunConfig:
         path = tmp_path / "cfg.json"
         for bad in ({"epochs": "x"}, {"epochs": 2.5}, {"seed": "0"},
                     {"seed": True}, {"epochs": 0}, {"epochs": -1}, [],
-                    "{not json"):
+                    "{not json", {"encoder": {"vocab_size": 5}}):
             path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
             assert main(["train", "--data", "x.json", "--out",
                          str(tmp_path / "o"), "--config", str(path)]) == EXIT_CONFIG
+        # The corpus sets the vocabulary size; the message names the key.
+        with pytest.raises(ConfigError, match="encoder.vocab_size"):
+            load_run_config(path)
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "none.json"),
@@ -241,11 +245,13 @@ class TestPipeline:
          EXIT_CONFIG),
         (["train", "--data", "{data}", "--epochs", "-1", "--out", "{out}"],
          EXIT_CONFIG),
+        (["train", "--data", "{data}", "--eval-every", "-1", "--out", "{out}"],
+         EXIT_CONFIG),
         (["train", "--data", "{empty}", "--out", "{out}"], EXIT_DATA),
         *((["evaluate", "--pred", "{pred}", "--gold", "{empty}", "--mode", mode],
            EXIT_DATA) for mode in ("sentence", "document", "npn")),
-    ], ids=["epochs-0", "epochs-minus-1", "empty-corpus", "empty-gold-sentence",
-            "empty-gold-document", "empty-gold-npn"])
+    ], ids=["epochs-0", "epochs-minus-1", "eval-every-minus-1", "empty-corpus",
+            "empty-gold-sentence", "empty-gold-document", "empty-gold-npn"])
     def test_no_epochs_or_no_procedures_exit_with_a_contract_code(
             self, workspace, caplog, argv, code):
         tmp_path, _, data = workspace

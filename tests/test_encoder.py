@@ -262,9 +262,8 @@ class TestStepBatch:
             def heads(inp):
                 out = encode(embed(inp, params), params, cfg)
                 status = status_head(out, params["head.status"])
-                span = span_head(out, params["head.start"], params["head.end"])
-                return (out.hidden.data, status.logits_t.data,
-                        span.start_t.data, span.end_t.data)
+                start, end = span_head(out, params["head.start"], params["head.end"])
+                return out.hidden.data, status.data, start.data, end.data
 
             batched = heads(steps)
             n_steps = layout.n_sentences + 1
@@ -304,8 +303,8 @@ class TestFusedAttention:
             t.data += rng.normal(0, 0.3, t.data.shape)
         out = encode(embed(steps, params), params, cfg, collect_attn=True)
         status = status_head(out, params["head.status"])
-        span = span_head(out, params["head.start"], params["head.end"])
-        return params, out, (status.logits_t, span.start_t, span.end_t)
+        start, end = span_head(out, params["head.start"], params["head.end"])
+        return params, out, (status, start, end)
 
     def run(self, vocab, cfg):
         params, out, logits = self.taped_entity_pass(vocab, cfg)
@@ -365,8 +364,10 @@ class TestEndToEndGradient:
         def loss():
             out = encode(embed(inp, params), params, cfg)
             status = status_head(out, params["head.status"])
-            span = span_head(out, params["head.start"], params["head.end"])
-            return joint_loss(status, span, gold)
+            start, end = span_head(out, params["head.start"], params["head.end"])
+            # One unbatched step, scored as a batch of one row.
+            return joint_loss(*(ad.reshape(t, (1, -1)) for t in (status, start, end)),
+                              [gold])
 
         checked = [params[k] for k in
                    ["ts_emb", "token_emb", "layer0.attn.qkv", "layer0.ff.w1",

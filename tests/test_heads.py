@@ -8,8 +8,7 @@ from proctrack.autodiff import ShapeMismatchError, Tensor
 from proctrack.encoder import EncoderOutput
 from proctrack.heads import (
     GoldStep, STATUS_GONE, STATUS_KNOWN, STATUS_UNKNOWN, init_head_params,
-    SpanPrediction, StatusPrediction, joint_loss, span_head, status_class_of,
-    status_head,
+    joint_loss, span_head, status_class_of, status_head,
 )
 
 from conftest import check_gradients, leaf
@@ -28,25 +27,27 @@ def logits_of(probs):
 class TestStatusHead:
     def test_zero_weights_uniform(self, rng):
         out = enc_out(rng.normal(0, 1, (5, 8)))
-        pred = status_head(out, Tensor(np.zeros((8, 3))))
-        np.testing.assert_allclose(pred.probs, [1 / 3] * 3, atol=1e-12)
+        logits = status_head(out, Tensor(np.zeros((8, 3))))
+        np.testing.assert_allclose(ad.softmax_array(logits.data), [1 / 3] * 3,
+                                   atol=1e-12)
 
     def test_analytic_softmax(self):
         # CLS row picks out logits (ln2, ln1, ln1) -> (0.5, 0.25, 0.25)
         hidden = np.zeros((4, 3))
         hidden[0] = [1.0, 0.0, 0.0]
         w = np.array([[math.log(2), 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 2)
-        pred = status_head(enc_out(hidden), Tensor(w))
-        np.testing.assert_allclose(pred.probs, [0.5, 0.25, 0.25], atol=1e-12)
+        logits = status_head(enc_out(hidden), Tensor(w))
+        np.testing.assert_allclose(ad.softmax_array(logits.data),
+                                   [0.5, 0.25, 0.25], atol=1e-12)
 
     def test_argmax_shift_invariant(self, rng):
         hidden = rng.normal(0, 1, (5, 8))
         w = rng.normal(0, 1, (8, 3))
-        base = status_head(enc_out(hidden), Tensor(w)).argmax
+        base = np.argmax(status_head(enc_out(hidden), Tensor(w)).data)
         # add a constant column: logits all shift by c
         cls = hidden[0]
         shifted = w + np.outer(cls / (cls @ cls), np.full(3, 3.7))
-        assert status_head(enc_out(hidden), Tensor(shifted)).argmax == base
+        assert np.argmax(status_head(enc_out(hidden), Tensor(shifted)).data) == base
 
     def test_shape_check(self, rng):
         with pytest.raises(ShapeMismatchError):
@@ -56,27 +57,30 @@ class TestStatusHead:
         out = enc_out(rng.normal(0, 1, (5, 8)))
         w = leaf(rng, 8, 3)
         check_gradients(lambda: ad.cross_entropy(
-            status_head(out, w).logits_t, 1), [w])
+            status_head(out, w), 1), [w])
 
 
 class TestSpanHead:
     def test_zero_weights_uniform(self, rng):
         out = enc_out(rng.normal(0, 1, (6, 8)))
-        pred = span_head(out, Tensor(np.zeros((8, 1))), Tensor(np.zeros((8, 1))))
-        np.testing.assert_allclose(pred.start_probs, np.full(6, 1 / 6), atol=1e-12)
-        np.testing.assert_allclose(pred.end_probs, np.full(6, 1 / 6), atol=1e-12)
+        for logits in span_head(out, Tensor(np.zeros((8, 1))),
+                                Tensor(np.zeros((8, 1)))):
+            np.testing.assert_allclose(ad.softmax_array(logits.data),
+                                       np.full(6, 1 / 6), atol=1e-12)
 
     def test_identical_rows_identical_probs(self, rng):
         hidden = rng.normal(0, 1, (6, 8))
         hidden[2] = hidden[4]
-        pred = span_head(enc_out(hidden), leaf(rng, 8, 1), leaf(rng, 8, 1))
-        assert pred.start_probs[2] == pytest.approx(pred.start_probs[4], abs=1e-12)
+        start, _ = span_head(enc_out(hidden), leaf(rng, 8, 1), leaf(rng, 8, 1))
+        start_p = ad.softmax_array(start.data)
+        assert start_p[2] == pytest.approx(start_p[4], abs=1e-12)
 
     def test_matches_direct_formula(self, rng):
         hidden = rng.normal(0, 1, (6, 8))
         ws, we = rng.normal(0, 1, (8, 1)), rng.normal(0, 1, (8, 1))
-        pred = span_head(enc_out(hidden), Tensor(ws), Tensor(we))
-        for w, probs in [(ws, pred.start_probs), (we, pred.end_probs)]:
+        start, end = span_head(enc_out(hidden), Tensor(ws), Tensor(we))
+        for w, t in [(ws, start), (we, end)]:
+            probs = ad.softmax_array(t.data)
             logits = (hidden @ w).ravel()
             oracle = np.exp(logits) / np.exp(logits).sum()
             np.testing.assert_allclose(probs, oracle, atol=1e-9)
@@ -89,26 +93,26 @@ class TestSpanHead:
 
 
 class TestJointLoss:
+    """One step: logits with a leading row axis of one, and one GoldStep."""
+
     def _one_hot_preds(self, gold):
-        status = np.zeros(3)
-        status[gold.status_class] = 1.0
-        start = np.zeros(6)
-        end = np.zeros(6)
+        status = np.zeros((1, 3))
+        status[0, gold.status_class] = 1.0
+        start = np.zeros((1, 6))
+        end = np.zeros((1, 6))
         if gold.span:
-            start[gold.span[0]] = 1.0
-            end[gold.span[1]] = 1.0
-        return (StatusPrediction(logits_of(status)),
-                SpanPrediction(logits_of(start), logits_of(end)))
+            start[0, gold.span[0]] = 1.0
+            end[0, gold.span[1]] = 1.0
+        return logits_of(status), logits_of(start), logits_of(end)
 
     def test_perfect_prediction_zero(self):
         gold = GoldStep(status_class=STATUS_KNOWN, span=(2, 4))
-        status, span = self._one_hot_preds(gold)
-        assert float(joint_loss(status, span, gold).data) == pytest.approx(0.0)
+        loss = joint_loss(*self._one_hot_preds(gold), [gold])
+        assert float(loss.data) == pytest.approx(0.0)
 
     def test_uniform_status_gone_is_ln3(self):
-        status = StatusPrediction(Tensor(np.zeros(3)))
-        span = SpanPrediction(Tensor(np.zeros(6)), Tensor(np.zeros(6)))
-        loss = joint_loss(status, span, GoldStep(status_class=STATUS_GONE))
+        loss = joint_loss(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 6))),
+                          Tensor(np.zeros((1, 6))), [GoldStep(status_class=STATUS_GONE)])
         assert float(loss.data) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_random_case_matches_hand_sum(self, rng):
@@ -116,45 +120,47 @@ class TestJointLoss:
         st = rng.dirichlet(np.ones(6))
         en = rng.dirichlet(np.ones(6))
         gold = GoldStep(status_class=STATUS_KNOWN, span=(1, 3))
-        loss = joint_loss(StatusPrediction(logits_of(sp)),
-                          SpanPrediction(logits_of(st), logits_of(en)), gold)
+        loss = joint_loss(logits_of(sp[None]), logits_of(st[None]),
+                          logits_of(en[None]), [gold])
         expected = -math.log(sp[2]) - math.log(st[1]) - math.log(en[3])
         assert float(loss.data) == pytest.approx(expected, abs=1e-9)
 
     def test_span_terms_skipped_for_gone_and_unknown(self, rng):
-        status = StatusPrediction(logits_of(rng.dirichlet(np.ones(3))))
-        span = SpanPrediction(logits_of(rng.dirichlet(np.ones(6))),
-                              logits_of(rng.dirichlet(np.ones(6))))
+        status = logits_of(rng.dirichlet(np.ones(3))[None])
+        start = logits_of(rng.dirichlet(np.ones(6))[None])
+        end = logits_of(rng.dirichlet(np.ones(6))[None])
         for cls in (STATUS_GONE, STATUS_UNKNOWN):
-            loss = joint_loss(status, span, GoldStep(status_class=cls, span=(0, 1)))
+            loss = joint_loss(status, start, end,
+                              [GoldStep(status_class=cls, span=(0, 1))])
             assert float(loss.data) == pytest.approx(
-                -math.log(status.probs[cls]), abs=1e-9)
+                -math.log(ad.softmax_array(status.data)[0, cls]), abs=1e-9)
 
     def test_unresolvable_gold_span_skips_span_terms(self, rng):
-        status = StatusPrediction(logits_of(rng.dirichlet(np.ones(3))))
-        span = SpanPrediction(logits_of(rng.dirichlet(np.ones(6))),
-                              logits_of(rng.dirichlet(np.ones(6))))
-        loss = joint_loss(status, span, GoldStep(status_class=STATUS_KNOWN, span=None))
-        assert float(loss.data) == pytest.approx(-math.log(status.probs[2]), abs=1e-9)
+        status = logits_of(rng.dirichlet(np.ones(3))[None])
+        start = logits_of(rng.dirichlet(np.ones(6))[None])
+        end = logits_of(rng.dirichlet(np.ones(6))[None])
+        loss = joint_loss(status, start, end,
+                          [GoldStep(status_class=STATUS_KNOWN, span=None)])
+        assert float(loss.data) == pytest.approx(
+            -math.log(ad.softmax_array(status.data)[0, 2]), abs=1e-9)
 
     def test_loss_nonnegative(self, rng):
         for _ in range(20):
             gold = GoldStep(status_class=int(rng.integers(0, 3)), span=(0, 2))
-            loss = joint_loss(
-                StatusPrediction(logits_of(rng.dirichlet(np.ones(3)))),
-                SpanPrediction(logits_of(rng.dirichlet(np.ones(5))),
-                               logits_of(rng.dirichlet(np.ones(5)))), gold)
+            loss = joint_loss(logits_of(rng.dirichlet(np.ones(3))[None]),
+                              logits_of(rng.dirichlet(np.ones(5))[None]),
+                              logits_of(rng.dirichlet(np.ones(5))[None]), [gold])
             assert float(loss.data) >= 0.0
 
     def test_span_gradient_only_for_known_gold(self, rng):
-        out = enc_out(rng.normal(0, 1, (6, 8)))
+        out = enc_out(rng.normal(0, 1, (1, 6, 8)))
         w_status, w_start, w_end = leaf(rng, 8, 3), leaf(rng, 8, 1), leaf(rng, 8, 1)
 
         def run(gold):
             for w in (w_status, w_start, w_end):
                 w.grad = None
             loss = joint_loss(status_head(out, w_status),
-                              span_head(out, w_start, w_end), gold)
+                              *span_head(out, w_start, w_end), [gold])
             loss.backward()
 
         run(GoldStep(status_class=STATUS_GONE))
@@ -173,8 +179,7 @@ class TestBatchedJointLoss:
     def test_matches_hand_sum_over_rows(self, rng):
         B, T = len(self.GOLDS), 6
         sp, st, en = (rng.dirichlet(np.ones(n), size=B) for n in (3, T, T))
-        loss = joint_loss(StatusPrediction(logits_of(sp)),
-                          SpanPrediction(logits_of(st), logits_of(en)), self.GOLDS)
+        loss = joint_loss(logits_of(sp), logits_of(st), logits_of(en), self.GOLDS)
         expected = sum(-math.log(sp[i, g.status_class])
                        for i, g in enumerate(self.GOLDS))
         expected -= math.log(st[2, 1]) + math.log(en[2, 3])
@@ -185,7 +190,7 @@ class TestBatchedJointLoss:
         out = enc_out(rng.normal(0, 1, (len(self.GOLDS), 6, 8)))
         w_status, w_start, w_end = leaf(rng, 8, 3), leaf(rng, 8, 1), leaf(rng, 8, 1)
         check_gradients(lambda: joint_loss(status_head(out, w_status),
-                                           span_head(out, w_start, w_end),
+                                           *span_head(out, w_start, w_end),
                                            self.GOLDS),
                         [out.hidden, w_status, w_start, w_end])
 

@@ -2,38 +2,82 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proctrack.autodiff import Tensor
-from proctrack.heads import SpanPrediction, StatusPrediction
-from proctrack.inference import (
-    decode_step, decode_step_unfiltered, repair_timeline, violates_rules,
-)
+from proctrack.autodiff import softmax_array
+from proctrack.heads import STATUS_GONE, STATUS_UNKNOWN
+from proctrack.inference import decode_step, repair_timeline, violates_rules
 
 
-def preds(status, start, end):
-    """Predictions whose softmax probabilities are the given (normalised)
-    rows; zeros become -inf logits."""
+def logits(status, start, end):
+    """One row each of status, start and end logits whose softmax
+    probabilities are the given (normalised) rows; zeros become -inf."""
     with np.errstate(divide="ignore"):
-        status, start, end = (Tensor(np.log(np.asarray(v, float)))
-                              for v in (status, start, end))
-    return StatusPrediction(status), SpanPrediction(start, end)
+        return tuple(np.log(np.asarray(v, float))[None]
+                     for v in (status, start, end))
 
 
-def join(s, e):
-    return f"{s}:{e}"
+def oracle_row(status, start, end, candidates, paragraph_positions):
+    """The per-step decode rules, one row at a time: the status argmax; then
+    the candidate minimising (-start*end, start, length), or with
+    candidates=None the independent start and end argmax over the paragraph
+    positions, flagged when the end comes before the start.
+    Returns (value, flagged)."""
+    cls = int(np.argmax(status))
+    if cls == STATUS_GONE:
+        return "-", False
+    if cls == STATUS_UNKNOWN:
+        return "?", False
+    start_p, end_p = softmax_array(start), softmax_array(end)
+    if candidates is None:
+        if not paragraph_positions:
+            return "?", True
+        pos = np.asarray(paragraph_positions)
+        s = int(pos[np.argmax(start_p[pos])])
+        e = int(pos[np.argmax(end_p[pos])])
+        return ("?", True) if e < s else ((s, e), False)
+    if not candidates:
+        return "?", True
+    best = min(candidates,
+               key=lambda se: (-float(start_p[se[0]] * end_p[se[1]]),
+                               se[0], se[1] - se[0]))
+    return tuple(best), False
+
+
+@st.composite
+def entity_logits(draw):
+    """(n+1, 3) status and (n+1, T) start/end logits, drawn partly from a few
+    values so that exact probability and product ties and -inf logits (zero
+    probabilities) are common, plus candidate spans and paragraph positions,
+    either of which may be empty."""
+    rows, T = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    value = st.one_of(st.sampled_from([-np.inf, 0.0, 1.0, np.log(2.0)]),
+                      st.floats(-4.0, 4.0))
+
+    def block(width):
+        x = np.array(draw(st.lists(st.lists(value, min_size=width,
+                                            max_size=width),
+                                   min_size=rows, max_size=rows)))
+        x[~np.isfinite(x).any(-1), 0] = 0.0  # a finite model: some mass per row
+        return x
+
+    status, start, end = block(3), block(T), block(T)
+    span = st.tuples(st.integers(0, T - 1), st.integers(0, T - 1)).map(
+        lambda se: (min(se), max(se)))
+    candidates = draw(st.lists(span, max_size=6))
+    positions = draw(st.lists(st.integers(0, T - 1), unique=True, max_size=T))
+    return status, start, end, candidates, positions
 
 
 class TestDecodeStep:
     def test_gone_ignores_span(self):
-        status, span = preds([0.8, 0.1, 0.1], [1.0] + [0.0] * 9, [1.0] + [0.0] * 9)
-        state = decode_step(status, span, [(2, 3)], join)
-        assert state.value == "-" and state.span is None
+        rows = logits([0.8, 0.1, 0.1], [1.0] + [0.0] * 9, [1.0] + [0.0] * 9)
+        assert decode_step(*rows, [(2, 3)], []) == (["-"], 0)
 
     def test_unknown(self):
-        status, span = preds([0.1, 0.8, 0.1], [0.1] * 10, [0.1] * 10)
-        assert decode_step(status, span, [(2, 3)], join).value == "?"
+        rows = logits([0.1, 0.8, 0.1], [0.1] * 10, [0.1] * 10)
+        assert decode_step(*rows, [(2, 3)], []) == (["?"], 0)
 
     def test_candidate_restriction_beats_raw_argmax(self):
         # raw start argmax sits at token 7, which is not a candidate
@@ -42,13 +86,13 @@ class TestDecodeStep:
         start[5], start[9] = 0.2, 0.1
         end = np.full(12, 0.01)
         end[6], end[9] = 0.3, 0.2
-        status, span = preds([0.1, 0.1, 0.8], start, end)
         candidates = [(5, 6), (9, 9)]
         scores = {c: start[c[0]] * end[c[1]] for c in candidates}
         best = max(scores, key=scores.get)
-        state = decode_step(status, span, candidates, join)
-        assert state.span == best
-        assert state.span[0] != 7
+        values, _ = decode_step(*logits([0.1, 0.1, 0.8], start, end),
+                                candidates, [])
+        assert values == [best]
+        assert values[0][0] != 7
 
     def test_exhaustive_product_oracle(self):
         rng = np.random.default_rng(0)
@@ -56,58 +100,70 @@ class TestDecodeStep:
             start = rng.dirichlet(np.ones(10))
             end = rng.dirichlet(np.ones(10))
             candidates = [(2, 3), (4, 4), (6, 8), (1, 1)]
-            status, span = preds([0.0, 0.0, 1.0], start, end)
-            state = decode_step(status, span, candidates, join)
+            (span,), flagged = decode_step(*logits([0.0, 0.0, 1.0], start, end),
+                                           candidates, [])
             best = max(start[s] * end[e] for s, e in candidates)
-            assert start[state.span[0]] * end[state.span[1]] == pytest.approx(best)
-            assert state.span in candidates
+            assert start[span[0]] * end[span[1]] == pytest.approx(best)
+            assert span in candidates and flagged == 0
 
     def test_single_candidate_always_chosen(self):
-        status, span = preds([0.0, 0.0, 1.0], [0.1] * 10, [0.1] * 10)
-        assert decode_step(status, span, [(4, 5)], join).value == "4:5"
+        rows = logits([0.0, 0.0, 1.0], [0.1] * 10, [0.1] * 10)
+        assert decode_step(*rows, [(4, 5)], []) == ([(4, 5)], 0)
 
     def test_tie_break_earliest_then_shortest(self):
-        start = np.full(10, 0.1)
-        end = np.full(10, 0.1)
-        status, span = preds([0.0, 0.0, 1.0], start, end)
-        state = decode_step(status, span, [(5, 6), (3, 5), (3, 4)], join)
-        assert state.span == (3, 4)
+        rows = logits([0.0, 0.0, 1.0], np.full(10, 0.1), np.full(10, 0.1))
+        assert decode_step(*rows, [(5, 6), (3, 5), (3, 4)], []) == ([(3, 4)], 0)
 
     def test_empty_candidates_falls_back_to_unknown_flagged(self):
-        status, span = preds([0.0, 0.0, 1.0], [0.5, 0.5], [0.5, 0.5])
-        state = decode_step(status, span, [], join)
-        assert state.value == "?" and state.flagged
+        rows = logits([0.0, 0.0, 1.0], [0.5, 0.5], [0.5, 0.5])
+        assert decode_step(*rows, [], [0, 1]) == (["?"], 1)
 
 
 class TestDecodeStepUnfiltered:
+    """candidates=None: the --no-np-filter ablation."""
+
     def test_status_branch_matches_filtered(self):
         for status in ([0.8, 0.1, 0.1], [0.1, 0.8, 0.1]):
-            st, span = preds(status, [0.1] * 10, [0.1] * 10)
-            assert (decode_step_unfiltered(st, span, join, [2, 3])
-                    == decode_step(st, span, [(2, 3)], join))
+            rows = logits(status, [0.1] * 10, [0.1] * 10)
+            assert (decode_step(*rows, None, [2, 3])
+                    == decode_step(*rows, [(2, 3)], [2, 3]))
 
     def test_no_paragraph_positions_flagged(self):
-        status, span = preds([0.0, 0.0, 1.0], [0.5, 0.5], [0.5, 0.5])
-        state = decode_step_unfiltered(status, span, join, [])
-        assert state.value == "?" and state.flagged
+        rows = logits([0.0, 0.0, 1.0], [0.5, 0.5], [0.5, 0.5])
+        assert decode_step(*rows, None, []) == (["?"], 1)
 
     def test_independent_argmax_within_paragraph(self):
         start = np.full(10, 0.05)
         start[0], start[4] = 0.4, 0.2  # position 0 is off-paragraph
         end = np.full(10, 0.05)
         end[6] = 0.3
-        status, span = preds([0.0, 0.0, 1.0], start, end)
-        state = decode_step_unfiltered(status, span, join, list(range(3, 9)))
-        assert state.value == "4:6" and state.span == (4, 6)
+        rows = logits([0.0, 0.0, 1.0], start, end)
+        assert decode_step(*rows, None, list(range(3, 9))) == ([(4, 6)], 0)
 
     def test_end_before_start_flagged(self):
         start = np.full(10, 0.05)
         start[7] = 0.5
         end = np.full(10, 0.05)
         end[3] = 0.5
-        status, span = preds([0.0, 0.0, 1.0], start, end)
-        state = decode_step_unfiltered(status, span, join, list(range(10)))
-        assert state.value == "?" and state.flagged
+        rows = logits([0.0, 0.0, 1.0], start, end)
+        assert decode_step(*rows, None, list(range(10))) == (["?"], 1)
+
+
+class TestDecodeMatchesPerStepOracle:
+    @given(entity_logits())
+    @example(logits([0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5])
+             + ([(1, 2), (0, 1), (0, 2), (1, 1)], [2, 0, 1]))
+    @example(logits([0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+             + ([(0, 0), (2, 2)], [0, 1]))
+    @settings(max_examples=400, deadline=None)
+    def test_rows_equal_the_oracle_in_both_modes(self, case):
+        status, start, end, candidates, positions = case
+        for cands in (candidates, None):
+            values, flagged = decode_step(status, start, end, cands, positions)
+            rows = [oracle_row(status[i], start[i], end[i], cands, positions)
+                    for i in range(len(status))]
+            assert values == [v for v, _ in rows]
+            assert flagged == sum(f for _, f in rows)
 
 
 TIMELINE_VALUES = ["-", "?", "soil", "leaf"]

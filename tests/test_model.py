@@ -29,10 +29,11 @@ class TestForward:
     def test_probability_outputs(self, model, procs):
         proc = procs[0]
         layout = model.layout_for(proc.entities[0], proc)
-        status, span = model.forward(layout, 1)
-        assert status.probs.sum() == pytest.approx(1.0, abs=1e-9)
-        assert span.start_probs.sum() == pytest.approx(1.0, abs=1e-9)
-        assert len(span.start_probs) == len(layout)
+        status, start, end = (ad.softmax_array(t.data)
+                              for t in model.forward(layout, 1))
+        assert status.sum() == pytest.approx(1.0, abs=1e-9)
+        assert start.sum() == pytest.approx(1.0, abs=1e-9)
+        assert len(start) == len(layout)
 
     def test_gold_steps_alignment(self, model):
         proc = photosynthesis()
@@ -53,18 +54,16 @@ class TestForward:
         model = TrackerModel(model.vocab, model.config, params)
         proc = procs[0]
         layout = model.layout_for(proc.entities[0], proc)
-        statuses, spans = model.forward_steps(layout)
-        for t in (statuses.logits_t, spans.start_t, spans.end_t):
+        batched = model.forward_steps(layout)
+        for t in batched:
             assert t._backward is None and t._parents == ()
             assert not t.requires_grad
         for step in range(proc.n_steps + 1):
-            status, span = model.forward(layout, step)
-            np.testing.assert_allclose(statuses.row(step).logits_t.data,
-                                       status.logits_t.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(spans.row(step).start_t.data,
-                                       span.start_t.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(spans.row(step).end_t.data,
-                                       span.end_t.data, rtol=0, atol=1e-12)
+            alone = model.forward(layout, step)
+            assert len(alone) == len(batched) == 3
+            for got, want in zip(batched, alone):
+                np.testing.assert_allclose(got.data[step], want.data,
+                                           rtol=0, atol=1e-12)
 
     def test_prediction_leaves_no_gradients(self, model, procs):
         model.predict_procedure(procs[0])
@@ -106,8 +105,9 @@ class TestBatchedLoss:
             layout = model.layout_for(entity, proc)
             golds, _ = model.gold_steps(proc, entity, layout)
             for step, gold in enumerate(golds):
-                status, span = model.forward(layout, step)
-                losses.append(joint_loss(status, span, gold))
+                logits = model.forward(layout, step)
+                losses.append(joint_loss(
+                    *(ad.reshape(t, (1, -1)) for t in logits), [gold]))
         return ad.mean_of(losses)
 
     def test_matches_per_pass_oracle(self, nudged):
@@ -331,6 +331,21 @@ class TestTraining:
         train_model(m, procs, SgdConfig(learning_rate=0.1), epochs=2,
                     freeze_timestamps=True)
         assert np.all(m.params["ts_emb"].data == 0.0)
+
+    def test_no_procedures_rejected(self, procs):
+        cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
+        m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=1)
+        with pytest.raises(ValueError, match="no procedures to train on"):
+            train_model(m, [], SgdConfig(learning_rate=0.1), epochs=1)
+
+    def test_negative_eval_every_rejected(self, procs):
+        cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
+        m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=1)
+        before = {k: t.data.copy() for k, t in m.params.items()}
+        with pytest.raises(ValueError, match="eval_every"):
+            train_model(m, procs, SgdConfig(learning_rate=0.1), epochs=2,
+                        dev_procs=procs, eval_every=-1)
+        assert all(np.array_equal(t.data, before[k]) for k, t in m.params.items())
 
     def test_unaligned_spans_counted_once_per_corpus(self, caplog):
         proc = photosynthesis()  # water's state 1 "root": the text has "roots"
