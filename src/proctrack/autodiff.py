@@ -428,39 +428,80 @@ def sgd_step(params: dict, config: SgdConfig, step_count: int) -> None:
         p.grad = None
 
 
+_CHECKPOINT_FORMAT, _CHECKPOINT_VERSION = "proctrack-params", 2
+
+
 def save_checkpoint(params: dict, path) -> None:
-    blob = {
-        name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
-        for name, p in params.items()
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(blob, f)
+    """Write `params` as one JSON header line, then each tensor's
+    little-endian float64 bytes in C order, packed back to back in `params`
+    order. The header holds the format, its version, the byte count after
+    the line and a {name, shape, offset} record per tensor."""
+    arrays = [np.asarray(p.data, dtype="<f8", order="C") for p in params.values()]
+    records, offset = [], 0
+    for name, arr in zip(params, arrays):
+        records.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += arr.nbytes
+    header = {"format": _CHECKPOINT_FORMAT, "version": _CHECKPOINT_VERSION,
+              "bytes": offset, "tensors": records}
+    with open(path, "wb") as f:
+        f.write(json.dumps(header).encode("ascii") + b"\n")
+        for arr in arrays:
+            f.write(arr)
 
 
 def load_checkpoint(path) -> dict:
-    """Parameters saved by `save_checkpoint`; ValueError naming the first
-    record that is not a flat list of finite numbers filling its shape."""
-    with open(path, encoding="utf-8") as f:
-        blob = json.load(f)
-    if not isinstance(blob, dict):
-        raise ValueError(f"{path}: expected an object of named tensors")
+    """Parameters saved by `save_checkpoint`, each a writable array of its
+    own; ValueError naming the first thing in the header or the bytes that
+    is malformed: a record without a string name, a shape of non-negative
+    ints or an int offset, a repeated name, offsets that are not each
+    tensor's bytes packed back to back, a byte count that is not the file's,
+    or a value that is NaN or infinity."""
+    with open(path, "rb") as f:
+        head, body = f.readline(), f.read()
+    try:
+        header = json.loads(head)
+    except ValueError as exc:
+        raise ValueError(f"{path}: header line is not JSON: {exc}") from exc
+    if not (isinstance(header, dict)
+            and header.get("format") == _CHECKPOINT_FORMAT
+            and header.get("version") == _CHECKPOINT_VERSION):
+        raise ValueError(f"{path}: not a {_CHECKPOINT_FORMAT} version "
+                         f"{_CHECKPOINT_VERSION} header")
+    records, size = header.get("tensors"), header.get("bytes")
+    if not isinstance(records, list) or type(size) is not int:
+        raise ValueError(f"{path}: header needs a 'tensors' list and an int 'bytes'")
+    if size != len(body):
+        raise ValueError(f"{path}: header gives {size} tensor bytes, "
+                         f"the file holds {len(body)}")
+    names = set()
+    for i, rec in enumerate(records):
+        if not (isinstance(rec, dict) and isinstance(rec.get("name"), str)):
+            raise ValueError(f"{path}: tensor record {i} is not an object with "
+                             f"a string 'name': {rec!r:.80}")
+        name, shape = rec["name"], rec.get("shape")
+        if not (isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(f"{path}: {name}: shape {shape!r:.40} is not a "
+                             f"list of non-negative ints")
+        if type(rec.get("offset")) is not int:
+            raise ValueError(f"{path}: {name}: offset {rec.get('offset')!r:.40} "
+                             f"is not an int")
+        if name in names:
+            raise ValueError(f"{path}: {name}: tensor name repeated")
+        names.add(name)
+    bounds = [rec["offset"] for rec in records] + [size]
+    if bounds[0] != 0:
+        raise ValueError(f"{path}: tensor bytes start at offset {bounds[0]}, not 0")
     params = {}
-    for name, rec in blob.items():
-        if not (isinstance(rec, dict) and {"shape", "data"} <= rec.keys()):
-            raise ValueError(f"{path}: {name}: expected a record with "
-                             f"'shape' and 'data'")
-        shape, flat = rec["shape"], rec["data"]
-        if not (isinstance(shape, list) and isinstance(flat, list)
-                and all(type(n) is int and n >= 0 for n in shape)
-                and math.prod(shape) == len(flat)):
-            raise ValueError(f"{path}: {name}: data does not fit shape {shape!r}")
-        try:
-            arr = np.asarray(flat, dtype=np.float64)
-        except (TypeError, ValueError):
-            arr = None
-        if arr is None or arr.ndim != 1:
-            raise ValueError(f"{path}: {name}: data is not a flat list of numbers")
+    for rec, start, end in zip(records, bounds, bounds[1:]):
+        name, shape = rec["name"], rec["shape"]
+        count = math.prod(shape)
+        if end - start != 8 * count:
+            raise ValueError(f"{path}: {name}: shape {shape} needs {8 * count} "
+                             f"bytes, its offsets give {end - start}")
+        arr = np.frombuffer(body, dtype="<f8", count=count,
+                            offset=start).reshape(shape).astype(np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: {name}: data holds NaN or infinity")
-        params[name] = Tensor(arr.reshape(shape), requires_grad=True, name=name)
+        params[name] = Tensor(arr, requires_grad=True, name=name)
     return params

@@ -94,6 +94,8 @@ def cmd_train(args) -> int:
     if not procs:
         raise DataError(f"{args.data}: no procedures to train on")
     dev = load_procedures(args.dev) if args.dev else procs
+    if not dev:
+        raise DataError(f"{args.dev}: no procedures to evaluate on")
     vocab = vocab_from_procedures(procs)
     model = TrackerModel.fresh(vocab, cfg["encoder"], cfg["seed"])
     result = train_model(

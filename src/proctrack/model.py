@@ -56,7 +56,7 @@ class TrackerModel:
         leaves the previous checkpoint whole."""
         os.makedirs(directory, exist_ok=True)
         for name, write in (
-                ("params.json", lambda p: ad.save_checkpoint(self.params, p)),
+                ("params.bin", lambda p: ad.save_checkpoint(self.params, p)),
                 ("config.json", self.config.save),
                 ("vocab.json", self.vocab.save)):
             path = os.path.join(directory, name)
@@ -86,19 +86,25 @@ class TrackerModel:
                 f"checkpoint vocab size {config.vocab_size} does not match "
                 f"vocab file with {len(vocab)} entries"
             )
+        path = os.path.join(directory, "params.bin")
+        if (not os.path.exists(path)
+                and os.path.exists(os.path.join(directory, "params.json"))):
+            raise DataError(f"{directory}: params.json is a v1 JSON checkpoint, "
+                            f"which this version no longer reads; train again "
+                            f"to write params.bin")
         try:
-            params = ad.load_checkpoint(os.path.join(directory, "params.json"))
+            params = ad.load_checkpoint(path)
         except ValueError as exc:
             raise DataError(str(exc)) from exc
         # A count first: a config with a huge n_layers must not be listed.
         count = param_count(config)
         if len(params) != count:
-            raise DataError(f"{directory}: params.json holds {len(params)} "
+            raise DataError(f"{directory}: params.bin holds {len(params)} "
                             f"tensors, config.json implies {count}")
         found = {k: t.shape for k, t in params.items()}
         implied = param_shapes(config)
         if found != implied:
-            raise DataError(f"{directory}: params.json does not match config.json: "
+            raise DataError(f"{directory}: params.bin does not match config.json: "
                             + "; ".join(f"{k}: found {found.get(k, 'nothing')}, "
                                         f"expected {implied.get(k, 'nothing')}"
                                         for k in sorted(found.keys() | implied.keys())

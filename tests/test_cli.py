@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from proctrack.autodiff import Tensor, load_checkpoint, save_checkpoint
 from proctrack.cli import (
     EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, ConfigError, gold_tables,
     load_run_config, main,
@@ -78,8 +80,24 @@ class TestRunConfig:
                      "--out", str(tmp_path / "o")]) == EXIT_DATA
 
 
+def read_params(path):
+    """The header and a mutable copy of the tensor bytes of a params.bin."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(head), bytearray(body)
+
+
+def write_params(path, header, body):
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(body))
+
+
+def tensor_values(rec, body):
+    """A writable view of the float64 bytes of the record `rec`."""
+    return np.frombuffer(body, dtype="<f8", count=math.prod(rec["shape"]),
+                         offset=rec["offset"])
+
+
 class TestCheckpointLayout:
-    def test_per_head_qkv_checkpoint_is_data_error(self, workspace):
+    def test_per_head_qkv_checkpoint_is_data_error(self, workspace, caplog):
         """A checkpoint with separate attn.q{h}/k{h}/v{h} matrices, the layout
         before the fused attn.qkv, is rejected instead of crashing."""
         tmp_path, _, data = workspace
@@ -87,41 +105,100 @@ class TestCheckpointLayout:
         ckpt = tmp_path / "ckpt"
         TrackerModel.fresh(vocab_from_procedures(load_procedures(data)), cfg,
                            seed=0).save(ckpt)
-        ppath = ckpt / "params.json"
-        blob = json.loads(ppath.read_text())
+        params = load_checkpoint(ckpt / "params.bin")
         d, dh = cfg.d_model, cfg.d_model // cfg.n_heads
-        qkv = np.reshape(blob.pop("layer0.attn.qkv")["data"], (d, 3 * d))
+        qkv = params.pop("layer0.attn.qkv").data
         for h in range(cfg.n_heads):
             for i, part in enumerate("qkv"):
-                cols = qkv[:, (3 * h + i) * dh:(3 * h + i + 1) * dh]
-                blob[f"layer0.attn.{part}{h}"] = {"shape": [d, dh],
-                                                  "data": cols.ravel().tolist()}
-        ppath.write_text(json.dumps(blob))
+                params[f"layer0.attn.{part}{h}"] = Tensor(
+                    qkv[:, (3 * h + i) * dh:(3 * h + i + 1) * dh])
+        save_checkpoint(params, ckpt / "params.bin")
         assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
+        assert "params.bin holds 24 tensors, config.json implies 19" in caplog.text
+
+    def test_v1_json_checkpoint_is_data_error(self, workspace, caplog):
+        """A directory holding only the JSON params.json of format v1 exits 3
+        with a message naming that format."""
+        tmp_path, _, data = workspace
+        ckpt = tmp_path / "ckpt"
+        model = TrackerModel.fresh(vocab_from_procedures(load_procedures(data)),
+                                   EncoderConfig(**TINY_CONFIG["encoder"]), seed=0)
+        model.save(ckpt)
+        (ckpt / "params.bin").unlink()
+        (ckpt / "params.json").write_text(json.dumps(
+            {k: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
+             for k, t in model.params.items()}))
+        assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
+        assert "params.json is a v1 JSON checkpoint" in caplog.text
 
     @pytest.mark.parametrize("record", [
-        {"data": [0.0] * 48},  # no shape
-        {"shape": [16, 3]},  # no data
-        {"shape": [16, 3], "data": [0.0] * 47},  # data does not fit the shape
-        {"shape": [16, 3], "data": ["x"] * 48},
-        {"shape": [16, 3], "data": [float("nan")] * 48},
-        {"shape": [16, 3], "data": [0.0] * 47 + [float("inf")]},
-        [0.0] * 48,
+        {"shape": None},  # no shape
+        {"offset": None},  # no offset
+        {"shape": [16, 4]},  # a shape its bytes do not fill
+        {"offset": 0.5},
+        {"data": [float("nan")] * 48},
+        {"data": [0.0] * 47 + [float("inf")]},
+        ["head.status", [16, 3], 0],
     ])
     def test_malformed_record_is_data_error(self, workspace, caplog, record):
+        """The head.status record of the params.bin header with each key set
+        (None: deleted; data: its bytes), or replaced by a list, exits 3 with
+        a message naming head.status."""
+        def edit(records, i, body):
+            if isinstance(record, list):
+                records[i] = record
+                return
+            for key, value in record.items():
+                if key == "data":
+                    tensor_values(records[i], body)[:] = value
+                elif value is None:
+                    del records[i][key]
+                else:
+                    records[i][key] = value
+
+        self.assert_head_status_rejected(workspace, caplog, edit)
+
+    @pytest.mark.parametrize("edit", [
+        lambda recs, i, body: recs[i + 1].update(name="head.status"),
+        lambda recs, i, body: recs[i + 1].update(offset=recs[i]["offset"] + 8),
+        lambda recs, i, body: recs[i + 1].update(offset=0),
+    ], ids=["repeated-name", "overlapping-offsets", "out-of-order-offsets"])
+    def test_repeated_name_or_misplaced_offset_is_data_error(
+            self, workspace, caplog, edit):
+        """The record after head.status repeats its name, starts inside it,
+        or starts before it."""
+        self.assert_head_status_rejected(workspace, caplog, edit)
+
+    @staticmethod
+    def assert_head_status_rejected(workspace, caplog, edit):
         tmp_path, _, data = workspace
         cfg = EncoderConfig(**TINY_CONFIG["encoder"])
         ckpt = tmp_path / "ckpt"
         TrackerModel.fresh(vocab_from_procedures(load_procedures(data)), cfg,
                            seed=0).save(ckpt)
-        ppath = ckpt / "params.json"
-        blob = json.loads(ppath.read_text())
-        blob["head.status"] = record
-        ppath.write_text(json.dumps(blob))
+        header, body = read_params(ckpt / "params.bin")
+        records = header["tensors"]
+        edit(records, [r["name"] for r in records].index("head.status"), body)
+        write_params(ckpt / "params.bin", header, body)
         assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
         assert "head.status" in caplog.text
+
+    @pytest.mark.parametrize("cut, pad", [(8, b""), (0, bytes(8))],
+                             ids=["truncated", "padded"])
+    def test_tensor_bytes_not_the_header_count_is_data_error(
+            self, workspace, caplog, cut, pad):
+        tmp_path, _, data = workspace
+        ckpt = tmp_path / "ckpt"
+        TrackerModel.fresh(vocab_from_procedures(load_procedures(data)),
+                           EncoderConfig(**TINY_CONFIG["encoder"]), seed=0).save(ckpt)
+        header, body = read_params(ckpt / "params.bin")
+        write_params(ckpt / "params.bin", header, body[:len(body) - cut] + pad)
+        assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
+        assert f"header gives {len(body)} tensor bytes" in caplog.text
 
     def test_vocab_not_an_object_is_data_error(self, workspace, caplog):
         tmp_path, _, data = workspace
@@ -186,7 +263,7 @@ class TestPipeline:
         ckpt = tmp_path / "ckpt"
         assert main(["train", "--data", str(data), "--out", str(ckpt),
                      "--config", str(cfg)]) == 0
-        assert (ckpt / "params.json").exists()
+        assert (ckpt / "params.bin").exists()
         pred = tmp_path / "pred.tsv"
         assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
                      "--out", str(pred)]) == 0
@@ -248,10 +325,13 @@ class TestPipeline:
         (["train", "--data", "{data}", "--eval-every", "-1", "--out", "{out}"],
          EXIT_CONFIG),
         (["train", "--data", "{empty}", "--out", "{out}"], EXIT_DATA),
+        (["train", "--data", "{data}", "--dev", "{empty}", "--eval-every", "1",
+          "--out", "{out}"], EXIT_DATA),
         *((["evaluate", "--pred", "{pred}", "--gold", "{empty}", "--mode", mode],
            EXIT_DATA) for mode in ("sentence", "document", "npn")),
     ], ids=["epochs-0", "epochs-minus-1", "eval-every-minus-1", "empty-corpus",
-            "empty-gold-sentence", "empty-gold-document", "empty-gold-npn"])
+            "empty-dev", "empty-gold-sentence", "empty-gold-document",
+            "empty-gold-npn"])
     def test_no_epochs_or_no_procedures_exit_with_a_contract_code(
             self, workspace, caplog, argv, code):
         tmp_path, _, data = workspace
@@ -375,9 +455,10 @@ def clean_run(tmp_path_factory):
     TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=0).save(root / "ckpt")
     assert main(["predict", "--data", str(data), "--checkpoint",
                  str(root / "ckpt"), "--out", str(root / "pred.tsv")]) == 0
-    return Files({name: (root / name).read_text() for name in (
-        "data.json", "pred.tsv", "ckpt/config.json", "ckpt/params.json",
-        "ckpt/vocab.json")})
+    files = Files({name: (root / name).read_text() for name in (
+        "data.json", "pred.tsv", "ckpt/config.json", "ckpt/vocab.json")})
+    files["ckpt/params.bin"] = (root / "ckpt/params.bin").read_bytes()
+    return files
 
 
 @st.composite
@@ -404,10 +485,28 @@ def mutated(draw, text):
     return json.dumps(root)
 
 
+@st.composite
+def mutated_params(draw, blob):
+    """The params.bin `blob` with its header line mutated as by `mutated`,
+    or its tensor bytes cut short or padded."""
+    head, body = blob.split(b"\n", 1)
+    kind = draw(st.sampled_from(["header", "cut", "pad"]))
+    if kind == "header":
+        head = draw(mutated(head.decode())).encode()
+    elif kind == "cut":
+        body = body[:draw(st.integers(0, len(body) - 1))]
+    else:
+        body += draw(st.binary(min_size=1, max_size=16))
+    return head + b"\n" + body
+
+
 def write_files(root, files):
-    for rel, text in files.items():
+    for rel, content in files.items():
         (root / rel).parent.mkdir(exist_ok=True)
-        (root / rel).write_text(text)
+        if isinstance(content, bytes):
+            (root / rel).write_bytes(content)
+        else:
+            (root / rel).write_text(content)
 
 
 class TestFuzz:
@@ -439,7 +538,7 @@ class TestFuzz:
     def test_huge_config_size_is_data_error_without_allocating(
             self, clean_run, tmp_path, monkeypatch, key):
         """A config.json implying a model of 10⁹ rows or layers is checked
-        against params.json without building that model."""
+        against params.bin without building that model."""
         def refuse(*args, **kwargs):
             raise AssertionError("load must not build a model to learn shapes")
 
@@ -460,8 +559,9 @@ class TestFuzz:
               suppress_health_check=[HealthCheck.too_slow])
     def test_predict_and_evaluate_exit_with_a_contract_code(self, clean_run, data):
         name = data.draw(st.sampled_from(["data.json", "ckpt/config.json",
-                                          "ckpt/params.json", "ckpt/vocab.json"]))
-        files = dict(clean_run, **{name: data.draw(mutated(clean_run[name]))})
+                                          "ckpt/params.bin", "ckpt/vocab.json"]))
+        mutate = mutated_params if name == "ckpt/params.bin" else mutated
+        files = dict(clean_run, **{name: data.draw(mutate(clean_run[name]))})
         mode = data.draw(st.sampled_from(["sentence", "document", "npn"]))
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -218,11 +220,14 @@ class TestPersistence:
         changed = TrackerModel(model.vocab, model.config,
                                {k: Tensor(t.data + 1.0) for k, t in model.params.items()})
 
-        def dump_half_then_fail(obj, f):
-            f.write(json.dumps(obj)[:100])
-            raise OSError("disk full")
+        class DiskFull(io.FileIO):
+            """A file that takes 100 bytes and then fails."""
 
-        monkeypatch.setattr(ad.json, "dump", dump_half_then_fail)
+            def write(self, data):
+                super().write(bytes(data)[:100])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(ad, "open", DiskFull, raising=False)
         with pytest.raises(OSError, match="disk full"):
             changed.save(ckpt)
         monkeypatch.undo()
@@ -243,12 +248,12 @@ class TestPersistence:
 
     def test_tensor_shape_checked_against_config(self, model, tmp_path):
         model.save(tmp_path / "ckpt")
-        ppath = tmp_path / "ckpt" / "params.json"
-        blob = json.loads(ppath.read_text())
-        blob["head.status"] = {"shape": [16, 4], "data": [0.0] * 64}
-        blob["head.extra"] = {"shape": [1], "data": [0.0]}
-        del blob["final_ln.bias"]
-        ppath.write_text(json.dumps(blob))
+        ppath = tmp_path / "ckpt" / "params.bin"
+        params = ad.load_checkpoint(ppath)
+        params["head.status"] = Tensor(np.zeros((16, 4)))
+        params["head.extra"] = Tensor(np.zeros(1))
+        del params["final_ln.bias"]
+        ad.save_checkpoint(params, ppath)
         with pytest.raises(DataError) as err:
             TrackerModel.load(tmp_path / "ckpt")
         for part in ("final_ln.bias: found nothing, expected (16,)",
@@ -267,6 +272,31 @@ class TestPersistence:
         assert list(loaded.params) == list(model.params)
         for name, p in model.params.items():
             np.testing.assert_array_equal(loaded.params[name].data, p.data)
+
+    def test_loaded_params_take_an_sgd_step(self, model, procs, tmp_path):
+        model.save(tmp_path / "ckpt")
+        loaded = TrackerModel.load(tmp_path / "ckpt")
+        for p in loaded.params.values():
+            assert p.data.flags.writeable and p.data.flags.owndata
+        loaded.procedure_loss(procs[0], train=False).backward()
+        ad.sgd_step(loaded.params, SgdConfig(learning_rate=0.1), 0)
+        assert not np.array_equal(loaded.params["head.status"].data,
+                                  model.params["head.status"].data)
+
+    def test_params_bin_reads_as_documented(self, model, tmp_path):
+        """The layout README's "Checkpoint format" gives, read with json and
+        np.frombuffer alone."""
+        model.save(tmp_path / "ckpt")
+        head, body = (tmp_path / "ckpt" / "params.bin").read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        assert (header["format"], header["version"]) == ("proctrack-params", 2)
+        assert header["bytes"] == len(body)
+        assert [r["name"] for r in header["tensors"]] == list(model.params)
+        for rec in header["tensors"]:
+            values = np.frombuffer(body, dtype="<f8", offset=rec["offset"],
+                                   count=math.prod(rec["shape"]))
+            np.testing.assert_array_equal(values.reshape(rec["shape"]),
+                                          model.params[rec["name"]].data)
 
     def test_tensor_count_checked_before_shapes(self, model, tmp_path):
         model.save(tmp_path / "ckpt")
@@ -321,7 +351,7 @@ class TestTraining:
         with pytest.raises(TrainingDiverged):
             train_model(m, procs, SgdConfig(learning_rate=0.01), epochs=3,
                         checkpoint_dir=ckpt)
-        assert (ckpt / "params.json").exists()
+        assert (ckpt / "params.bin").exists()
         restored = TrackerModel.load(ckpt)
         assert all(np.all(np.isfinite(p.data)) for p in restored.params.values())
 
