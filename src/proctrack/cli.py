@@ -72,7 +72,12 @@ def gold_tables(procs):
 
 
 def cmd_generate_data(args) -> int:
-    grammar = GrammarConfig(min_steps=args.min_steps, max_steps=args.max_steps)
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    try:
+        grammar = GrammarConfig(min_steps=args.min_steps, max_steps=args.max_steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     procs = generate_synthetic(args.seed, args.n, grammar)
     save_procedures(procs, args.out)
     log.info("wrote %d procedures to %s", len(procs), args.out)
@@ -237,7 +242,7 @@ def main(argv=None) -> int:
     except (TrainingDiverged, NonFiniteGradientError) as exc:
         log.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
-    except (ValueError, FileNotFoundError) as exc:  # DataError among them
+    except (ValueError, OSError) as exc:  # DataError among them
         log.error("data error: %s", exc)
         return EXIT_DATA
 

@@ -24,14 +24,38 @@ class DataError(ValueError):
     """Schema or consistency problem in a dataset file; message carries a path."""
 
 
+def find_token_occurrences(needle: list[str], paragraph: list[str]) -> list[tuple[int, int]]:
+    """Inclusive (start, end) of every verbatim occurrence, in order; none
+    for an empty needle."""
+    k = len(needle)
+    return [(i, i + k - 1) for i in range(len(paragraph) - k + 1)
+            if k and paragraph[i:i + k] == needle]
+
+
 @dataclass
 class Procedure:
+    """One paragraph and its gold grid. Where each text location of the grid
+    occurs in the paragraph is found once, when the procedure is built:
+    `occurrences` maps it to its verbatim (start, end) spans, in order, and
+    `candidate_spans`, when none are given, are all of them, sorted."""
     id: str
     sentences: list  # list of token lists
     entities: list
     grid: dict  # entity -> list of n+1 location values
     candidate_spans: list = field(default_factory=list)  # (start, end) global
-    unresolved_locations: list = field(default_factory=list)
+    occurrences: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        paragraph = self.paragraph
+        self.occurrences = {}
+        for timeline in self.grid.values():
+            for value in timeline:
+                if value not in ("-", "?") and value not in self.occurrences:
+                    self.occurrences[value] = find_token_occurrences(
+                        tokenize(value), paragraph)
+        if not self.candidate_spans:
+            self.candidate_spans = sorted(
+                {sp for spans in self.occurrences.values() for sp in spans})
 
     @property
     def n_steps(self) -> int:
@@ -41,48 +65,18 @@ class Procedure:
     def paragraph(self) -> list[str]:
         return [tok for sent in self.sentences for tok in sent]
 
+    @property
+    def unresolved_locations(self) -> list[str]:
+        """The grid's text locations that never occur verbatim, sorted."""
+        return sorted(v for v, spans in self.occurrences.items() if not spans)
+
     def timeline(self, entity: str) -> list[str]:
         return list(self.grid[entity])
-
-    def is_input(self, entity: str) -> bool:
-        return self.grid[entity][0] != "-"
-
-    def span_text(self, start: int, end: int) -> str:
-        return " ".join(self.paragraph[start:end + 1])
 
 
 def _normalize(value: str) -> str:
     value = value.strip().casefold()
     return value if value else "-"
-
-
-def find_token_occurrences(needle: list[str], paragraph: list[str]) -> list[tuple[int, int]]:
-    """Inclusive (start, end) of every verbatim occurrence, in order; none
-    for an empty needle."""
-    k = len(needle)
-    return [(i, i + k - 1) for i in range(len(paragraph) - k + 1)
-            if k and paragraph[i:i + k] == needle]
-
-
-def candidate_spans_from_grid(sentences, grid):
-    """Occurrences of every gold text location in the paragraph.
-
-    Returns (sorted spans, locations that never occur verbatim).
-    """
-    paragraph = [tok for sent in sentences for tok in sent]
-    spans, missing = set(), []
-    seen = set()
-    for timeline in grid.values():
-        for value in timeline:
-            if value in ("-", "?") or value in seen:
-                continue
-            seen.add(value)
-            occ = find_token_occurrences(tokenize(value), paragraph)
-            if occ:
-                spans.update(occ)
-            else:
-                missing.append(value)
-    return sorted(spans), sorted(missing)
 
 
 def validate_procedure(proc: Procedure, path: str = "") -> None:
@@ -155,9 +149,6 @@ def _proc_from_obj(obj: dict, path: str) -> Procedure:
         grid=grid,
         candidate_spans=[tuple(sp) for sp in spans],
     )
-    found, proc.unresolved_locations = candidate_spans_from_grid(
-        proc.sentences, proc.grid)
-    proc.candidate_spans = proc.candidate_spans or found
     validate_procedure(proc, path)
     return proc
 
@@ -226,10 +217,8 @@ def load_grid_tsv(path) -> list[Procedure]:
                 sentences.append(tokenize(cells[1]))
             for e, v in zip(entities, cells[2:]):
                 columns[e].append(_normalize(v))
-        spans, missing = candidate_spans_from_grid(sentences, columns)
         proc = Procedure(id=pid, sentences=sentences, entities=entities,
-                         grid=columns, candidate_spans=spans,
-                         unresolved_locations=missing)
+                         grid=columns)
         validate_procedure(proc, where)
         procs.append(proc)
     return procs
@@ -317,10 +306,8 @@ def _recipe_from_obj(obj, where: str) -> Procedure:
             timeline.append(steps.get(step, timeline[-1]))
         entities.append(name)
         grid[name] = timeline
-    spans, missing = candidate_spans_from_grid(sentences, grid)
     proc = Procedure(id=obj["id"], sentences=sentences, entities=entities,
-                     grid=grid, candidate_spans=spans,
-                     unresolved_locations=missing)
+                     grid=grid)
     validate_procedure(proc, where)
     return proc
 
@@ -345,6 +332,13 @@ class GrammarConfig:
     location_pool: tuple = LOCATION_POOL
     combine_prob: float = 0.25
     destroy_prob: float = 0.2
+
+    def __post_init__(self):
+        for kind in ("steps", "entities"):
+            least, most = getattr(self, f"min_{kind}"), getattr(self, f"max_{kind}")
+            if not 1 <= least <= most:
+                raise ValueError(f"{kind} range must have 1 <= min_{kind} <= "
+                                 f"max_{kind}, got {least} and {most}")
 
 
 def generate_synthetic(seed: int, n_procedures: int,
@@ -413,11 +407,11 @@ def generate_synthetic(seed: int, n_procedures: int,
             for e in entities:
                 grid[e].append(state[e])
 
-        spans, missing = candidate_spans_from_grid(sentences, grid)
-        assert not missing, "generator must only use locations present in text"
-        procs.append(Procedure(id=f"proc{idx:04d}", sentences=sentences,
-                               entities=entities, grid=grid,
-                               candidate_spans=spans))
+        proc = Procedure(id=f"proc{idx:04d}", sentences=sentences,
+                         entities=entities, grid=grid)
+        assert not proc.unresolved_locations, \
+            "generator must only use locations present in text"
+        procs.append(proc)
     for p in procs:
         for e in p.entities:
             assert not violates_rules(p.grid[e])

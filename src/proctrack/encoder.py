@@ -160,12 +160,12 @@ def _dropout(x: Tensor, rate: float, rng) -> Tensor:
 
 
 def encode(embedded: Tensor, params: dict, config: EncoderConfig,
-           train: bool = False, rng: np.random.Generator | None = None,
+           rng: np.random.Generator | None = None,
            collect_attn: bool = False) -> EncoderOutput:
+    """The encoder's output for `embedded`, with dropout when `rng` is given."""
     T = embedded.data.shape[-2]
     if T > config.max_len:
         raise ValueError(f"sequence length {T} exceeds max length {config.max_len}")
-    drop_rng = rng if train else None
     x = embedded
     attn_probs = []
     for l in range(config.n_layers):
@@ -177,10 +177,10 @@ def encode(embedded: Tensor, params: dict, config: EncoderConfig,
             attn_probs.extend(probs.copy())
         attn_out = ad.affine(merged, params[p + "attn.out"],
                              params[p + "attn.out_bias"])
-        x = ad.add(x, _dropout(attn_out, config.dropout, drop_rng))
+        x = ad.add(x, _dropout(attn_out, config.dropout, rng))
         h = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
         ff = ad.affine(ad.gelu(ad.affine(h, params[p + "ff.w1"], params[p + "ff.b1"])),
                        params[p + "ff.w2"], params[p + "ff.b2"])
-        x = ad.add(x, _dropout(ff, config.dropout, drop_rng))
+        x = ad.add(x, _dropout(ff, config.dropout, rng))
     x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
     return EncoderOutput(hidden=x, attn_probs=attn_probs)

@@ -20,8 +20,6 @@ from .state_table import (
 
 log = logging.getLogger(__name__)
 
-EVENT_KINDS = ("create", "destroy", "move")
-
 
 @dataclass(frozen=True)
 class EventRecord:

@@ -5,7 +5,7 @@ Used by tests and as a quick-start dataset for the CLI.
 
 from __future__ import annotations
 
-from .data import Procedure, candidate_spans_from_grid
+from .data import Procedure
 from .tokenizer import tokenize
 
 _SENTENCES = [
@@ -26,13 +26,9 @@ _GRID = {
 
 
 def photosynthesis() -> Procedure:
-    sentences = [tokenize(s) for s in _SENTENCES]
-    spans, missing = candidate_spans_from_grid(sentences, _GRID)
     return Procedure(
         id="photosynthesis",
-        sentences=sentences,
+        sentences=[tokenize(s) for s in _SENTENCES],
         entities=list(_GRID),
         grid={e: list(tl) for e, tl in _GRID.items()},
-        candidate_spans=spans,
-        unresolved_locations=missing,
     )

@@ -17,7 +17,6 @@ from .encoder import EncoderConfig, EncoderOutput, init_params
 
 # Fixed class order for entity status.
 STATUS_GONE, STATUS_UNKNOWN, STATUS_KNOWN = 0, 1, 2
-STATUS_NAMES = ("non-existence", "unknown-location", "known-location")
 
 
 def status_class_of(value: str) -> int:

@@ -26,9 +26,6 @@ class QueryLayout:
     paragraph_index: tuple  # per-token global paragraph index, None off-paragraph
     n_sentences: int
 
-    def __len__(self):
-        return len(self.tokens)
-
     @property
     def position_ids(self):
         return tuple(range(len(self.tokens)))
@@ -47,15 +44,19 @@ class TimestampedInput:
     timestamp_ids: np.ndarray
 
 
+def question_tokens(entity: str) -> list[str]:
+    """The tokens that name `entity` in its question. Aliases like
+    "water; liquid" contribute only their first surface form."""
+    return tokenize(entity.split(";")[0])
+
+
 def build_query(entity: str, sentences: list[list[str]], vocab: Vocab,
                 max_len: int | None = None) -> QueryLayout:
     if not entity:
         raise ValueError("entity name must be non-empty")
     if not sentences:
         raise ValueError("procedure must have at least one sentence")
-    # Aliases like "water; liquid" contribute only their first surface form.
-    surface = entity.split(";")[0].strip()
-    tokens = [CLS, "where", "is", *tokenize(surface), "?", SEP]
+    tokens = [CLS, "where", "is", *question_tokens(entity), "?", SEP]
     sent_idx = [0] * len(tokens)
     para_idx: list = [None] * len(tokens)
     g = 0

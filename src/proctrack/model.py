@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DataError, Procedure, find_token_occurrences
+from .data import DataError, Procedure
 from .encoder import (
     EncoderConfig, embed, encode, init_encoder_params, param_count, param_shapes,
 )
@@ -19,9 +19,10 @@ from .heads import (
 )
 from .inference import decode_step, repair_timeline, violates_rules
 from .inputs import (
-    QueryLayout, TimestampedInput, build_query, time_ids, timestamp,
+    QueryLayout, TimestampedInput, build_query, question_tokens, time_ids,
+    timestamp,
 )
-from .tokenizer import Vocab, build_vocab, tokenize
+from .tokenizer import Vocab, build_vocab
 
 
 def vocab_from_procedures(procs: list[Procedure]) -> Vocab:
@@ -29,7 +30,7 @@ def vocab_from_procedures(procs: list[Procedure]) -> Vocab:
     for p in procs:
         for e in p.entities:
             corpus.append(["where", "is", "?"])
-            corpus.append(e.split(";")[0].strip().split())
+            corpus.append(question_tokens(e))
         corpus.extend(p.sentences)
     return build_vocab(corpus)
 
@@ -133,36 +134,32 @@ class TrackerModel:
         params = {k: Tensor(t.data) for k, t in self.params.items()}
         return self._heads(TimestampedInput(layout, time_ids(layout)), params)
 
-    def _heads(self, inp: TimestampedInput, params: dict, train: bool = False,
+    def _heads(self, inp: TimestampedInput, params: dict,
                rng: np.random.Generator | None = None
                ) -> tuple[Tensor, Tensor, Tensor]:
-        out = encode(embed(inp, params), params, self.config, train=train, rng=rng)
+        out = encode(embed(inp, params), params, self.config, rng=rng)
         return (status_head(out, params["head.status"]),
                 *span_head(out, params["head.start"], params["head.end"]))
 
     # -- training targets ---------------------------------------------------
 
-    def gold_steps(self, proc: Procedure, entity: str, layout: QueryLayout):
-        """GoldStep per step 0..n, with spans mapped to layout positions."""
+    def gold_steps(self, proc: Procedure, entity: str,
+                   layout: QueryLayout) -> list[GoldStep]:
+        """GoldStep per step 0..n. A known location's span is its first
+        occurrence in the paragraph, at layout positions, or None when its
+        text never occurs there."""
         g2l = layout.layout_pos_of_paragraph()
-        paragraph = proc.paragraph
-        steps, unaligned = [], 0
+        steps = []
         for value in proc.grid[entity]:
-            cls = status_class_of(value)
-            span = None
-            if cls == 2:
-                occurrences = find_token_occurrences(tokenize(value), paragraph)
-                if occurrences:
-                    s, e = occurrences[0]
-                    span = (g2l[s], g2l[e])
-                else:
-                    unaligned += 1
-            steps.append(GoldStep(status_class=cls, span=span))
-        return steps, unaligned
+            spans = proc.occurrences.get(value)
+            span = (g2l[spans[0][0]], g2l[spans[0][1]]) if spans else None
+            steps.append(GoldStep(status_class=status_class_of(value), span=span))
+        return steps
 
-    def procedure_loss(self, proc: Procedure, train: bool = True,
+    def procedure_loss(self, proc: Procedure,
                        rng: np.random.Generator | None = None) -> Tensor:
-        """Mean joint loss over every (entity, step 0..n) pair.
+        """Mean joint loss over every (entity, step 0..n) pair, with dropout
+        when `rng` is given.
 
         Each entity's steps run as one batched pass on the tape, scored by
         one loss over its rows.
@@ -170,9 +167,9 @@ class TrackerModel:
         losses, passes = [], 0
         for entity in proc.entities:
             layout = self.layout_for(entity, proc)
-            golds, _ = self.gold_steps(proc, entity, layout)
+            golds = self.gold_steps(proc, entity, layout)
             logits = self._heads(TimestampedInput(layout, time_ids(layout)),
-                                 self.params, train, rng)
+                                 self.params, rng)
             losses.append(joint_loss(*logits, golds))
             passes += len(golds)
         return ad.mean_of(losses, passes)

@@ -32,11 +32,10 @@ class Vocab:
             if token_to_id.get(tok) != i:
                 raise ValueError(f"vocab must map {tok} to {i}")
         self._token_to_id = dict(token_to_id)
-        self._id_to_token = {i: t for t, i in token_to_id.items()}
-        if len(self._id_to_token) != len(self._token_to_id):
+        ids = set(self._token_to_id.values())
+        if len(ids) != len(self._token_to_id):
             raise ValueError("vocab ids must be unique")
-        if not all(type(i) is int and 0 <= i < len(self._token_to_id)
-                   for i in self._id_to_token):
+        if not all(type(i) is int and 0 <= i < len(ids) for i in ids):
             raise ValueError("vocab ids must be 0 .. size - 1")
 
     def __len__(self):
@@ -47,12 +46,6 @@ class Vocab:
 
     def encode_all(self, tokens) -> list[int]:
         return [self.encode(t) for t in tokens]
-
-    def decode(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._token_to_id)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

@@ -65,12 +65,12 @@ def train_model(model: TrackerModel, procs: list[Procedure], sgd: SgdConfig,
         model.params["ts_emb"].requires_grad = False
     rng = np.random.default_rng(seed)
     result = TrainResult(unaligned_spans=sum(
-        model.gold_steps(p, e, model.layout_for(e, p))[1]
-        for p in procs for e in p.entities))
+        not p.occurrences[v] for p in procs for e in p.entities
+        for v in p.grid[e] if v in p.occurrences))
     for epoch in range(epochs):
         epoch_losses = []
         for proc in procs:
-            loss = model.procedure_loss(proc, train=True, rng=rng)
+            loss = model.procedure_loss(proc, rng=rng)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise TrainingDiverged(

@@ -298,8 +298,8 @@ class TestPipeline:
               "--out", str(pred)])
         procs = {p.id: p for p in load_procedures(data)}
         for pid, rows in read_tsv(pred).items():
-            texts = {procs[pid].span_text(s, e)
-                     for s, e in procs[pid].candidate_spans}
+            para = procs[pid].paragraph
+            texts = {" ".join(para[s:e + 1]) for s, e in procs[pid].candidate_spans}
             for r in rows:
                 for v in (r.before, r.after):
                     if v not in ("-", "?"):
@@ -351,6 +351,44 @@ class TestPipeline:
         pred.write_text("otherproc\t1\te\tNONE\t-\t-\n")
         assert main(["evaluate", "--pred", str(pred),
                      "--gold", str(data)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("argv, culprit", [
+        (["generate-data", "--out", "{dir}"], "dir"),
+        (["evaluate", "--pred", "{dir}", "--gold", "{data}"], "dir"),
+        (["train", "--data", "{data}", "--config", "{cfg}", "--out", "{file}"],
+         "file"),
+        (["train", "--data", "{data}", "--config", "{dir}", "--out", "{out}"],
+         "dir"),
+        (["predict", "--data", "{data}", "--checkpoint", "{file}",
+          "--out", "{out}"], "file"),
+    ], ids=["generate-out-dir", "evaluate-pred-dir", "train-out-file",
+            "train-config-dir", "predict-checkpoint-file"])
+    def test_io_failure_is_data_error_naming_the_path(
+            self, workspace, caplog, capsys, argv, culprit):
+        tmp_path, cfg, data = workspace
+        paths = {"data": data, "cfg": cfg, "dir": tmp_path / "a-dir",
+                 "file": tmp_path / "a-file", "out": tmp_path / "out"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("x")
+        assert main([a.format(**paths) for a in argv]) == EXIT_DATA
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert str(paths[culprit]) in errors[0].getMessage()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--min-steps", "5", "--max-steps", "3"],
+        ["--min-steps", "0", "--max-steps", "0"],
+        ["--n", "-3"],
+        ["--n", "0"],
+    ], ids=["steps-reversed", "no-steps", "negative-n", "zero-n"])
+    def test_generate_data_range_it_cannot_honour_is_config_error(
+            self, tmp_path, caplog, flags):
+        out = tmp_path / "data.json"
+        assert main(["generate-data", *flags, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith("config error:")
 
 
 class TestEvaluateGolden:

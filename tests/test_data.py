@@ -3,9 +3,8 @@ import json
 import pytest
 
 from proctrack.data import (
-    DataError, GrammarConfig, Procedure, candidate_spans_from_grid,
-    generate_synthetic, load_grid_tsv, load_procedures,
-    load_recipe_annotations, save_grid_tsv, save_procedures,
+    DataError, GrammarConfig, Procedure, generate_synthetic, load_grid_tsv,
+    load_procedures, load_recipe_annotations, save_grid_tsv, save_procedures,
 )
 from proctrack.fixtures import photosynthesis
 from proctrack.inference import violates_rules
@@ -20,11 +19,57 @@ class TestFixture:
 
     def test_input_entities(self):
         p = photosynthesis()
-        assert {e for e in p.entities if p.is_input(e)} == {"water", "light", "co2"}
+        assert {e for e in p.entities if p.grid[e][0] != "-"} == {"water", "light", "co2"}
 
     def test_unresolvable_location_flagged(self):
         # "root" never appears verbatim (the text says "roots")
         assert photosynthesis().unresolved_locations == ["root"]
+
+
+class TestOneDerivation:
+    """Where each gold location occurs is worked out when a Procedure is
+    built, the same way however it is built."""
+
+    # Paragraph: roots absorb water from the soil . | the water flows to the
+    # leaf . | sugar forms in the leaf .
+    SENTENCES = [["roots", "absorb", "water", "from", "the", "soil", "."],
+                 ["the", "water", "flows", "to", "the", "leaf", "."],
+                 ["sugar", "forms", "in", "the", "leaf", "."]]
+    GRID = {"water": ["the soil", "root", "the leaf", "the leaf"],
+            "sugar": ["-", "-", "-", "leaf"]}
+
+    def built(self, **spans):
+        return Procedure(id="p", sentences=self.SENTENCES,
+                         entities=list(self.GRID), grid=self.GRID, **spans)
+
+    def test_direct_json_and_grid_tsv_agree(self, tmp_path):
+        direct = self.built()
+        assert direct.occurrences == {"the soil": [(4, 5)], "root": [],
+                                      "the leaf": [(11, 12), (17, 18)],
+                                      "leaf": [(12, 12), (18, 18)]}
+        assert direct.candidate_spans == [(4, 5), (11, 12), (12, 12),
+                                          (17, 18), (18, 18)]
+        assert direct.unresolved_locations == ["root"]
+        json_path, tsv_path = tmp_path / "p.json", tmp_path / "p.tsv"
+        json_path.write_text(json.dumps([{"id": "p", "sentences": self.SENTENCES,
+                                          "entities": list(self.GRID),
+                                          "grid": self.GRID}]))
+        save_grid_tsv([direct], tsv_path)
+        for loaded in (load_procedures(json_path)[0], load_grid_tsv(tsv_path)[0]):
+            assert loaded.occurrences == direct.occurrences
+            assert loaded.candidate_spans == direct.candidate_spans
+            assert loaded.unresolved_locations == direct.unresolved_locations
+
+    def test_given_spans_keep_their_order(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([{"id": "p", "sentences": self.SENTENCES,
+                                     "entities": list(self.GRID),
+                                     "grid": self.GRID,
+                                     "candidate_spans": [[18, 18], [4, 5]]}]))
+        loaded = load_procedures(path)[0]
+        assert loaded.candidate_spans == [(18, 18), (4, 5)]
+        assert loaded.occurrences == self.built().occurrences
+        assert self.built(candidate_spans=[(0, 0)]).candidate_spans == [(0, 0)]
 
 
 class TestJsonRoundTrip:
@@ -207,6 +252,14 @@ class TestSyntheticGenerator:
         for p in generate_synthetic(21, 50):
             for e in p.entities:
                 assert not violates_rules(p.grid[e])
+
+    @pytest.mark.parametrize("fields", [
+        {"min_steps": 0, "max_steps": 0}, {"min_steps": 5, "max_steps": 3},
+        {"min_entities": 0}, {"min_entities": 4, "max_entities": 3},
+    ], ids=["no-steps", "steps-reversed", "no-entities", "entities-reversed"])
+    def test_grammar_range_it_cannot_honour_rejected(self, fields):
+        with pytest.raises(ValueError, match="range"):
+            GrammarConfig(**fields)
 
     def test_grammar_bounds_respected(self):
         g = GrammarConfig(min_entities=2, max_entities=2, min_steps=2, max_steps=3)

@@ -170,6 +170,15 @@ class TestEncode:
         for probs in out.attn_probs:
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
+    def test_dropout_applies_exactly_when_an_rng_is_given(self, vocab):
+        cfg = tiny_config(vocab, n_heads=2, n_layers=1, d_model=16, dropout=0.5)
+        params = init_encoder_params(cfg, np.random.default_rng(3))
+        x = embed(make_input(vocab), params)
+        plain = encode(x, params, cfg).hidden.data
+        np.testing.assert_array_equal(encode(x, params, cfg).hidden.data, plain)
+        dropped = encode(x, params, cfg, rng=np.random.default_rng(0)).hidden.data
+        assert not np.allclose(dropped, plain)
+
     def test_matches_straight_line_oracle(self, vocab):
         inp = make_input(vocab, 2)
         for n_heads in (1, 2):
@@ -267,7 +276,7 @@ class TestStepBatch:
 
             batched = heads(steps)
             n_steps = layout.n_sentences + 1
-            assert batched[0].shape == (n_steps, len(layout), cfg.d_model)
+            assert batched[0].shape == (n_steps, len(layout.tokens), cfg.d_model)
             for s in range(n_steps):
                 for got, alone in zip(batched, heads(timestamp(layout, s))):
                     np.testing.assert_allclose(got[s], alone, rtol=0, atol=1e-12)

@@ -39,7 +39,7 @@ class TestBuildQuery:
         question_words = ["where", "is", "water", "?"]
         expected = 1 + 1 + len(question_words) + \
             sum(len(s) for s in photo.sentences) + photo.n_steps
-        assert len(layout) == expected
+        assert len(layout.tokens) == expected
 
     def test_sep_count_and_single_cls(self, photo, photo_vocab):
         layout = build_query("water", photo.sentences, photo_vocab)
@@ -132,7 +132,7 @@ class TestTimestampInvariants:
         layout = build_query(entity, sentences, vocab)
         step = data.draw(st.integers(0, len(sentences)))
         inp = timestamp(layout, step)
-        assert len(inp.timestamp_ids) == len(layout)
+        assert len(inp.timestamp_ids) == len(layout.tokens)
         for s, ts in zip(layout.sentence_index, inp.timestamp_ids):
             if s == 0:
                 assert ts == TS_QUESTION
@@ -178,7 +178,7 @@ class TestTimeIds:
         vocab = build_vocab(sentences + [[entity]])
         layout = build_query(entity, sentences, vocab)
         ids = time_ids(layout)
-        assert ids.shape == (len(sentences) + 1, len(layout))
+        assert ids.shape == (len(sentences) + 1, len(layout.tokens))
         for step, row in enumerate(ids):
             assert row.tolist() == [rule(s, step) for s in layout.sentence_index]
             np.testing.assert_array_equal(timestamp(layout, step).timestamp_ids, row)

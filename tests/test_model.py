@@ -1,10 +1,13 @@
+import importlib
 import io
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import proctrack
 from proctrack import autodiff as ad
 from proctrack.autodiff import SgdConfig, Tensor
 from proctrack.data import DataError, GrammarConfig, Procedure, generate_synthetic
@@ -13,7 +16,13 @@ from proctrack.fixtures import photosynthesis
 from proctrack.heads import STATUS_KNOWN, joint_loss
 from proctrack.inference import violates_rules
 from proctrack.model import TrackerModel, vocab_from_procedures
+from proctrack.tokenizer import UNK
 from proctrack.train import TrainingDiverged, status_accuracy, train_model
+
+
+def unaligned(golds):
+    """Known-location steps whose text is not in the paragraph."""
+    return sum(g.status_class == STATUS_KNOWN and g.span is None for g in golds)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +36,20 @@ def model(procs):
     return TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=5)
 
 
+class TestVocabFromProcedures:
+    def test_question_tokens_are_in_the_vocabulary(self):
+        """The vocabulary takes an entity's question tokens from the helper
+        `build_query` uses, so none of them encodes as [UNK]."""
+        entities = ["CO2", "salt.", "Water; liquid"]
+        proc = Procedure(id="p", sentences=[["co2", "and", "salt", "mix", "."]],
+                         entities=entities, grid={e: ["?", "?"] for e in entities})
+        cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
+        m = TrackerModel.fresh(vocab_from_procedures([proc]), cfg, seed=1)
+        for e in entities:
+            layout = m.layout_for(e, proc)
+            assert m.vocab.encode(UNK) not in layout.token_ids, layout.tokens
+
+
 class TestForward:
     def test_probability_outputs(self, model, procs):
         proc = procs[0]
@@ -35,17 +58,17 @@ class TestForward:
                               for t in model.forward(layout, 1))
         assert status.sum() == pytest.approx(1.0, abs=1e-9)
         assert start.sum() == pytest.approx(1.0, abs=1e-9)
-        assert len(start) == len(layout)
+        assert len(start) == len(layout.tokens)
 
     def test_gold_steps_alignment(self, model):
         proc = photosynthesis()
         layout = model.layout_for("water", proc)
-        golds, unaligned = model.gold_steps(proc, "water", layout)
+        golds = model.gold_steps(proc, "water", layout)
         assert len(golds) == proc.n_steps + 1
         # state 0 "soil" resolves; state 1 "root" does not (text says "roots")
         assert golds[0].status_class == STATUS_KNOWN and golds[0].span is not None
         assert golds[1].span is None
-        assert unaligned == 1
+        assert unaligned(golds) == 1
         s, e = golds[0].span
         assert layout.tokens[s:e + 1] == ("soil",)
 
@@ -72,7 +95,7 @@ class TestForward:
         assert all(p.grad is None for p in model.params.values())
 
     def test_procedure_loss_positive_scalar(self, model, procs):
-        loss = model.procedure_loss(procs[0], train=False)
+        loss = model.procedure_loss(procs[0])
         assert loss.data.shape == ()
         assert float(loss.data) > 0
 
@@ -105,7 +128,7 @@ class TestBatchedLoss:
         losses = []
         for entity in proc.entities:
             layout = model.layout_for(entity, proc)
-            golds, _ = model.gold_steps(proc, entity, layout)
+            golds = model.gold_steps(proc, entity, layout)
             for step, gold in enumerate(golds):
                 logits = model.forward(layout, step)
                 losses.append(joint_loss(
@@ -116,9 +139,9 @@ class TestBatchedLoss:
         proc = photosynthesis()  # all three statuses; water's "root" unaligned
         assert np.any(nudged.params["ts_emb"].data != 0)
         assert {g.status_class for e in proc.entities for g in nudged.gold_steps(
-            proc, e, nudged.layout_for(e, proc))[0]} == {0, 1, 2}
+            proc, e, nudged.layout_for(e, proc))} == {0, 1, 2}
         batched, got = self.loss_and_grads(
-            nudged, lambda: nudged.procedure_loss(proc, train=False))
+            nudged, lambda: nudged.procedure_loss(proc))
         oracle, want = self.loss_and_grads(
             nudged, lambda: self.per_pass_loss(nudged, proc))
         assert batched == pytest.approx(oracle, rel=0, abs=1e-12)
@@ -153,8 +176,8 @@ class TestGoldSpanResolution:
 
     def golds(self, model):
         layout = model.layout_for("water", self.PROC)
-        golds, unaligned = model.gold_steps(self.PROC, "water", layout)
-        return golds, unaligned, layout.layout_pos_of_paragraph()
+        golds = model.gold_steps(self.PROC, "water", layout)
+        return golds, unaligned(golds), layout.layout_pos_of_paragraph()
 
     def test_first_occurrence_wins(self, model):
         golds, _, g2l = self.golds(model)
@@ -188,7 +211,9 @@ class TestPredict:
 
     def test_known_predictions_are_candidate_texts(self, model, procs):
         for proc in procs:
-            candidate_texts = {proc.span_text(s, e) for s, e in proc.candidate_spans}
+            para = proc.paragraph
+            candidate_texts = {" ".join(para[s:e + 1])
+                               for s, e in proc.candidate_spans}
             timelines, _ = model.predict_procedure(proc, repair=False)
             for tl in timelines.values():
                 for v in tl:
@@ -278,7 +303,7 @@ class TestPersistence:
         loaded = TrackerModel.load(tmp_path / "ckpt")
         for p in loaded.params.values():
             assert p.data.flags.writeable and p.data.flags.owndata
-        loaded.procedure_loss(procs[0], train=False).backward()
+        loaded.procedure_loss(procs[0]).backward()
         ad.sgd_step(loaded.params, SgdConfig(learning_rate=0.1), 0)
         assert not np.array_equal(loaded.params["head.status"].data,
                                   model.params["head.status"].data)
@@ -341,11 +366,11 @@ class TestTraining:
         calls = {"n": 0}
         orig = m.procedure_loss
 
-        def wrapped(proc, train=True, rng=None):
+        def wrapped(proc, rng=None):
             calls["n"] += 1
             if calls["n"] > len(procs):
                 m.params["head.status"].data[:] = np.nan
-            return orig(proc, train=train, rng=rng)
+            return orig(proc, rng=rng)
 
         m.procedure_loss = wrapped
         with pytest.raises(TrainingDiverged):
@@ -390,6 +415,30 @@ class TestTraining:
         assert len(epoch_lines) == 3
         assert all("1 gold spans not in the paragraph" in line
                    for line in epoch_lines)
+
+    def test_training_searches_no_paragraph(self, procs, monkeypatch):
+        """Gold spans come from `Procedure.occurrences`, found when each
+        procedure was built; training never searches a paragraph itself."""
+        calls = []
+
+        def counted(orig):
+            def wrapper(*args):
+                calls.append(args)
+                return orig(*args)
+            return wrapper
+
+        for info in pkgutil.iter_modules(proctrack.__path__):
+            module = importlib.import_module(f"proctrack.{info.name}")
+            if hasattr(module, "find_token_occurrences"):
+                monkeypatch.setattr(module, "find_token_occurrences",
+                                    counted(module.find_token_occurrences))
+        generate_synthetic(3, 1)
+        assert calls, "the counter must see the search a build makes"
+        calls.clear()
+        cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
+        m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=1)
+        train_model(m, procs, SgdConfig(learning_rate=0.1), epochs=2)
+        assert calls == []
 
     def test_status_accuracy_bounds(self, model, procs):
         acc = status_accuracy(model, procs)

@@ -40,7 +40,7 @@ class TestVocab:
     def test_empty_corpus_only_reserved(self):
         v = build_vocab([])
         assert len(v) == 4
-        assert v.as_dict() == RESERVED
+        assert all(v.encode(tok) == i for tok, i in RESERVED.items())
 
     def test_unknown_maps_to_unk(self):
         v = build_vocab([["a"]])
@@ -50,16 +50,19 @@ class TestVocab:
         v = build_vocab([["x"]])
         assert v.encode(PAD) == 0 and v.encode(CLS) == 2 and v.encode(SEP) == 3
 
-    def test_encode_decode_identity_in_vocab(self):
-        v = build_vocab([["alpha", "beta", "gamma"]])
-        for tok in ["alpha", "beta", "gamma", CLS, SEP]:
-            assert v.decode(v.encode(tok)) == tok
-
     def test_round_trip_save_load(self, tmp_path):
         v = build_vocab([["roots", "absorb", "water"]])
         path = tmp_path / "vocab.json"
         v.save(path)
-        assert Vocab.load(path).as_dict() == v.as_dict()
+        Vocab.load(path).save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"a": 4, "b": 4}, "unique"), ({"a": 5}, "0 .. size - 1"),
+    ], ids=["repeated-id", "id-past-the-end"])
+    def test_rejects_repeated_or_out_of_range_ids(self, extra, message):
+        with pytest.raises(ValueError, match=message):
+            Vocab({**RESERVED, **extra})
 
     def test_rejects_bad_reserved_mapping(self):
         with pytest.raises(ValueError):
@@ -67,4 +70,4 @@ class TestVocab:
 
     def test_stable_across_runs(self):
         corpus = [["b", "a"], ["c", "a"]]
-        assert build_vocab(corpus).as_dict() == build_vocab(corpus).as_dict()
+        assert [build_vocab(corpus).encode(t) for t in "abc"] == [5, 4, 6]
