@@ -1,10 +1,12 @@
 """Minimal dense-tensor math with reverse-mode autodiff and an SGD optimizer.
 
-Everything is float64 and CPU-only. A Tensor wraps a numpy array plus an
-optional gradient; ops build a tape of backward closures that `backward()`
-replays in reverse topological order. Gradients accumulate additively until
-an optimizer step clears them, so several losses can be backpropagated before
-a single parameter update.
+CPU-only. A Tensor wraps a numpy array, float64 unless it is given a float32
+array, plus an optional gradient; ops keep their operands' dtype and build a
+tape of backward closures that `backward()` replays in reverse topological
+order. Gradients accumulate additively until an optimizer step clears them,
+so several losses can be backpropagated before a single parameter update.
+Prediction runs on float32 copies of the parameters; the parameters, their
+gradients, the SGD step and the checkpoints stay float64.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ class NonFiniteGradientError(RuntimeError):
 
 class Tensor:
     def __init__(self, data, requires_grad=False, name=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = (data if isinstance(data, np.ndarray) and data.dtype == np.float32
+                     else np.asarray(data, dtype=np.float64))
         self.requires_grad = requires_grad
         self.grad = None
         self.name = name
@@ -219,7 +222,7 @@ def attention(qkv: Tensor, n_heads: int) -> tuple[Tensor, np.ndarray]:
     """
     *lead, T, d3 = qkv.data.shape
     dh = d3 // (3 * n_heads)
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 scores float32
     # (..., T, H, 3, dh) -> (3, ..., H, T, dh)
     split = qkv.data.reshape(*lead, T, n_heads, 3, dh)
     q, k, v = np.moveaxis(split, -2, 0).swapaxes(-3, -2)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
 from .autodiff import NonFiniteGradientError, SgdConfig
@@ -101,6 +102,8 @@ def cmd_train(args) -> int:
     dev = load_procedures(args.dev) if args.dev else procs
     if not dev:
         raise DataError(f"{args.dev}: no procedures to evaluate on")
+    # Made now, so an --out that cannot be a directory fails before training.
+    os.makedirs(args.out, exist_ok=True)
     vocab = vocab_from_procedures(procs)
     model = TrackerModel.fresh(vocab, cfg["encoder"], cfg["seed"])
     result = train_model(

@@ -20,7 +20,7 @@ from .heads import (
 from .inference import decode_step, repair_timeline, violates_rules
 from .inputs import (
     QueryLayout, TimestampedInput, build_query, question_tokens, time_ids,
-    timestamp,
+    timestamp,  # unused here: the benchmark's tracer patches it in this module
 )
 from .tokenizer import Vocab, build_vocab
 
@@ -118,20 +118,14 @@ class TrackerModel:
         return build_query(entity, proc.sentences, self.vocab,
                            max_len=self.config.max_len)
 
-    def forward(self, layout: QueryLayout, step: int
-                ) -> tuple[Tensor, Tensor, Tensor]:
-        """Status, start and end logits of one pass for one step, recorded on
-        the tape."""
-        return self._heads(timestamp(layout, step), self.params)
-
-    def forward_steps(self, layout: QueryLayout
+    def forward_steps(self, layout: QueryLayout, params: dict
                       ) -> tuple[Tensor, Tensor, Tensor]:
         """Steps 0..n in one batched pass, with a leading step axis.
 
-        The pass runs on views of the parameters that need no gradient, so
-        it records no tape and each intermediate is freed once used.
+        The pass runs on `params`, tensors that need no gradient, so it
+        records no tape and each intermediate is freed once used; its dtype
+        is theirs. `predict_procedure` passes float32 copies.
         """
-        params = {k: Tensor(t.data) for k, t in self.params.items()}
         return self._heads(TimestampedInput(layout, time_ids(layout)), params)
 
     def _heads(self, inp: TimestampedInput, params: dict,
@@ -176,7 +170,7 @@ class TrackerModel:
 
     # -- prediction ---------------------------------------------------------
 
-    def predict_entity(self, proc: Procedure, entity: str,
+    def predict_entity(self, proc: Procedure, entity: str, params: dict,
                        np_filter: bool = True, repair: bool = True):
         """Timeline of location values over steps 0..n for one entity.
 
@@ -186,8 +180,9 @@ class TrackerModel:
         g2l = layout.layout_pos_of_paragraph()
         candidates = ([(g2l[s], g2l[e]) for s, e in proc.candidate_spans]
                       if np_filter else None)
-        states, flagged = decode_step(*(t.data for t in self.forward_steps(layout)),
-                                      candidates, list(g2l.values()))
+        states, flagged = decode_step(
+            *(t.data for t in self.forward_steps(layout, params)),
+            candidates, list(g2l.values()))
         raw = [v if isinstance(v, str) else " ".join(layout.tokens[v[0]:v[1] + 1])
                for v in states]
         violations = int(violates_rules(raw))
@@ -196,12 +191,15 @@ class TrackerModel:
 
     def predict_procedure(self, proc: Procedure, np_filter: bool = True,
                           repair: bool = True):
-        """Timelines for all entities. Returns (timelines, stats dict)."""
+        """Timelines for all entities, from float32 passes on copies of the
+        parameters made for this call. Returns (timelines, stats dict)."""
+        params = {k: Tensor(t.data.astype(np.float32))
+                  for k, t in self.params.items()}
         timelines, flagged = {}, 0
         violations = 0
         for entity in proc.entities:
-            tl, fl, vi = self.predict_entity(proc, entity, np_filter=np_filter,
-                                             repair=repair)
+            tl, fl, vi = self.predict_entity(proc, entity, params,
+                                             np_filter=np_filter, repair=repair)
             timelines[entity] = tl
             flagged += fl
             violations += vi

@@ -396,6 +396,33 @@ class TestSgd:
             SgdConfig(learning_rate=0.1, decay_every=0)
 
 
+class TestTensorDtype:
+    def test_float32_array_keeps_its_dtype(self):
+        data = np.arange(6, dtype=np.float32).reshape(2, 3)
+        t = Tensor(data)
+        assert t.data.dtype == np.float32 and t.data is data
+
+    @pytest.mark.parametrize("data", [
+        1.5, 2, [1, 2, 3], [[0.5, 1.5]], np.arange(3),
+        np.arange(3, dtype=np.int32), np.ones(2, dtype=np.float16),
+        np.float32(1.5), np.ones(2),
+    ], ids=["float", "int", "list", "nested-list", "int64-array",
+            "int32-array", "float16-array", "float32-scalar", "float64-array"])
+    def test_everything_else_becomes_float64(self, data):
+        t = Tensor(data)
+        assert t.data.dtype == np.float64
+        np.testing.assert_array_equal(t.data, np.asarray(data, dtype=np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_checkpoint_is_little_endian_float64(self, tmp_path, dtype):
+        values = np.array([[0.1, -2.5, 3.0]], dtype=dtype)
+        save_checkpoint({"w": Tensor(values)}, tmp_path / "params.bin")
+        head, body = (tmp_path / "params.bin").read_bytes().split(b"\n", 1)
+        assert json.loads(head)["bytes"] == len(body) == 8 * values.size
+        np.testing.assert_array_equal(np.frombuffer(body, dtype="<f8"),
+                                      values.astype(np.float64).ravel())
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, rng, tmp_path):
         params = {"a": leaf(rng, 3, 4), "b.c": leaf(rng, 7)}

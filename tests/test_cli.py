@@ -317,6 +317,44 @@ class TestPipeline:
                          "--no-constraints"]) == 0
         assert "constraints disabled" in caplog.text
 
+    def test_zero_timestamp_predicts_as_a_checkpoint_with_zeroed_time_ids(
+            self, workspace):
+        """`predict --zero-timestamp` zeroes `ts_emb` after the load; the
+        prediction must see that, as it sees a checkpoint saved that way."""
+        tmp_path, _, data = workspace
+        procs = load_procedures(data)
+        model = TrackerModel.fresh(vocab_from_procedures(procs),
+                                   EncoderConfig(**TINY_CONFIG["encoder"]), seed=2)
+        rng = np.random.default_rng(0)
+        for t in model.params.values():  # ts_emb among them
+            if t.data.ndim == 2:
+                t.data[...] = rng.normal(0.0, 0.5, t.data.shape)
+        model.save(tmp_path / "ckpt")
+        model.params["ts_emb"].data[:] = 0.0
+        model.save(tmp_path / "zeroed")
+        tsv = {}
+        for name, ckpt, flags in (("plain", "ckpt", []),
+                                  ("flag", "ckpt", ["--zero-timestamp"]),
+                                  ("zeroed", "zeroed", [])):
+            out = tmp_path / f"{name}.tsv"
+            assert main(["predict", "--data", str(data), "--checkpoint",
+                         str(tmp_path / ckpt), "--out", str(out), *flags]) == 0
+            tsv[name] = out.read_bytes()
+        assert tsv["flag"] == tsv["zeroed"]
+        assert tsv["plain"] != tsv["zeroed"], "the time ids must change something"
+
+    def test_train_out_file_fails_before_the_first_epoch(self, workspace, caplog):
+        tmp_path, cfg, data = workspace
+        out = tmp_path / "a-file"
+        out.write_text("x")
+        with caplog.at_level("INFO"):
+            assert main(["train", "--data", str(data), "--config", str(cfg),
+                         "--out", str(out)]) == EXIT_DATA
+        assert "epoch 0:" not in caplog.text
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and str(out) in errors[0]
+        assert out.read_text() == "x"
+
     @pytest.mark.parametrize("argv, code", [
         (["train", "--data", "{data}", "--epochs", "0", "--out", "{out}"],
          EXIT_CONFIG),

@@ -15,9 +15,31 @@ from proctrack.encoder import EncoderConfig
 from proctrack.fixtures import photosynthesis
 from proctrack.heads import STATUS_KNOWN, joint_loss
 from proctrack.inference import violates_rules
+from proctrack.inputs import timestamp
 from proctrack.model import TrackerModel, vocab_from_procedures
 from proctrack.tokenizer import UNK
 from proctrack.train import TrainingDiverged, status_accuracy, train_model
+
+
+def forward(model, layout, step):
+    """Status, start and end logits of one taped pass for one step."""
+    return model._heads(timestamp(layout, step), model.params)
+
+
+def views(params):
+    """Tensors on the same float64 arrays that need no gradient."""
+    return {k: Tensor(t.data) for k, t in params.items()}
+
+
+def redraw_matrices(model, seed=0):
+    """Draw every matrix of `model` from N(0, 0.5), as the benchmark's
+    checkpoints are drawn, so that its logits and decisions vary as theirs
+    do."""
+    rng = np.random.default_rng(seed)
+    for t in model.params.values():
+        if t.data.ndim == 2:
+            t.data[...] = rng.normal(0.0, 0.5, t.data.shape)
+    return model
 
 
 def unaligned(golds):
@@ -55,7 +77,7 @@ class TestForward:
         proc = procs[0]
         layout = model.layout_for(proc.entities[0], proc)
         status, start, end = (ad.softmax_array(t.data)
-                              for t in model.forward(layout, 1))
+                              for t in forward(model, layout, 1))
         assert status.sum() == pytest.approx(1.0, abs=1e-9)
         assert start.sum() == pytest.approx(1.0, abs=1e-9)
         assert len(start) == len(layout.tokens)
@@ -79,20 +101,41 @@ class TestForward:
         model = TrackerModel(model.vocab, model.config, params)
         proc = procs[0]
         layout = model.layout_for(proc.entities[0], proc)
-        batched = model.forward_steps(layout)
+        batched = model.forward_steps(layout, views(model.params))
         for t in batched:
             assert t._backward is None and t._parents == ()
             assert not t.requires_grad
         for step in range(proc.n_steps + 1):
-            alone = model.forward(layout, step)
+            alone = forward(model, layout, step)
             assert len(alone) == len(batched) == 3
             for got, want in zip(batched, alone):
                 np.testing.assert_allclose(got.data[step], want.data,
                                            rtol=0, atol=1e-12)
 
+    def test_float32_steps_match_float64_within_bound(self, procs):
+        """The float32 pass prediction runs stays within 1e-4 of float64 in
+        every logit (8.1e-5 was the largest difference over the benchmark's
+        corpora, with logits up to 10.3 in size), on a model of the
+        benchmark's shape and weight scale."""
+        model = redraw_matrices(TrackerModel.fresh(
+            vocab_from_procedures(procs), EncoderConfig(max_len=96), seed=5))
+        single = {k: Tensor(t.data.astype(np.float32))
+                  for k, t in model.params.items()}
+        double = views(model.params)
+        for proc in procs:
+            for entity in proc.entities:
+                layout = model.layout_for(entity, proc)
+                for got, want in zip(model.forward_steps(layout, single),
+                                     model.forward_steps(layout, double)):
+                    assert got.data.dtype == np.float32
+                    assert want.data.dtype == np.float64
+                    np.testing.assert_allclose(got.data, want.data,
+                                               rtol=0, atol=1e-4)
+
     def test_prediction_leaves_no_gradients(self, model, procs):
         model.predict_procedure(procs[0])
         assert all(p.grad is None for p in model.params.values())
+        assert all(p.data.dtype == np.float64 for p in model.params.values())
 
     def test_procedure_loss_positive_scalar(self, model, procs):
         loss = model.procedure_loss(procs[0])
@@ -130,7 +173,7 @@ class TestBatchedLoss:
             layout = model.layout_for(entity, proc)
             golds = model.gold_steps(proc, entity, layout)
             for step, gold in enumerate(golds):
-                logits = model.forward(layout, step)
+                logits = forward(model, layout, step)
                 losses.append(joint_loss(
                     *(ad.reshape(t, (1, -1)) for t in logits), [gold]))
         return ad.mean_of(losses)
@@ -443,3 +486,52 @@ class TestTraining:
     def test_status_accuracy_bounds(self, model, procs):
         acc = status_accuracy(model, procs)
         assert 0.0 <= acc <= 1.0
+
+
+class TestPrecision:
+    """Prediction runs in float32 on copies of the parameters made per
+    `predict_procedure` call; training, gradients and checkpoints stay
+    float64."""
+
+    CFG = dict(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
+
+    def test_backward_and_sgd_step_stay_float64(self, procs, tmp_path):
+        m = TrackerModel.fresh(vocab_from_procedures(procs),
+                               EncoderConfig(**self.CFG), seed=1)
+        m.predict_procedure(procs[0])
+        m.procedure_loss(procs[0]).backward()
+        for name, p in m.params.items():
+            assert p.data.dtype == np.float64, name
+            assert p.grad is not None and p.grad.dtype == np.float64, name
+        ad.sgd_step(m.params, SgdConfig(learning_rate=0.1), 0)
+        assert all(p.data.dtype == np.float64 for p in m.params.values())
+        m.save(tmp_path / "ckpt")
+        loaded = TrackerModel.load(tmp_path / "ckpt")
+        for name, p in m.params.items():
+            assert loaded.params[name].data.dtype == np.float64, name
+            np.testing.assert_array_equal(loaded.params[name].data, p.data)
+
+    def test_prediction_during_training_sees_the_current_weights(
+            self, procs, tmp_path):
+        """Dev evaluation predicts between SGD steps. Each prediction, the
+        one after training too, equals that of the checkpoint of the same
+        weights, so none runs on weights from an earlier epoch."""
+        m = redraw_matrices(TrackerModel.fresh(
+            vocab_from_procedures(procs), EncoderConfig(**self.CFG), seed=1))
+        seen = []
+
+        def record(model, epoch):
+            model.save(tmp_path / f"epoch{epoch}")
+            seen.append([model.predict_procedure(p) for p in procs])
+            return False
+
+        train_model(m, procs, SgdConfig(learning_rate=0.05), epochs=4,
+                    checkpoint_dir=tmp_path / "ckpt", dev_procs=procs,
+                    eval_every=1, stop_fn=record)
+        assert seen[0] != seen[-1], "training must move the predictions"
+        for epoch, predictions in enumerate(seen):
+            loaded = TrackerModel.load(tmp_path / f"epoch{epoch}")
+            assert [loaded.predict_procedure(p) for p in procs] == predictions
+        loaded = TrackerModel.load(tmp_path / "ckpt")
+        assert ([m.predict_procedure(p) for p in procs]
+                == [loaded.predict_procedure(p) for p in procs] == seen[-1])
