@@ -431,21 +431,21 @@ def sgd_step(params: dict, config: SgdConfig, step_count: int) -> None:
         p.grad = None
 
 
-_CHECKPOINT_FORMAT, _CHECKPOINT_VERSION = "proctrack-params", 2
+_CHECKPOINT_FORMAT, _CHECKPOINT_VERSION = "proctrack-params", 3
 
 
-def save_checkpoint(params: dict, path) -> None:
+def save_checkpoint(params: dict, path, **fields) -> None:
     """Write `params` as one JSON header line, then each tensor's
     little-endian float64 bytes in C order, packed back to back in `params`
-    order. The header holds the format, its version, the byte count after
-    the line and a {name, shape, offset} record per tensor."""
+    order. The header holds the format, its version, the `fields`, the byte
+    count after the line and a {name, shape, offset} record per tensor."""
     arrays = [np.asarray(p.data, dtype="<f8", order="C") for p in params.values()]
     records, offset = [], 0
     for name, arr in zip(params, arrays):
         records.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.nbytes
     header = {"format": _CHECKPOINT_FORMAT, "version": _CHECKPOINT_VERSION,
-              "bytes": offset, "tensors": records}
+              **fields, "bytes": offset, "tensors": records}
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("ascii") + b"\n")
         for arr in arrays:
@@ -453,23 +453,29 @@ def save_checkpoint(params: dict, path) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Parameters saved by `save_checkpoint`, each a writable array of its
-    own; ValueError naming the first thing in the header or the bytes that
-    is malformed: a record without a string name, a shape of non-negative
-    ints or an int offset, a repeated name, offsets that are not each
-    tensor's bytes packed back to back, a byte count that is not the file's,
-    or a value that is NaN or infinity."""
+    """The parameters of `read_checkpoint(path)`."""
+    return read_checkpoint(path)[1]
+
+
+def read_checkpoint(path) -> tuple[dict, dict]:
+    """The header and the parameters saved by `save_checkpoint`, each
+    parameter a writable array of its own; ValueError naming the first thing
+    in the header or the bytes that is malformed: a format or version not
+    this one, a record without a string name, a shape of non-negative ints or
+    an int offset, a repeated name, offsets that are not each tensor's bytes
+    packed back to back, a byte count that is not the file's, or a value
+    that is NaN or infinity."""
     with open(path, "rb") as f:
         head, body = f.readline(), f.read()
     try:
         header = json.loads(head)
     except ValueError as exc:
         raise ValueError(f"{path}: header line is not JSON: {exc}") from exc
-    if not (isinstance(header, dict)
-            and header.get("format") == _CHECKPOINT_FORMAT
-            and header.get("version") == _CHECKPOINT_VERSION):
-        raise ValueError(f"{path}: not a {_CHECKPOINT_FORMAT} version "
-                         f"{_CHECKPOINT_VERSION} header")
+    if not (isinstance(header, dict) and header.get("format") == _CHECKPOINT_FORMAT):
+        raise ValueError(f"{path}: not a {_CHECKPOINT_FORMAT} header")
+    if header.get("version") != _CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {header.get('version')!r:.20}; "
+                         f"this release reads only {_CHECKPOINT_VERSION}: train again")
     records, size = header.get("tensors"), header.get("bytes")
     if not isinstance(records, list) or type(size) is not int:
         raise ValueError(f"{path}: header needs a 'tensors' list and an int 'bytes'")
@@ -507,4 +513,4 @@ def load_checkpoint(path) -> dict:
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: {name}: data holds NaN or infinity")
         params[name] = Tensor(arr, requires_grad=True, name=name)
-    return params
+    return header, params

@@ -150,6 +150,17 @@ def cmd_evaluate(args) -> int:
     unmatched = set(pred) ^ set(gold)
     if unmatched:
         raise DataError(f"process ids do not align: {sorted(unmatched)}")
+    pred_tl = {}
+    for p in gold_procs:
+        try:
+            pred_tl[p.id] = timelines_from_table(pred[p.id])
+        except ValueError as exc:
+            raise DataError(f"{args.pred}: process {p.id!r}: {exc}") from exc
+        lengths = {e: len(tl) for e, tl in pred_tl[p.id].items()}
+        if lengths != dict.fromkeys(p.entities, p.n_steps + 1):
+            raise DataError(f"{args.pred}: process {p.id!r}: predicted entities "
+                            f"or step count differ from the gold "
+                            f"{len(p.entities)} entities over {p.n_steps} steps")
 
     if args.mode == "sentence":
         report = sentence_level(pred, gold)
@@ -166,7 +177,6 @@ def cmd_evaluate(args) -> int:
         print(f"{'overall':>12} {report.precision:8.3f} {report.recall:8.3f} "
               f"{report.f1:8.3f}", file=sys.stderr)
     else:  # npn
-        pred_tl = {pid: timelines_from_table(rows) for pid, rows in pred.items()}
         gold_tl = {p.id: {e: p.timeline(e) for e in p.entities}
                    for p in gold_procs}
         acc = location_change_accuracy(pred_tl, gold_tl)

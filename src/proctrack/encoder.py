@@ -10,8 +10,7 @@ leading axes, (..., T, d_model), through the same code.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +29,6 @@ class EncoderConfig:
     d_ff: int = 64
     vocab_size: int = 0
     max_len: int = 256
-    n_timestamps: int = N_TIMESTAMPS
     dropout: float = 0.0
 
     def __post_init__(self):
@@ -45,19 +43,8 @@ class EncoderConfig:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-        if self.n_timestamps != N_TIMESTAMPS:
-            raise ValueError("time-id table must have exactly 4 rows")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(asdict(self), f, indent=2)
-
-    @classmethod
-    def load(cls, path) -> "EncoderConfig":
-        with open(path, encoding="utf-8") as f:
-            return cls(**json.load(f))
 
 
 @dataclass

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,41 +52,25 @@ class TrackerModel:
     # -- persistence --------------------------------------------------------
 
     def save(self, directory) -> None:
-        """Write the checkpoint files; each goes to a temporary file in
-        `directory` first and then replaces the old one, so a failed save
-        leaves the previous checkpoint whole."""
+        """Write `params.bin`, its header holding the config and vocabulary, to
+        a temporary file in `directory` that then replaces the old one, so a
+        failed save leaves the previous checkpoint whole."""
         os.makedirs(directory, exist_ok=True)
-        for name, write in (
-                ("params.bin", lambda p: ad.save_checkpoint(self.params, p)),
-                ("config.json", self.config.save),
-                ("vocab.json", self.vocab.save)):
-            path = os.path.join(directory, name)
-            tmp = path + ".tmp"
-            try:
-                write(tmp)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-                raise
+        path = os.path.join(directory, "params.bin")
+        tmp = path + ".tmp"
+        try:
+            ad.save_checkpoint(self.params, tmp, config=asdict(self.config),
+                               vocab=self.vocab.token_to_id)
             os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, directory) -> "TrackerModel":
-        """Load a checkpoint; DataError if its tensors are not the names and
-        shapes its config implies."""
-        try:
-            vocab = Vocab.load(os.path.join(directory, "vocab.json"))
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
-        try:
-            config = EncoderConfig.load(os.path.join(directory, "config.json"))
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{directory}: config.json: {exc}") from exc
-        if config.vocab_size != len(vocab):
-            raise DataError(
-                f"checkpoint vocab size {config.vocab_size} does not match "
-                f"vocab file with {len(vocab)} entries"
-            )
+        """Load a checkpoint; DataError if its header's vocabulary or config
+        is malformed, or its tensors are not the names and shapes that
+        config implies."""
         path = os.path.join(directory, "params.bin")
         if (not os.path.exists(path)
                 and os.path.exists(os.path.join(directory, "params.json"))):
@@ -94,18 +78,26 @@ class TrackerModel:
                             f"which this version no longer reads; train again "
                             f"to write params.bin")
         try:
-            params = ad.load_checkpoint(path)
+            header, params = ad.read_checkpoint(path)
         except ValueError as exc:
             raise DataError(str(exc)) from exc
+        try:
+            vocab = Vocab(header.get("vocab"))
+            config = EncoderConfig(**header.get("config"))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        if config.vocab_size != len(vocab):
+            raise DataError(f"{path}: config vocab_size {config.vocab_size} "
+                            f"does not match the vocab's {len(vocab)} entries")
         # A count first: a config with a huge n_layers must not be listed.
         count = param_count(config)
         if len(params) != count:
-            raise DataError(f"{directory}: params.bin holds {len(params)} "
-                            f"tensors, config.json implies {count}")
+            raise DataError(f"{path}: holds {len(params)} tensors, its config "
+                            f"implies {count}")
         found = {k: t.shape for k, t in params.items()}
         implied = param_shapes(config)
         if found != implied:
-            raise DataError(f"{directory}: params.bin does not match config.json: "
+            raise DataError(f"{path}: tensors do not match its config: "
                             + "; ".join(f"{k}: found {found.get(k, 'nothing')}, "
                                         f"expected {implied.get(k, 'nothing')}"
                                         for k in sorted(found.keys() | implied.keys())

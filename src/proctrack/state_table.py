@@ -50,8 +50,12 @@ def build_table(timelines: dict[str, list[str]], n_steps: int) -> list[StateChan
 
 
 def timeline_from_rows(rows: list[StateChangeRow]) -> list[str]:
-    """Recover a single entity's timeline (state 0..n) from its sorted rows."""
+    """Recover a single entity's timeline (state 0..n) from its rows, whose
+    steps must be 1..n, each once."""
     rows = sorted(rows, key=lambda r: r.step)
+    if [r.step for r in rows] != list(range(1, len(rows) + 1)):
+        raise ValueError(f"steps for {rows[0].entity!r} are not 1 .. {len(rows)}, "
+                         f"each once")
     for prev, cur in zip(rows, rows[1:]):
         if prev.after != cur.before:
             raise ValueError(
@@ -70,15 +74,21 @@ def timelines_from_table(table: list[StateChangeRow]) -> dict[str, list[str]]:
 
 
 def write_tsv(tables: dict[str, list[StateChangeRow]], path) -> None:
-    """process_id, step, entity, action, before, after; lowercase locations."""
+    """process_id, step, entity, action, before, after; lowercase locations,
+    and the action derived from them."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for pid in sorted(tables):
             for r in sorted(tables[pid], key=lambda r: (r.entity, r.step)):
-                f.write("\t".join([pid, str(r.step), r.entity, r.action,
-                                   r.before.lower(), r.after.lower()]) + "\n")
+                before, after = r.before.lower(), r.after.lower()
+                f.write("\t".join([pid, str(r.step), r.entity,
+                                   derive_action(before, after), before, after])
+                        + "\n")
 
 
 def read_tsv(path) -> dict[str, list[StateChangeRow]]:
+    """The rows of a `write_tsv` file by process id; ValueError naming the
+    line of a row that has not 6 columns, a step that is not digits, or an
+    action that is not the one its before and after give."""
     tables: dict[str, list[StateChangeRow]] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -89,6 +99,13 @@ def read_tsv(path) -> dict[str, list[StateChangeRow]]:
             if len(parts) != 6:
                 raise ValueError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
             pid, step, entity, action, before, after = parts
+            if not (step.isascii() and step.isdigit()):
+                raise ValueError(f"{path}:{lineno}: step {step!r:.20} is not "
+                                 f"an integer")
+            if action != derive_action(before, after):
+                raise ValueError(f"{path}:{lineno}: action {action!r:.20} does "
+                                 f"not fit {before!r:.40} -> {after!r:.40}, "
+                                 f"which is {derive_action(before, after)}")
             tables.setdefault(pid, []).append(
                 StateChangeRow(int(step), entity, action, before, after)
             )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from proctrack.autodiff import Tensor, load_checkpoint, save_checkpoint
+from proctrack.autodiff import Tensor, read_checkpoint, save_checkpoint
 from proctrack.cli import (
     EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, ConfigError, gold_tables,
     load_run_config, main,
@@ -19,7 +19,7 @@ from proctrack.data import (
 from proctrack.encoder import EncoderConfig
 from proctrack.fixtures import photosynthesis
 from proctrack.model import TrackerModel, vocab_from_procedures
-from proctrack.state_table import read_tsv, write_tsv
+from proctrack.state_table import build_table, read_tsv, write_tsv
 
 
 TINY_CONFIG = {
@@ -105,17 +105,18 @@ class TestCheckpointLayout:
         ckpt = tmp_path / "ckpt"
         TrackerModel.fresh(vocab_from_procedures(load_procedures(data)), cfg,
                            seed=0).save(ckpt)
-        params = load_checkpoint(ckpt / "params.bin")
+        header, params = read_checkpoint(ckpt / "params.bin")
         d, dh = cfg.d_model, cfg.d_model // cfg.n_heads
         qkv = params.pop("layer0.attn.qkv").data
         for h in range(cfg.n_heads):
             for i, part in enumerate("qkv"):
                 params[f"layer0.attn.{part}{h}"] = Tensor(
                     qkv[:, (3 * h + i) * dh:(3 * h + i + 1) * dh])
-        save_checkpoint(params, ckpt / "params.bin")
+        save_checkpoint(params, ckpt / "params.bin", config=header["config"],
+                        vocab=header["vocab"])
         assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
-        assert "params.bin holds 24 tensors, config.json implies 19" in caplog.text
+        assert "params.bin: holds 24 tensors, its config implies 19" in caplog.text
 
     def test_v1_json_checkpoint_is_data_error(self, workspace, caplog):
         """A directory holding only the JSON params.json of format v1 exits 3
@@ -132,6 +133,24 @@ class TestCheckpointLayout:
         assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
         assert "params.json is a v1 JSON checkpoint" in caplog.text
+
+    def test_v2_checkpoint_is_data_error(self, workspace, caplog):
+        """A version 2 directory (params.bin without config or vocab, and
+        config.json and vocab.json beside it) exits 3 with one error line
+        naming version 2 and asking for a new training run."""
+        tmp_path, _, data = workspace
+        ckpt = tmp_path / "ckpt"
+        TrackerModel.fresh(vocab_from_procedures(load_procedures(data)),
+                           EncoderConfig(**TINY_CONFIG["encoder"]), seed=0).save(ckpt)
+        header, body = read_params(ckpt / "params.bin")
+        for part in ("config", "vocab"):
+            (ckpt / f"{part}.json").write_text(json.dumps(header.pop(part)))
+        write_params(ckpt / "params.bin", {**header, "version": 2}, body)
+        assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert "checkpoint version 2;" in errors[0] and "train again" in errors[0]
 
     @pytest.mark.parametrize("record", [
         {"shape": None},  # no shape
@@ -205,10 +224,11 @@ class TestCheckpointLayout:
         ckpt = tmp_path / "ckpt"
         TrackerModel.fresh(vocab_from_procedures(load_procedures(data)),
                            EncoderConfig(**TINY_CONFIG["encoder"]), seed=0).save(ckpt)
-        (ckpt / "vocab.json").write_text(json.dumps(["a", "b"]))
+        header, body = read_params(ckpt / "params.bin")
+        write_params(ckpt / "params.bin", {**header, "vocab": ["a", "b"]}, body)
         assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
-        assert "vocab.json: expected an object" in caplog.text
+        assert "params.bin: vocab must be an object mapping" in caplog.text
 
 
 class TestMalformedCorpus:
@@ -445,6 +465,54 @@ class TestEvaluateGolden:
                 if isinstance(v, float):
                     assert v == 1.0
 
+    @pytest.mark.parametrize("mode", ["sentence", "document", "npn"])
+    @pytest.mark.parametrize("old, new, culprit", [
+        ("photosynthesis\t1\twater\tMOVE\tsoil\troot\n",
+         "photosynthesis\t1\twater\tNONE\tsoil\troot\n",
+         "pred.tsv:21: action 'NONE'"),
+        ("photosynthesis\t2\twater\tMOVE\troot\tleaf\n",
+         "photosynthesis\t2\twater\tMOVE\tpot\tleaf\n",
+         "process 'photosynthesis': broken chaining for 'water' at step 2"),
+        ("photosynthesis\t3\twater\tNONE\tleaf\tleaf\n", "",
+         "process 'photosynthesis': steps for 'water' are not 1 .. 4"),
+    ], ids=["relabelled", "broken-chain", "gap"])
+    def test_malformed_pred_rows_are_data_errors_in_every_mode(
+            self, tmp_path, caplog, mode, old, new, culprit):
+        """The gold TSV of the fixture with water's step-1 move relabelled
+        as none, its step-2 before moved to `pot`, or its step-3 row
+        deleted: one error line naming the line or the process."""
+        p = photosynthesis()
+        gold = tmp_path / "gold.json"
+        save_procedures([p], gold)
+        pred = tmp_path / "pred.tsv"
+        write_tsv(gold_tables([p]), pred)
+        text = pred.read_text()
+        assert text.count(old) == 1
+        pred.write_text(text.replace(old, new))
+        assert main(["evaluate", "--pred", str(pred), "--gold", str(gold),
+                     "--mode", mode]) == EXIT_DATA
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and culprit in errors[0]
+
+    def test_pred_entities_or_steps_unlike_gold_are_data_errors(self, tmp_path,
+                                                               caplog):
+        """A pred table that chains and counts its steps 1..n, but misses an
+        entity or a last step, or adds an entity, names the process."""
+        p = photosynthesis()
+        gold = tmp_path / "gold.json"
+        save_procedures([p], gold)
+        pred = tmp_path / "pred.tsv"
+        rows = gold_tables([p])[p.id]
+        for kept in ([r for r in rows if r.entity != "sugar"],
+                     [r for r in rows if r.step < p.n_steps],
+                     rows + build_table({"oxygen": ["-"] * (p.n_steps + 1)},
+                                        p.n_steps)):
+            write_tsv({p.id: kept}, pred)
+            assert main(["evaluate", "--pred", str(pred), "--gold", str(gold),
+                         "--mode", "npn"]) == EXIT_DATA
+            assert "process 'photosynthesis': predicted entities" in caplog.text
+            caplog.clear()
+
     def test_corrupted_move_lowers_moves_recall_only(self, tmp_path):
         p = photosynthesis()
         gold = tmp_path / "gold.json"
@@ -454,7 +522,6 @@ class TestEvaluateGolden:
         # then jumping at step 3; this perturbs only the moves criterion
         broken = dict(p.grid)
         broken["water"] = ["soil", "root", "root", "leaf", "-", "-"]
-        from proctrack.state_table import build_table
         tables[p.id] = build_table({e: (broken[e] if e == "water"
                                         else p.timeline(e))
                                     for e in p.entities}, p.n_steps)
@@ -476,7 +543,6 @@ class TestEvaluateGolden:
         tables = gold_tables([p])
         pred_grid = {e: p.timeline(e) for e in p.entities}
         pred_grid["water"] = ["soil", "pot", "leaf", "leaf", "-", "-"]  # 1 wrong
-        from proctrack.state_table import build_table
         tables[p.id] = build_table(pred_grid, p.n_steps)
         pred = tmp_path / "pred.tsv"
         write_tsv(tables, pred)
@@ -531,8 +597,8 @@ def clean_run(tmp_path_factory):
     TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=0).save(root / "ckpt")
     assert main(["predict", "--data", str(data), "--checkpoint",
                  str(root / "ckpt"), "--out", str(root / "pred.tsv")]) == 0
-    files = Files({name: (root / name).read_text() for name in (
-        "data.json", "pred.tsv", "ckpt/config.json", "ckpt/vocab.json")})
+    files = Files({name: (root / name).read_text()
+                   for name in ("data.json", "pred.tsv")})
     files["ckpt/params.bin"] = (root / "ckpt/params.bin").read_bytes()
     return files
 
@@ -563,17 +629,31 @@ def mutated(draw, text):
 
 @st.composite
 def mutated_params(draw, blob):
-    """The params.bin `blob` with its header line mutated as by `mutated`,
-    or its tensor bytes cut short or padded."""
+    """The params.bin `blob` with its header line, or the config or the
+    vocab in it, mutated as by `mutated`, or its tensor bytes cut short or
+    padded."""
     head, body = blob.split(b"\n", 1)
-    kind = draw(st.sampled_from(["header", "cut", "pad"]))
+    kind = draw(st.sampled_from(["header", "config", "vocab", "cut", "pad"]))
     if kind == "header":
         head = draw(mutated(head.decode())).encode()
+    elif kind in ("config", "vocab"):
+        part = json.dumps(json.loads(head)[kind])
+        head = head.replace(part.encode(), draw(mutated(part)).encode(), 1)
     elif kind == "cut":
         body = body[:draw(st.integers(0, len(body) - 1))]
     else:
         body += draw(st.binary(min_size=1, max_size=16))
     return head + b"\n" + body
+
+
+def with_header_edit(blob, path, value):
+    """The params.bin `blob` with the header value at `path` set to `value`."""
+    head, body = blob.split(b"\n", 1)
+    header = node = json.loads(head)
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(header).encode() + b"\n" + body
 
 
 def write_files(root, files):
@@ -591,21 +671,25 @@ class TestFuzz:
         ("data.json", [0, "entities"], [{"x": 1}]),
         ("data.json", [0, "candidate_spans"], 0.5),
         ("data.json", [0, "candidate_spans"], [[1.5, 2]]),
-        ("ckpt/config.json", ["n_heads"], 0),
-        ("ckpt/config.json", ["n_heads"], True),
-        ("ckpt/config.json", ["max_len"], 64.0),
-        ("ckpt/config.json", ["n_layers"], [1]),
-        ("ckpt/vocab.json", ["the"], -3),
+        ("ckpt/params.bin", ["config", "n_heads"], 0),
+        ("ckpt/params.bin", ["config", "n_heads"], True),
+        ("ckpt/params.bin", ["config", "max_len"], 64.0),
+        ("ckpt/params.bin", ["config", "n_layers"], [1]),
+        ("ckpt/params.bin", ["vocab", "the"], -3),
     ], ids=["non-object-procedure", "non-string-entity", "number-spans",
             "float-span", "zero-heads", "bool-heads", "float-max-len",
             "list-layers", "vocab-id-out-of-range"])
     def test_escapes_found_by_fuzzing_are_data_errors(self, clean_run, tmp_path,
                                                       name, path, value):
-        doc = node = json.loads(clean_run[name])
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        write_files(tmp_path, {**clean_run, name: json.dumps(doc)})
+        if name == "ckpt/params.bin":
+            edited = with_header_edit(clean_run[name], path, value)
+        else:
+            doc = node = json.loads(clean_run[name])
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            edited = json.dumps(doc)
+        write_files(tmp_path, {**clean_run, name: edited})
         assert main(["predict", "--data", str(tmp_path / "data.json"),
                      "--checkpoint", str(tmp_path / "ckpt"),
                      "--out", str(tmp_path / "out.tsv")]) == EXIT_DATA
@@ -613,8 +697,8 @@ class TestFuzz:
     @pytest.mark.parametrize("key", ["max_len", "n_layers", "d_model", "d_ff"])
     def test_huge_config_size_is_data_error_without_allocating(
             self, clean_run, tmp_path, monkeypatch, key):
-        """A config.json implying a model of 10⁹ rows or layers is checked
-        against params.bin without building that model."""
+        """A header config implying a model of 10⁹ rows or layers is checked
+        against the tensors without building that model."""
         def refuse(*args, **kwargs):
             raise AssertionError("load must not build a model to learn shapes")
 
@@ -623,9 +707,8 @@ class TestFuzz:
         monkeypatch.setattr(TrackerModel, "fresh", refuse)
         monkeypatch.setattr(proctrack.model, "init_encoder_params", refuse)
         monkeypatch.setattr(proctrack.encoder, "init_encoder_params", refuse)
-        doc = json.loads(clean_run["ckpt/config.json"])
-        doc[key] = 10**9
-        write_files(tmp_path, {**clean_run, "ckpt/config.json": json.dumps(doc)})
+        blob = with_header_edit(clean_run["ckpt/params.bin"], ["config", key], 10**9)
+        write_files(tmp_path, {**clean_run, "ckpt/params.bin": blob})
         assert main(["predict", "--data", str(tmp_path / "data.json"),
                      "--checkpoint", str(tmp_path / "ckpt"),
                      "--out", str(tmp_path / "out.tsv")]) == EXIT_DATA
@@ -634,8 +717,7 @@ class TestFuzz:
     @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     def test_predict_and_evaluate_exit_with_a_contract_code(self, clean_run, data):
-        name = data.draw(st.sampled_from(["data.json", "ckpt/config.json",
-                                          "ckpt/params.bin", "ckpt/vocab.json"]))
+        name = data.draw(st.sampled_from(["data.json", "ckpt/params.bin"]))
         mutate = mutated_params if name == "ckpt/params.bin" else mutated
         files = dict(clean_run, **{name: data.draw(mutate(clean_run[name]))})
         mode = data.draw(st.sampled_from(["sentence", "document", "npn"]))

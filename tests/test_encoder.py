@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from proctrack.encoder import (
 )
 from proctrack.heads import init_head_params, joint_loss, span_head, status_head, GoldStep
 from proctrack.inputs import TimestampedInput, build_query, time_ids, timestamp
+from proctrack.cli import EXIT_CONFIG, main
+from proctrack.model import TrackerModel
 from proctrack.tokenizer import build_vocab
 
 from conftest import check_gradients
@@ -39,15 +42,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             EncoderConfig(d_model=10, n_heads=3)
 
-    def test_timestamp_table_fixed_at_four(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(n_timestamps=5)
+    def test_timestamp_table_fixed_at_four(self, tmp_path):
+        """The time-id table has four rows and no setting: a run config
+        that names n_timestamps, even at 4, is a config error."""
+        with pytest.raises(TypeError, match="n_timestamps"):
+            EncoderConfig(n_timestamps=4)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"encoder": {"n_timestamps": 4}}))
+        assert main(["train", "--data", "x.json", "--out", str(tmp_path / "o"),
+                     "--config", str(path)]) == EXIT_CONFIG
 
     def test_config_file_round_trip(self, tmp_path):
+        """The config goes through a checkpoint's header unchanged."""
+        vocab = build_vocab([[f"w{i}" for i in range(95)]])
         cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=3, d_ff=24,
-                            vocab_size=99, max_len=64)
-        cfg.save(tmp_path / "cfg.json")
-        assert EncoderConfig.load(tmp_path / "cfg.json") == cfg
+                            max_len=64, dropout=0.125)
+        TrackerModel.fresh(vocab, cfg, seed=0).save(tmp_path / "ckpt")
+        loaded = TrackerModel.load(tmp_path / "ckpt").config
+        assert loaded == cfg and loaded.vocab_size == 99
 
 
 def drawn_layer_by_layer(config, rng):

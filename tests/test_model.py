@@ -2,7 +2,9 @@ import importlib
 import io
 import json
 import math
+import os
 import pkgutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -40,6 +42,15 @@ def redraw_matrices(model, seed=0):
         if t.data.ndim == 2:
             t.data[...] = rng.normal(0.0, 0.5, t.data.shape)
     return model
+
+
+def edit_header(ckpt, edit):
+    """Apply `edit` to the JSON header of the params.bin in `ckpt`."""
+    path = ckpt / "params.bin"
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
 def unaligned(golds):
@@ -272,8 +283,10 @@ class TestPredict:
 class TestPersistence:
     def test_save_load_round_trip(self, model, procs, tmp_path):
         model.save(tmp_path / "ckpt")
+        assert [f.name for f in (tmp_path / "ckpt").iterdir()] == ["params.bin"]
         loaded = TrackerModel.load(tmp_path / "ckpt")
         assert loaded.config == model.config
+        assert loaded.vocab.token_to_id == model.vocab.token_to_id
         for name, p in model.params.items():
             assert np.array_equal(loaded.params[name].data, p.data)
         a, _ = model.predict_procedure(procs[0])
@@ -304,24 +317,68 @@ class TestPersistence:
         for name, p in model.params.items():
             assert np.array_equal(loaded.params[name].data, p.data)
 
+    def test_interrupted_save_cannot_mix_two_checkpoints(self, tmp_path,
+                                                         monkeypatch):
+        """Model B's save over model A, whose vocabulary has the same size
+        but other tokens, is interrupted while it writes, then just before
+        each rename it makes. Each time the checkpoint loads as A, whole,
+        and no temporary file is left."""
+        cfg = dict(d_model=8, n_heads=2, n_layers=1, d_ff=8, max_len=96)
+        a, b = (TrackerModel.fresh(vocab_from_procedures(generate_synthetic(s, 3)),
+                                   EncoderConfig(**cfg), seed=s) for s in (1, 9))
+        assert len(a.vocab) == len(b.vocab)
+        assert a.vocab.token_to_id != b.vocab.token_to_id
+
+        class Interrupted(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[:100])
+                raise KeyboardInterrupt
+
+        replace, renames = os.replace, []
+
+        def rename_or_interrupt(at):
+            def rename(src, dst):
+                if len(renames) == at:
+                    raise KeyboardInterrupt
+                renames.append(dst)
+                replace(src, dst)
+            return rename
+
+        monkeypatch.setattr(os, "replace", rename_or_interrupt(None))
+        b.save(tmp_path / "counted")
+        interrupts = [(ad, "open", Interrupted)] + [
+            (os, "replace", rename_or_interrupt(k)) for k in range(len(renames))]
+        for i, (owner, name, fake) in enumerate(interrupts):
+            monkeypatch.undo()
+            ckpt = tmp_path / f"ck{i}"
+            a.save(ckpt)
+            renames.clear()
+            monkeypatch.setattr(owner, name, fake, raising=False)
+            with pytest.raises(KeyboardInterrupt):
+                b.save(ckpt)
+            monkeypatch.undo()
+            assert [f.name for f in ckpt.iterdir()] == ["params.bin"], i
+            loaded = TrackerModel.load(ckpt)
+            assert loaded.vocab.token_to_id == a.vocab.token_to_id, i
+            for key, p in a.params.items():
+                np.testing.assert_array_equal(loaded.params[key].data, p.data)
+
     def test_vocab_mismatch_rejected(self, model, tmp_path):
         model.save(tmp_path / "ckpt")
-        import json
-        vpath = tmp_path / "ckpt" / "vocab.json"
-        vocab = json.loads(vpath.read_text())
-        vocab["extra_token"] = len(vocab)
-        vpath.write_text(json.dumps(vocab))
-        with pytest.raises(ValueError, match="vocab"):
+        edit_header(tmp_path / "ckpt", lambda h: h["vocab"].update(
+            extra_token=len(h["vocab"])))
+        with pytest.raises(DataError, match="does not match the vocab's"):
             TrackerModel.load(tmp_path / "ckpt")
 
     def test_tensor_shape_checked_against_config(self, model, tmp_path):
         model.save(tmp_path / "ckpt")
         ppath = tmp_path / "ckpt" / "params.bin"
-        params = ad.load_checkpoint(ppath)
+        header, params = ad.read_checkpoint(ppath)
         params["head.status"] = Tensor(np.zeros((16, 4)))
         params["head.extra"] = Tensor(np.zeros(1))
         del params["final_ln.bias"]
-        ad.save_checkpoint(params, ppath)
+        ad.save_checkpoint(params, ppath, config=header["config"],
+                           vocab=header["vocab"])
         with pytest.raises(DataError) as err:
             TrackerModel.load(tmp_path / "ckpt")
         for part in ("final_ln.bias: found nothing, expected (16,)",
@@ -357,7 +414,9 @@ class TestPersistence:
         model.save(tmp_path / "ckpt")
         head, body = (tmp_path / "ckpt" / "params.bin").read_bytes().split(b"\n", 1)
         header = json.loads(head)
-        assert (header["format"], header["version"]) == ("proctrack-params", 2)
+        assert (header["format"], header["version"]) == ("proctrack-params", 3)
+        assert header["config"] == asdict(model.config)
+        assert header["vocab"] == model.vocab.token_to_id
         assert header["bytes"] == len(body)
         assert [r["name"] for r in header["tensors"]] == list(model.params)
         for rec in header["tensors"]:
@@ -368,20 +427,14 @@ class TestPersistence:
 
     def test_tensor_count_checked_before_shapes(self, model, tmp_path):
         model.save(tmp_path / "ckpt")
-        cpath = tmp_path / "ckpt" / "config.json"
-        cfg = json.loads(cpath.read_text())
-        cfg["n_layers"] = 3
-        cpath.write_text(json.dumps(cfg))
-        with pytest.raises(DataError, match="holds 19 tensors, config.json "
+        edit_header(tmp_path / "ckpt", lambda h: h["config"].update(n_layers=3))
+        with pytest.raises(DataError, match="holds 19 tensors, its config "
                                             "implies 41"):
             TrackerModel.load(tmp_path / "ckpt")
 
     def test_unknown_config_key_is_data_error(self, model, tmp_path):
         model.save(tmp_path / "ckpt")
-        cpath = tmp_path / "ckpt" / "config.json"
-        cfg = json.loads(cpath.read_text())
-        cfg["bogus"] = 1
-        cpath.write_text(json.dumps(cfg))
+        edit_header(tmp_path / "ckpt", lambda h: h["config"].update(bogus=1))
         with pytest.raises(DataError, match="bogus"):
             TrackerModel.load(tmp_path / "ckpt")
 

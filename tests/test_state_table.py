@@ -91,6 +91,13 @@ class TestBuildTable:
         with pytest.raises(ValueError, match="chaining"):
             timeline_from_rows(rows)
 
+    @pytest.mark.parametrize("steps", [[1, 3], [2, 3], [1, 1], [0, 1]],
+                             ids=["gap", "no-step-1", "repeated", "step-0"])
+    def test_timeline_from_rows_rejects_steps_not_one_to_n(self, steps):
+        rows = [StateChangeRow(s, "e", ACTION_NONE, "pot", "pot") for s in steps]
+        with pytest.raises(ValueError, match="not 1 .. 2"):
+            timeline_from_rows(rows)
+
 
 class TestTsv:
     def test_round_trip(self, tmp_path):
@@ -109,6 +116,32 @@ class TestTsv:
         path = tmp_path / "pred.tsv"
         write_tsv(tables, path)
         assert path.read_text() == "proc1\t1\twater\tMOVE\tsoil\troot\n"
+
+    def test_locations_differing_only_in_case_read_back(self, tmp_path):
+        """Lowercasing can make a move a stay; the action written is the one
+        the written locations give, so the file reads back."""
+        rows = build_table({"e": ["Leaf", "leaf", "-"]}, 2)
+        assert rows[0].action == ACTION_MOVE
+        path = tmp_path / "pred.tsv"
+        write_tsv({"p": rows}, path)
+        assert [r.action for r in read_tsv(path)["p"]] == [ACTION_NONE, ACTION_DESTROY]
+
+    @pytest.mark.parametrize("line, message", [
+        ("p\tone\te\tNONE\tpot\tpot", "step 'one' is not an integer"),
+        ("p\t-1\te\tNONE\tpot\tpot", "step '-1' is not an integer"),
+        ("p\t1\te\tNONE\tsoil\tpot", "action 'NONE' does not fit"),
+        ("p\t1\te\tmove\tsoil\tpot", "action 'move' does not fit"),
+        ("p\t1\te\tCREATE\t?\tpot", "'?' -> 'pot', which is MOVE"),
+    ], ids=["word-step", "negative-step", "move-as-none", "lowercase-action",
+            "unknown-to-text"])
+    def test_row_whose_step_or_action_is_wrong_rejected(self, tmp_path, line,
+                                                         message):
+        """The error names the file and line of the second row."""
+        path = tmp_path / "bad.tsv"
+        path.write_text("p\t2\te\tNONE\tpot\tpot\n" + line + "\n")
+        with pytest.raises(ValueError) as err:
+            read_tsv(path)
+        assert "bad.tsv:2: " in str(err.value) and message in str(err.value)
 
     def test_bad_column_count_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

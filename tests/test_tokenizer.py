@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proctrack.encoder import EncoderConfig
+from proctrack.model import TrackerModel
 from proctrack.tokenizer import CLS, PAD, RESERVED, SEP, UNK, Vocab, build_vocab, tokenize
 
 
@@ -51,11 +53,21 @@ class TestVocab:
         assert v.encode(PAD) == 0 and v.encode(CLS) == 2 and v.encode(SEP) == 3
 
     def test_round_trip_save_load(self, tmp_path):
-        v = build_vocab([["roots", "absorb", "water"]])
-        path = tmp_path / "vocab.json"
-        v.save(path)
-        Vocab.load(path).save(tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        """A checkpoint's header keeps each token, non-ASCII ones too, with
+        its id and in its order."""
+        v = build_vocab([["roots", "absorb", "wässer", "→"]])
+        cfg = EncoderConfig(d_model=4, n_heads=1, n_layers=1, d_ff=4, max_len=8)
+        TrackerModel.fresh(v, cfg, seed=0).save(tmp_path / "ckpt")
+        loaded = TrackerModel.load(tmp_path / "ckpt").vocab
+        assert list(loaded.token_to_id.items()) == list(v.token_to_id.items())
+
+    @pytest.mark.parametrize("mapping", [
+        ["[PAD]", "[UNK]"], {**RESERVED, "a": "4"}, {**RESERVED, "a": 4.0},
+        {**RESERVED, "a": True}, None,
+    ], ids=["list", "string-id", "float-id", "bool-id", "none"])
+    def test_rejects_what_is_not_an_object_of_integer_ids(self, mapping):
+        with pytest.raises(ValueError, match="object mapping each token"):
+            Vocab(mapping)
 
     @pytest.mark.parametrize("extra, message", [
         ({"a": 4, "b": 4}, "unique"), ({"a": 5}, "0 .. size - 1"),
