@@ -4,7 +4,10 @@ Canonical JSON form: a list of objects
     {"id": str, "sentences": [[token, ...], ...], "entities": [str, ...],
      "grid": {entity: [state0, ..., stateN]}, "candidate_spans": [[s, e], ...]}
 Grid values are "-", "?", or lowercase location text. Candidate span indices
-are paragraph-global, 0-based, inclusive.
+are paragraph-global, 0-based, inclusive. A recipe object may stand in the
+same list:
+    {"id": str, "sentences": [str or [token, ...], ...], "ingredients": [str],
+     "locations": {ingredient: {step: location}}}
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class Procedure:
 
 
 def _normalize(value: str) -> str:
-    value = value.strip().casefold()
+    value = value.strip().lower()
     return value if value else "-"
 
 
@@ -107,10 +110,62 @@ def validate_procedure(proc: Procedure, path: str = "") -> None:
             )
 
 
-def _proc_from_obj(obj: dict, path: str) -> Procedure:
+def _recipe_grid(obj: dict, n: int, path: str) -> tuple[list, dict]:
+    """The entities and grid of a recipe object over `n` sentences: per
+    ingredient an object of step -> location, each location carried forward
+    until the next annotated step. Ingredients with no annotation are left
+    out, with a warning."""
+    ingredients, locations = obj["ingredients"], obj["locations"]
+    if not (isinstance(ingredients, list)
+            and all(isinstance(name, str) for name in ingredients)):
+        raise DataError(f"{path}.ingredients: expected a list of strings, "
+                        f"got {ingredients!r}")
+    if not isinstance(locations, dict):
+        raise DataError(f"{path}.locations: expected an object of ingredient "
+                        f"annotations, got {locations!r}")
+    entities, grid = [], {}
+    for name in ingredients:
+        ann = locations.get(name, {})
+        if not isinstance(ann, dict):
+            raise DataError(f"{path}.locations.{name}: expected an object of "
+                            f"step -> location, got {ann!r}")
+        if not ann:
+            log.warning("%s: ingredient %r has no location annotations; skipped",
+                        obj["id"], name)
+            continue
+        steps = {}
+        for key, value in ann.items():
+            try:
+                step = int(key)
+            except ValueError:
+                step = -1
+            if not 0 <= step <= n or step in steps:
+                raise DataError(f"{path}.locations.{name}.{key}: expected a "
+                                f"step number 0..{n}, each step once")
+            if not isinstance(value, str):
+                raise DataError(f"{path}.locations.{name}.{key}: expected a "
+                                f"location string, got {value!r}")
+            steps[step] = value
+        timeline = [steps.get(0, "?")]
+        for step in range(1, n + 1):
+            timeline.append(steps.get(step, timeline[-1]))
+        entities.append(name)
+        grid[name] = timeline
+    return entities, grid
+
+
+def _proc_from_obj(obj, path: str) -> Procedure:
+    """Build and check the Procedure of one corpus entry, or raise a
+    DataError naming `path`. The entry is a procedure object, a grid-TSV
+    block in that shape, or a recipe object (one with `locations`), whose
+    sentences may be strings and whose grid comes from `_recipe_grid`.
+    Sentence tokens and grid values are lowercased."""
     if not isinstance(obj, dict):
-        raise DataError(f"{path}: expected a procedure object, got {obj!r}")
-    required = {"id", "sentences", "entities", "grid"}
+        raise DataError(f"{path}: expected a procedure or recipe object, "
+                        f"got {obj!r}")
+    recipe = "locations" in obj
+    required = {"id", "sentences",
+                *(("ingredients", "locations") if recipe else ("entities", "grid"))}
     missing = required - set(obj)
     if missing:
         raise DataError(f"{path}: missing keys {sorted(missing)}")
@@ -119,19 +174,24 @@ def _proc_from_obj(obj: dict, path: str) -> Procedure:
         raise DataError(f"{path}: unknown keys {sorted(unknown)}")
     if not isinstance(obj["id"], str):
         raise DataError(f"{path}.id: expected a string, got {obj['id']!r}")
-    if not isinstance(obj["sentences"], list):
-        raise DataError(f"{path}.sentences: expected a list of token lists")
-    for j, sent in enumerate(obj["sentences"]):
+    sentences = obj["sentences"]
+    if not isinstance(sentences, list):
+        raise DataError(f"{path}.sentences: expected a list of sentences")
+    if recipe:
+        sentences = [tokenize(s) if isinstance(s, str) else s for s in sentences]
+    for j, sent in enumerate(sentences):
         if not (isinstance(sent, list) and all(isinstance(t, str) for t in sent)):
             raise DataError(f"{path}.sentences[{j}]: expected a list of token "
                             f"strings, got {sent!r}")
-    if not (isinstance(obj["entities"], list)
-            and all(isinstance(e, str) for e in obj["entities"])):
+    entities, grid = (_recipe_grid(obj, len(sentences), path) if recipe
+                      else (obj["entities"], obj["grid"]))
+    if not (isinstance(entities, list)
+            and all(isinstance(e, str) for e in entities)):
         raise DataError(f"{path}.entities: expected a list of entity names, "
-                        f"got {obj['entities']!r}")
-    if not isinstance(obj["grid"], dict):
+                        f"got {entities!r}")
+    if not isinstance(grid, dict):
         raise DataError(f"{path}.grid: expected an object of entity timelines")
-    for entity, tl in obj["grid"].items():
+    for entity, tl in grid.items():
         if not (isinstance(tl, list) and all(isinstance(v, str) for v in tl)):
             raise DataError(f"{path}.grid.{entity}: expected a list of location "
                             f"strings, got {tl!r}")
@@ -141,12 +201,11 @@ def _proc_from_obj(obj: dict, path: str) -> Procedure:
                     and all(type(i) is int for i in sp) for sp in spans)):
         raise DataError(f"{path}.candidate_spans: expected a list of [start, end] "
                         f"integer pairs, got {spans!r}")
-    grid = {e: [_normalize(v) for v in tl] for e, tl in obj["grid"].items()}
     proc = Procedure(
         id=obj["id"],
-        sentences=[list(s) for s in obj["sentences"]],
-        entities=list(obj["entities"]),
-        grid=grid,
+        sentences=[[t.lower() for t in s] for s in sentences],
+        entities=list(entities),
+        grid={e: [_normalize(v) for v in tl] for e, tl in grid.items()},
         candidate_spans=[tuple(sp) for sp in spans],
     )
     validate_procedure(proc, path)
@@ -216,11 +275,10 @@ def load_grid_tsv(path) -> list[Procedure]:
             if k > 0:
                 sentences.append(tokenize(cells[1]))
             for e, v in zip(entities, cells[2:]):
-                columns[e].append(_normalize(v))
-        proc = Procedure(id=pid, sentences=sentences, entities=entities,
-                         grid=columns)
-        validate_procedure(proc, where)
-        procs.append(proc)
+                columns[e].append(v)
+        procs.append(_proc_from_obj({"id": pid, "sentences": sentences,
+                                     "entities": entities, "grid": columns},
+                                    where))
     return procs
 
 
@@ -233,83 +291,6 @@ def save_grid_tsv(procs: list[Procedure], path) -> None:
                 cells = [f"state{k}", sentence] + [p.grid[e][k] for e in p.entities]
                 f.write("\t".join(cells) + "\n")
             f.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# Recipe-style ingestion: per-step ingredient location annotations; steps
-# without an annotation carry the previous location forward.
-# ---------------------------------------------------------------------------
-
-def load_recipe_annotations(path) -> list[Procedure]:
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    if not isinstance(data, list):
-        raise DataError("$: top level must be a list of recipes")
-    return [_recipe_from_obj(obj, f"$[{i}]") for i, obj in enumerate(data)]
-
-
-def _recipe_from_obj(obj, where: str) -> Procedure:
-    """One recipe: sentences as strings or token lists, and per ingredient
-    an object of step -> location, carried forward between steps."""
-    if not isinstance(obj, dict):
-        raise DataError(f"{where}: expected a recipe object, got {obj!r}")
-    for key in ("id", "sentences", "ingredients", "locations"):
-        if key not in obj:
-            raise DataError(f"{where}: missing key {key!r}")
-    if not isinstance(obj["id"], str):
-        raise DataError(f"{where}.id: expected a string, got {obj['id']!r}")
-    if not isinstance(obj["sentences"], list):
-        raise DataError(f"{where}.sentences: expected a list of sentences")
-    sentences = []
-    for j, sent in enumerate(obj["sentences"]):
-        if isinstance(sent, str):
-            sentences.append(tokenize(sent))
-        elif isinstance(sent, list) and all(isinstance(t, str) for t in sent):
-            sentences.append(list(sent))
-        else:
-            raise DataError(f"{where}.sentences[{j}]: expected a string or a "
-                            f"list of token strings, got {sent!r}")
-    ingredients, locations = obj["ingredients"], obj["locations"]
-    if not (isinstance(ingredients, list)
-            and all(isinstance(name, str) for name in ingredients)):
-        raise DataError(f"{where}.ingredients: expected a list of strings, "
-                        f"got {ingredients!r}")
-    if not isinstance(locations, dict):
-        raise DataError(f"{where}.locations: expected an object of ingredient "
-                        f"annotations, got {locations!r}")
-    n = len(sentences)
-    entities, grid = [], {}
-    for name in ingredients:
-        ann = locations.get(name, {})
-        if not isinstance(ann, dict):
-            raise DataError(f"{where}.locations.{name}: expected an object of "
-                            f"step -> location, got {ann!r}")
-        if not ann:
-            log.warning("%s: ingredient %r has no location annotations; skipped",
-                        obj["id"], name)
-            continue
-        steps = {}
-        for key, value in ann.items():
-            try:
-                step = int(key)
-            except ValueError:
-                step = -1
-            if not 0 <= step <= n:
-                raise DataError(f"{where}.locations.{name}.{key}: expected a "
-                                f"step number 0..{n}")
-            if not isinstance(value, str):
-                raise DataError(f"{where}.locations.{name}.{key}: expected a "
-                                f"location string, got {value!r}")
-            steps[step] = _normalize(value)
-        timeline = [steps.get(0, "?")]
-        for step in range(1, n + 1):
-            timeline.append(steps.get(step, timeline[-1]))
-        entities.append(name)
-        grid[name] = timeline
-    proc = Procedure(id=obj["id"], sentences=sentences, entities=entities,
-                     grid=grid)
-    validate_procedure(proc, where)
-    return proc
 
 
 # ---------------------------------------------------------------------------

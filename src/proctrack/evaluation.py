@@ -21,15 +21,6 @@ from .state_table import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    entity: str
-    kind: str  # create | destroy | move
-    step: int
-    from_loc: str
-    to_loc: str
-
-
 @dataclass
 class MetricsReport:
     cat1: float | None = None
@@ -52,41 +43,31 @@ def _f1(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
-def extract_events(table: list[StateChangeRow]) -> list[EventRecord]:
-    events = []
-    for r in table:
-        if r.action == ACTION_NONE:
-            continue
-        if r.action == ACTION_CREATE:
-            events.append(EventRecord(r.entity, "create", r.step, "-", r.after))
-        elif r.action == ACTION_DESTROY:
-            events.append(EventRecord(r.entity, "destroy", r.step, r.before, "-"))
-        elif r.action == ACTION_MOVE:
-            events.append(EventRecord(r.entity, "move", r.step, r.before, r.after))
-        else:
-            raise ValueError(f"unknown action {r.action!r}")
-    return events
+def extract_events(table: list[StateChangeRow]) -> list[StateChangeRow]:
+    """The event rows: those whose action is not NONE. A create's `before`
+    and a destroy's `after` are "-"."""
+    return [r for r in table if r.action != ACTION_NONE]
 
 
-def _event_tuples(events: list[EventRecord]) -> set:
+def _event_tuples(events: list[StateChangeRow]) -> set:
     out = set()
     for ev in events:
-        if ev.kind == "create":
-            out.add((ev.step, ev.to_loc))
-        elif ev.kind == "destroy":
-            out.add((ev.step, ev.from_loc))
+        if ev.action == ACTION_CREATE:
+            out.add((ev.step, ev.after))
+        elif ev.action == ACTION_DESTROY:
+            out.add((ev.step, ev.before))
         else:
-            out.add((ev.step, ev.from_loc, ev.to_loc))
+            out.add((ev.step, ev.before, ev.after))
     return out
 
 
 def sentence_level(pred_tables: dict[str, list[StateChangeRow]],
                    gold_tables: dict[str, list[StateChangeRow]]) -> MetricsReport:
     def by_entity_kind(tables):
-        grouped: dict[tuple, list[EventRecord]] = {}
+        grouped: dict[tuple, list[StateChangeRow]] = {}
         for pid, rows in tables.items():
             for ev in extract_events(rows):
-                grouped.setdefault((pid, ev.entity, ev.kind), []).append(ev)
+                grouped.setdefault((pid, ev.entity, ev.action), []).append(ev)
         return grouped
 
     pred, gold = by_entity_kind(pred_tables), by_entity_kind(gold_tables)
@@ -129,15 +110,15 @@ def answer_sets(table: list[StateChangeRow]) -> dict[str, set]:
             outputs.add(entity)
 
     events = extract_events(table)
-    destroys = [e for e in events if e.kind == "destroy"]
-    creates = [e for e in events if e.kind == "create"]
+    destroys = [e for e in events if e.action == ACTION_DESTROY]
+    creates = [e for e in events if e.action == ACTION_CREATE]
     conversions = {
-        (d.step, d.entity, c.entity, c.to_loc)
+        (d.step, d.entity, c.entity, c.after)
         for d in destroys for c in creates
-        if d.step == c.step and d.from_loc == c.to_loc
+        if d.step == c.step and d.before == c.after
     }
-    moves = {(e.entity, e.step, e.from_loc, e.to_loc)
-             for e in events if e.kind == "move"}
+    moves = {(e.entity, e.step, e.before, e.after)
+             for e in events if e.action == ACTION_MOVE}
     return {"inputs": inputs, "outputs": outputs,
             "conversions": conversions, "moves": moves}
 

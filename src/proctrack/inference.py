@@ -57,20 +57,6 @@ def _exists(value: str) -> bool:
     return value != "-"
 
 
-def violates_rules(timeline: list[str]) -> bool:
-    """Exhaustive predicate: any double create/destroy or create-after-destroy."""
-    creations, destructions = [], []
-    for i in range(1, len(timeline)):
-        was, now = _exists(timeline[i - 1]), _exists(timeline[i])
-        if not was and now:
-            creations.append(i)
-        elif was and not now:
-            destructions.append(i)
-    if len(creations) > 1 or len(destructions) > 1:
-        return True
-    return bool(creations and destructions and creations[0] > destructions[0])
-
-
 def repair_timeline(states: list[str]) -> list[str]:
     """Greedy forward repair: a step whose transition would break a rule is
     overwritten by carrying the previous step's state forward."""
@@ -93,3 +79,8 @@ def repair_timeline(states: list[str]) -> list[str]:
             destroyed += 1
         out.append(value)
     return out
+
+
+def violates_rules(timeline: list[str]) -> bool:
+    """Whether the timeline breaks a rule: exactly when repair changes it."""
+    return repair_timeline(timeline) != list(timeline)

@@ -295,6 +295,37 @@ class TestPipeline:
                                            "conversions", "moves"}
         assert 0.0 <= report["f1"] <= 1.0
 
+    def test_recipe_file_trains_predicts_and_evaluates(self, workspace, caplog):
+        """A recipe corpus goes wherever a procedure corpus does: a string
+        sentence is tokenized, an unannotated ingredient is skipped, and a
+        capitalised location still finds its gold span."""
+        tmp_path, cfg, _ = workspace
+        recipes = tmp_path / "recipes.json"
+        recipes.write_text(json.dumps([
+            {"id": "r1",
+             "sentences": ["Melt the butter in the Pan.",
+                           ["add", "flour", "to", "the", "bowl"],
+                           "Bake the dough in the oven."],
+             "ingredients": ["butter", "flour", "salt"],
+             "locations": {"butter": {"1": "Pan", "3": "oven"},
+                           "flour": {"2": "bowl", "3": "oven"}}},
+            {"id": "r2", "sentences": ["Pour the milk into the Bowl.", "Stir."],
+             "ingredients": ["milk"], "locations": {"milk": {"0": "jug", "1": "bowl"}}},
+        ]))
+        ckpt, pred = tmp_path / "ckpt", tmp_path / "pred.tsv"
+        with caplog.at_level("INFO"):
+            assert main(["train", "--data", str(recipes), "--out", str(ckpt),
+                         "--config", str(cfg)]) == 0
+        assert "ingredient 'salt' has no location annotations" in caplog.text
+        assert "1 gold spans not in the paragraph" in caplog.text  # only "jug"
+        assert main(["predict", "--data", str(recipes), "--checkpoint", str(ckpt),
+                     "--out", str(pred)]) == 0
+        assert set(read_tsv(pred)) == {"r1", "r2"}
+        metrics = tmp_path / "metrics.json"
+        assert main(["evaluate", "--pred", str(pred), "--gold", str(recipes),
+                     "--mode", "npn", "--out", str(metrics)]) == 0
+        assert 0.0 <= json.loads(metrics.read_text())["location_change_accuracy"] <= 1.0
+
     def test_predict_deterministic_byte_identical(self, workspace):
         tmp_path, cfg, data = workspace
         ckpt = tmp_path / "ckpt"
@@ -666,21 +697,32 @@ def write_files(root, files):
 
 
 class TestFuzz:
-    @pytest.mark.parametrize("name, path, value", [
-        ("data.json", [0], None),
-        ("data.json", [0, "entities"], [{"x": 1}]),
-        ("data.json", [0, "candidate_spans"], 0.5),
-        ("data.json", [0, "candidate_spans"], [[1.5, 2]]),
-        ("ckpt/params.bin", ["config", "n_heads"], 0),
-        ("ckpt/params.bin", ["config", "n_heads"], True),
-        ("ckpt/params.bin", ["config", "max_len"], 64.0),
-        ("ckpt/params.bin", ["config", "n_layers"], [1]),
-        ("ckpt/params.bin", ["vocab", "the"], -3),
+    RECIPE = {"id": "proc0000", "sentences": ["the water moves to the pot ."],
+              "ingredients": ["water"], "locations": {"water": {"1": "pot"}}}
+
+    @pytest.mark.parametrize("name, path, value, where", [
+        ("data.json", [0], None, "$[0]: expected"),
+        ("data.json", [0, "entities"], [{"x": 1}], "$[0].entities:"),
+        ("data.json", [0, "candidate_spans"], 0.5, "$[0].candidate_spans:"),
+        ("data.json", [0, "candidate_spans"], [[1.5, 2]], "$[0].candidate_spans:"),
+        ("ckpt/params.bin", ["config", "n_heads"], 0, "params.bin"),
+        ("ckpt/params.bin", ["config", "n_heads"], True, "params.bin"),
+        ("ckpt/params.bin", ["config", "max_len"], 64.0, "params.bin"),
+        ("ckpt/params.bin", ["config", "n_layers"], [1], "params.bin"),
+        ("ckpt/params.bin", ["vocab", "the"], -3, "params.bin"),
+        ("data.json", [0], dict(RECIPE, locations=["water"]), "$[0].locations:"),
+        ("data.json", [0], dict(RECIPE, locations={"water": {"one": "pot"}}),
+         "$[0].locations.water.one:"),
+        ("data.json", [0], dict(RECIPE, locations={"water": {"1": 5}}),
+         "$[0].locations.water.1:"),
+        ("data.json", [0], dict(RECIPE, grid={}), "$[0]: unknown keys ['grid']"),
     ], ids=["non-object-procedure", "non-string-entity", "number-spans",
             "float-span", "zero-heads", "bool-heads", "float-max-len",
-            "list-layers", "vocab-id-out-of-range"])
+            "list-layers", "vocab-id-out-of-range", "recipe-list-locations",
+            "recipe-word-step", "recipe-number-location", "recipe-unknown-key"])
     def test_escapes_found_by_fuzzing_are_data_errors(self, clean_run, tmp_path,
-                                                      name, path, value):
+                                                      caplog, name, path, value,
+                                                      where):
         if name == "ckpt/params.bin":
             edited = with_header_edit(clean_run[name], path, value)
         else:
@@ -693,6 +735,7 @@ class TestFuzz:
         assert main(["predict", "--data", str(tmp_path / "data.json"),
                      "--checkpoint", str(tmp_path / "ckpt"),
                      "--out", str(tmp_path / "out.tsv")]) == EXIT_DATA
+        assert where in caplog.text
 
     @pytest.mark.parametrize("key", ["max_len", "n_layers", "d_model", "d_ff"])
     def test_huge_config_size_is_data_error_without_allocating(

@@ -4,7 +4,7 @@ import pytest
 
 from proctrack.data import (
     DataError, GrammarConfig, Procedure, generate_synthetic, load_grid_tsv,
-    load_procedures, load_recipe_annotations, save_grid_tsv, save_procedures,
+    load_procedures, save_grid_tsv, save_procedures,
 )
 from proctrack.fixtures import photosynthesis
 from proctrack.inference import violates_rules
@@ -120,6 +120,30 @@ class TestJsonRoundTrip:
         with pytest.raises(DataError, match="candidate_spans"):
             load_procedures(path)
 
+    def test_capitalised_token_and_grid_value_resolve(self, tmp_path):
+        """Sentence tokens and grid values are lowercased by the same rule,
+        so a capitalised location still occurs in its paragraph."""
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps([{
+            "id": "x", "sentences": [["Water", "enters", "the", "Soil"]],
+            "entities": ["water"], "grid": {"water": ["?", "Soil"]},
+        }]))
+        proc = load_procedures(path)[0]
+        assert proc.sentences == [["water", "enters", "the", "soil"]]
+        assert proc.occurrences == {"soil": [(3, 3)]}
+        assert proc.candidate_spans == [(3, 3)]
+
+    def test_lowercased_not_casefolded(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps([{
+            "id": "x", "sentences": [["in", "der", "straße"]],
+            "entities": ["e"], "grid": {"e": ["?", "Straße"]},
+        }]))
+        proc = load_procedures(path)[0]
+        assert proc.grid["e"] == ["?", "straße"]
+        assert proc.occurrences == {"straße": [(2, 2)]}
+        assert proc.unresolved_locations == []
+
     def test_values_normalized(self, tmp_path):
         path = tmp_path / "data.json"
         path.write_text(json.dumps([{
@@ -168,13 +192,13 @@ class TestRecipeAnnotations:
 
     def test_carry_forward_between_annotations(self, tmp_path):
         path = self._write(tmp_path, {"butter": {"1": "pan", "4": "bowl"}})
-        proc = load_recipe_annotations(path)[0]
+        proc = load_procedures(path)[0]
         assert proc.grid["butter"] == ["?", "pan", "pan", "pan", "bowl", "bowl", "bowl"]
 
     def test_change_step_count_matches_recount(self, tmp_path):
         path = self._write(tmp_path, {"butter": {"1": "pan", "4": "bowl"},
                                       "flour": {"2": "pan"}})
-        for proc in load_recipe_annotations(path):
+        for proc in load_procedures(path):
             for e in proc.entities:
                 tl = proc.grid[e]
                 changes = sum(1 for i in range(1, len(tl)) if tl[i] != tl[i - 1])
@@ -185,7 +209,7 @@ class TestRecipeAnnotations:
     def test_unannotated_ingredient_excluded_with_warning(self, tmp_path, caplog):
         path = self._write(tmp_path, {"butter": {"1": "pan"}})
         with caplog.at_level("WARNING"):
-            proc = load_recipe_annotations(path)[0]
+            proc = load_procedures(path)[0]
         assert proc.entities == ["butter"]
         assert "flour" in caplog.text
 
@@ -199,7 +223,7 @@ class TestRecipeAnnotationErrors:
     def load(self, tmp_path, recipe):
         path = tmp_path / "recipes.json"
         path.write_text(json.dumps([self.RECIPE, recipe]))
-        return load_recipe_annotations(path)
+        return load_procedures(path)
 
     def test_well_formed_recipe_loads(self, tmp_path):
         assert [p.id for p in self.load(tmp_path, self.RECIPE)] == ["r1", "r1"]
@@ -216,18 +240,37 @@ class TestRecipeAnnotationErrors:
         ("locations", {"butter": {"9": "pan"}},
          r"\$\[1\]\.locations\.butter\.9:"),
         ("locations", {"butter": {"1": 5}}, r"\$\[1\]\.locations\.butter\.1:"),
+        ("locations", {"butter": {"1": "pan", "01": "pot"}},
+         r"\$\[1\]\.locations\.butter\.01:"),
         ("sentences", "melt butter", r"\$\[1\]\.sentences:"),
         ("sentences", ["melt", 5], r"\$\[1\]\.sentences\[1\]:"),
     ], ids=["list-id", "int-id", "string-ingredients", "nested-ingredients",
             "list-locations", "list-annotation", "word-step", "step-past-end",
-            "number-location", "string-sentences", "number-sentence"])
+            "number-location", "step-given-twice", "string-sentences",
+            "number-sentence"])
     def test_malformed_field_names_its_path(self, tmp_path, field, value, where):
         with pytest.raises(DataError, match=where):
             self.load(tmp_path, {**self.RECIPE, field: value})
 
     def test_non_object_recipe(self, tmp_path):
-        with pytest.raises(DataError, match=r"\$\[1\]: expected a recipe object"):
+        with pytest.raises(DataError,
+                           match=r"\$\[1\]: expected a procedure or recipe object"):
             self.load(tmp_path, ["r1"])
+
+    def test_unknown_key_names_its_path(self, tmp_path):
+        with pytest.raises(DataError, match=r"\$\[1\]: unknown keys \['entities'\]"):
+            self.load(tmp_path, {**self.RECIPE, "entities": ["butter"]})
+
+    def test_recipes_and_procedures_share_one_list(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps([self.RECIPE, {
+            "id": "p1", "sentences": [["melt", "butter", "in", "the", "pan"],
+                                      ["serve"]],
+            "entities": ["butter"], "grid": {"butter": ["?", "pan", "pan"]}}]))
+        recipe, proc = load_procedures(path)
+        assert recipe.sentences == proc.sentences
+        assert recipe.grid == proc.grid
+        assert recipe.candidate_spans == proc.candidate_spans == [(4, 4)]
 
 
 class TestSyntheticGenerator:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from proctrack.data import GrammarConfig, generate_synthetic
 from proctrack.evaluation import (
-    EventRecord, answer_sets, document_level, extract_events,
+    answer_sets, document_level, extract_events,
     location_change_accuracy, sentence_level,
 )
 from proctrack.fixtures import photosynthesis
@@ -32,11 +32,7 @@ class TestExtractEvents:
             StateChangeRow(1, "sugar", "CREATE", "-", "leaf"),
             StateChangeRow(2, "sugar", "NONE", "leaf", "leaf"),
         ]
-        assert extract_events(rows) == [
-            EventRecord("water", "move", 1, "root", "leaf"),
-            EventRecord("water", "destroy", 2, "leaf", "-"),
-            EventRecord("sugar", "create", 1, "-", "leaf"),
-        ]
+        assert extract_events(rows) == rows[:3]
 
     def test_all_none_table_empty(self):
         rows = build_table({"ghost": ["-"] * 5}, 4)
@@ -45,8 +41,11 @@ class TestExtractEvents:
     def test_water_timeline_events(self):
         rows = build_table({"water": ["soil", "root", "leaf", "leaf", "-", "-"]}, 5)
         events = extract_events(rows)
-        assert [(e.kind, e.step) for e in events] == \
-            [("move", 1), ("move", 2), ("destroy", 4)]
+        assert events == [
+            StateChangeRow(1, "water", "MOVE", "soil", "root"),
+            StateChangeRow(2, "water", "MOVE", "root", "leaf"),
+            StateChangeRow(4, "water", "DESTROY", "leaf", "-"),
+        ]
 
 
 class TestSentenceLevel:
