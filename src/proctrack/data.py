@@ -274,6 +274,8 @@ def load_grid_tsv(path) -> list[Procedure]:
                 )
             if k > 0:
                 sentences.append(tokenize(cells[1]))
+            elif cells[1]:
+                raise DataError(f"{where}.state0: the sentence cell must be empty")
             for e, v in zip(entities, cells[2:]):
                 columns[e].append(v)
         procs.append(_proc_from_obj({"id": pid, "sentences": sentences,

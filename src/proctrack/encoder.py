@@ -125,15 +125,18 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict
     return init_params(config, rng, heads=False)
 
 
-def embed(inp: TimestampedInput, params: dict) -> Tensor:
+def embed(inp: TimestampedInput, params: dict, token_ids=None) -> Tensor:
     """Sum of token, position, and time-id embeddings, one row per token.
 
     One step's time ids, (T,), give (T, d_model); a batch of them, (B, T),
     gives (B, T, d_model): the token and position rows are looked up once
-    and broadcast over the B rows of time ids.
+    and broadcast over the B rows of time ids. `token_ids`, (E, 1, T), in
+    place of the layout's own, stacks E queries that share its positions and
+    time ids, giving (E, B, T, d_model).
     """
     layout = inp.layout
-    tok = ad.embedding(params["token_emb"], layout.token_ids)
+    tok = ad.embedding(params["token_emb"],
+                       layout.token_ids if token_ids is None else token_ids)
     pos = ad.embedding(params["pos_emb"], layout.position_ids)
     ts = ad.embedding(params["ts_emb"], inp.timestamp_ids)
     return ad.add(ad.add(tok, pos), ts)

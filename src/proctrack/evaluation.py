@@ -165,8 +165,7 @@ def location_change_accuracy(pred_timelines: dict[str, dict[str, list[str]]],
                 if gold[i] == gold[i - 1]:
                     continue
                 total += 1
-                if pred is not None and i < len(pred) and \
-                        pred[i].casefold() == gold[i].casefold():
+                if pred is not None and i < len(pred) and pred[i] == gold[i]:
                     hit += 1
     if total == 0:
         log.warning("no location-change steps in gold; reporting accuracy 1.0")

@@ -737,6 +737,15 @@ class TestFuzz:
                      "--out", str(tmp_path / "out.tsv")]) == EXIT_DATA
         assert where in caplog.text
 
+    def test_state0_sentence_in_grid_tsv_is_data_error(self, tmp_path, caplog):
+        tsv = tmp_path / "grid.tsv"
+        tsv.write_text("p1\twater\nstate0\tsome dropped text\t?\n"
+                       "state1\troots absorb water\troots\n")
+        assert main(["convert", "--tsv", str(tsv),
+                     "--out", str(tmp_path / "out.json")]) == EXIT_DATA
+        assert "grid.tsv:block0.state0: the sentence cell" in caplog.text
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("key", ["max_len", "n_layers", "d_model", "d_ff"])
     def test_huge_config_size_is_data_error_without_allocating(
             self, clean_run, tmp_path, monkeypatch, key):

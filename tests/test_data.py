@@ -170,6 +170,15 @@ class TestGridTsv:
         with pytest.raises(DataError, match="state1"):
             load_grid_tsv(path)
 
+    def test_state0_sentence_text_rejected(self, tmp_path):
+        """Step 0 has no sentence: text in its cell is an error, not
+        dropped."""
+        path = tmp_path / "bad.tsv"
+        path.write_text("p1\te\nstate0\tsome dropped text\t?\n"
+                        "state1\ta b\t-\n")
+        with pytest.raises(DataError, match=r"bad\.tsv:block0\.state0:"):
+            load_grid_tsv(path)
+
     def test_cell_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("p1\te\nstate0\t\t-\t-\n")

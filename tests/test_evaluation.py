@@ -273,6 +273,13 @@ class TestLocationChangeAccuracy:
         pred = {"p": {"water": ["?", "?", "?", "?"]}}
         assert location_change_accuracy(pred, gold) == 0.0
 
+    def test_values_compare_exactly(self):
+        """Values arrive lowercased by their loaders and compare with `==`:
+        `strasse` is not `straße`, as in sentence and document scoring."""
+        gold = {"p": {"water": ["soil", "straße"]}}
+        pred = {"p": {"water": ["soil", "strasse"]}}
+        assert location_change_accuracy(pred, gold) == 0.0
+
     def test_no_change_steps_reports_one(self, caplog):
         gold = {"p": {"water": ["soil", "soil"]}}
         assert location_change_accuracy(gold, gold) == 1.0

@@ -11,14 +11,15 @@ import pytest
 
 import proctrack
 from proctrack import autodiff as ad
+from proctrack import model as model_module
 from proctrack.autodiff import SgdConfig, Tensor
 from proctrack.data import DataError, GrammarConfig, Procedure, generate_synthetic
 from proctrack.encoder import EncoderConfig
 from proctrack.fixtures import photosynthesis
 from proctrack.heads import STATUS_KNOWN, joint_loss
-from proctrack.inference import violates_rules
+from proctrack.inference import decode_step, repair_timeline, violates_rules
 from proctrack.inputs import timestamp
-from proctrack.model import TrackerModel, vocab_from_procedures
+from proctrack.model import STACK_SCORES, TrackerModel, vocab_from_procedures
 from proctrack.tokenizer import UNK
 from proctrack.train import TrainingDiverged, status_accuracy, train_model
 
@@ -42,6 +43,15 @@ def redraw_matrices(model, seed=0):
         if t.data.ndim == 2:
             t.data[...] = rng.normal(0.0, 0.5, t.data.shape)
     return model
+
+
+def stacks(model, proc):
+    """The layouts of `proc`'s entities, in lists of one length."""
+    by_length = {}
+    for entity in proc.entities:
+        layout = model.layout_for(entity, proc)
+        by_length.setdefault(len(layout.tokens), []).append(layout)
+    return list(by_length.values())
 
 
 def edit_header(ckpt, edit):
@@ -112,15 +122,16 @@ class TestForward:
         model = TrackerModel(model.vocab, model.config, params)
         proc = procs[0]
         layout = model.layout_for(proc.entities[0], proc)
-        batched = model.forward_steps(layout, views(model.params))
+        batched = model.forward_steps([layout], views(model.params))
         for t in batched:
             assert t._backward is None and t._parents == ()
             assert not t.requires_grad
+            assert t.data.shape[:2] == (1, proc.n_steps + 1)
         for step in range(proc.n_steps + 1):
             alone = forward(model, layout, step)
             assert len(alone) == len(batched) == 3
             for got, want in zip(batched, alone):
-                np.testing.assert_allclose(got.data[step], want.data,
+                np.testing.assert_allclose(got.data[0, step], want.data,
                                            rtol=0, atol=1e-12)
 
     def test_float32_steps_match_float64_within_bound(self, procs):
@@ -134,10 +145,9 @@ class TestForward:
                   for k, t in model.params.items()}
         double = views(model.params)
         for proc in procs:
-            for entity in proc.entities:
-                layout = model.layout_for(entity, proc)
-                for got, want in zip(model.forward_steps(layout, single),
-                                     model.forward_steps(layout, double)):
+            for layouts in stacks(model, proc):
+                for got, want in zip(model.forward_steps(layouts, single),
+                                     model.forward_steps(layouts, double)):
                     assert got.data.dtype == np.float32
                     assert want.data.dtype == np.float64
                     np.testing.assert_allclose(got.data, want.data,
@@ -278,6 +288,120 @@ class TestPredict:
         a, _ = model.predict_procedure(procs[0])
         b, _ = model.predict_procedure(procs[0])
         assert a == b
+
+
+def one_entity_prediction(model, proc, entity, params, np_filter, repair):
+    """(timeline, flagged, violations) of `entity` from a pass of its own,
+    decoded alone."""
+    layout = model.layout_for(entity, proc)
+    g2l = layout.layout_pos_of_paragraph()
+    candidates = ([(g2l[s], g2l[e]) for s, e in proc.candidate_spans]
+                  if np_filter else None)
+    states, flagged = decode_step(
+        *(t.data[0] for t in model.forward_steps([layout], params)),
+        candidates, list(g2l.values()))
+    raw = [v if isinstance(v, str) else " ".join(layout.tokens[v[0]:v[1] + 1])
+           for v in states]
+    return (repair_timeline(raw) if repair else raw), flagged, int(violates_rules(raw))
+
+
+class TestStackedPrediction:
+    """`predict_procedure` stacks the entities whose queries have one length
+    into one pass; the oracle runs and decodes each entity alone."""
+
+    # "water; liquid" queries as "water": a stack of three with "sugar",
+    # beside a longer "carbon dioxide" of its own.
+    PROC = Procedure(
+        id="p", sentences=[["water", "and", "carbon", "dioxide", "enter", "the",
+                            "leaf", "."], ["the", "leaf", "makes", "sugar", "."],
+                           ["sugar", "moves", "to", "the", "root", "."]],
+        entities=["water", "carbon dioxide", "water; liquid", "sugar"],
+        grid={"water": ["soil", "leaf", "-", "-"],
+              "carbon dioxide": ["?", "leaf", "-", "-"],
+              "water; liquid": ["-", "leaf", "leaf", "root"],
+              "sugar": ["-", "-", "leaf", "root"]})
+
+    @staticmethod
+    def bench_like(procs, max_len=96, seed=0):
+        """A model of the benchmark's shape and weight scale, so that its
+        decisions mix statuses and spans (on PROC with seed 7, in every
+        mode, with "water" and "sugar" decoded differently)."""
+        return redraw_matrices(TrackerModel.fresh(
+            vocab_from_procedures(procs), EncoderConfig(max_len=max_len), seed=5),
+            seed)
+
+    @staticmethod
+    def count_encodes(monkeypatch):
+        calls = []
+        encode = model_module.encode
+        monkeypatch.setattr(model_module, "encode",
+                            lambda *a, **k: calls.append(1) or encode(*a, **k))
+        return calls
+
+    def oracle(self, model, proc, np_filter, repair):
+        params = {k: Tensor(t.data.astype(np.float32))
+                  for k, t in model.params.items()}
+        timelines, flagged, violations = {}, 0, 0
+        for entity in proc.entities:
+            timelines[entity], fl, vi = one_entity_prediction(
+                model, proc, entity, params, np_filter, repair)
+            flagged += fl
+            violations += vi
+        return timelines, {"flagged": flagged, "rule_violations": violations}
+
+    def test_stacked_logits_equal_one_entity_passes(self):
+        model = self.bench_like([self.PROC], seed=7)
+        params = {k: Tensor(t.data.astype(np.float32))
+                  for k, t in model.params.items()}
+        groups = stacks(model, self.PROC)
+        assert [len(g) for g in groups] == [3, 1]
+        assert len({len(g[0].tokens) for g in groups}) == 2
+        for layouts in groups:
+            stacked = model.forward_steps(layouts, params)
+            for j, layout in enumerate(layouts):
+                for got, want in zip(stacked,
+                                     model.forward_steps([layout], params)):
+                    assert got.data.dtype == np.float32
+                    assert np.array_equal(got.data[j], want.data[0])
+
+    @pytest.mark.parametrize("np_filter", [True, False])
+    @pytest.mark.parametrize("repair", [True, False])
+    def test_timelines_match_one_entity_passes(self, monkeypatch, np_filter,
+                                               repair):
+        model = self.bench_like([self.PROC], seed=7)
+        calls = self.count_encodes(monkeypatch)
+        got = model.predict_procedure(self.PROC, np_filter=np_filter,
+                                      repair=repair)
+        assert len(calls) == 2  # one per stack
+        assert got == self.oracle(model, self.PROC, np_filter, repair)
+        assert list(got[0]) == self.PROC.entities
+
+    def test_over_the_cap_runs_several_passes_with_the_same_timelines(
+            self, monkeypatch):
+        """One entity of 14 steps holds more than STACK_SCORES scores, so
+        each runs alone; with no cap they all stack in one pass."""
+        procs = generate_synthetic(3, 1, GrammarConfig(
+            min_entities=3, max_entities=3, min_steps=14, max_steps=14))
+        proc = procs[0]
+        model = self.bench_like(procs, max_len=128, seed=5)
+        (layouts,) = stacks(model, proc)
+        assert (proc.n_steps + 1) * len(layouts[0].tokens) ** 2 > STACK_SCORES
+        oracle = self.oracle(model, proc, True, True)
+        calls = self.count_encodes(monkeypatch)
+        capped = model.predict_procedure(proc)
+        assert len(calls) == len(layouts) > 1
+        assert capped == oracle
+        monkeypatch.setattr(model_module, "STACK_SCORES", 10 ** 9)
+        assert model.predict_procedure(proc) == capped
+        assert len(calls) == len(layouts) + 1
+
+    def test_a_small_procedure_runs_one_pass_per_stack(self, monkeypatch,
+                                                       model, procs):
+        calls = self.count_encodes(monkeypatch)
+        for proc in procs:
+            before = len(calls)
+            model.predict_procedure(proc)
+            assert len(calls) - before == len(stacks(model, proc))
 
 
 class TestPersistence:
