@@ -403,8 +403,9 @@ class SgdConfig:
     decay_every: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
         if not 0 < self.decay_factor <= 1:
             raise ValueError("decay_factor must be in (0, 1]")
         if self.decay_every <= 0:
@@ -415,19 +416,24 @@ class SgdConfig:
 
 
 def sgd_step(params: dict, config: SgdConfig, step_count: int) -> None:
-    """One SGD update: p -= lr(step) * p.grad for every parameter, then zero grads.
+    """One SGD update: p -= lr(step) * p.grad for every parameter, in place,
+    then zero grads.
 
-    Parameters with no accumulated gradient are left untouched. Every gradient
-    is checked before any is applied, so a non-finite one leaves all
-    parameters and gradients as they were.
+    Parameters with no accumulated gradient are left untouched. Every new
+    value is computed before any is assigned, so a non-finite gradient or
+    new value leaves all parameters and gradients as they were.
     """
     stepped = {name: p for name, p in params.items() if p.grad is not None}
-    for name, p in stepped.items():
-        if not np.all(np.isfinite(p.grad)):
-            raise NonFiniteGradientError(f"non-finite gradient in parameter {name!r}")
     lr = config.effective_lr(step_count)
-    for p in stepped.values():
-        p.data -= lr * p.grad
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        updated = {name: p.data - lr * p.grad for name, p in stepped.items()}
+    for name, value in updated.items():
+        if not np.all(np.isfinite(value)):
+            raise NonFiniteGradientError(
+                f"non-finite gradient or update in parameter {name!r} at "
+                f"learning rate {lr!r}")
+    for name, p in stepped.items():
+        p.data[...] = updated[name]
         p.grad = None
 
 

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 
 from .inference import violates_rules
+from .inputs import question_tokens
 from .tokenizer import tokenize
 
 log = logging.getLogger(__name__)
@@ -159,7 +160,10 @@ def _proc_from_obj(obj, path: str) -> Procedure:
     DataError naming `path`. The entry is a procedure object, a grid-TSV
     block in that shape, or a recipe object (one with `locations`), whose
     sentences may be strings and whose grid comes from `_recipe_grid`.
-    Sentence tokens and grid values are lowercased."""
+    Sentence tokens and grid values are lowercased. Rejected, as they break
+    the TSV formats or the question: an id or entity name holding a tab or
+    line break, an entity name with no question tokens, and a sentence token
+    that is empty or holds whitespace."""
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a procedure or recipe object, "
                         f"got {obj!r}")
@@ -183,12 +187,25 @@ def _proc_from_obj(obj, path: str) -> Procedure:
         if not (isinstance(sent, list) and all(isinstance(t, str) for t in sent)):
             raise DataError(f"{path}.sentences[{j}]: expected a list of token "
                             f"strings, got {sent!r}")
+        for k, tok in enumerate(sent):
+            if tok.split() != [tok]:
+                raise DataError(f"{path}.sentences[{j}][{k}]: token {tok!r} is "
+                                f"empty or holds whitespace")
     entities, grid = (_recipe_grid(obj, len(sentences), path) if recipe
                       else (obj["entities"], obj["grid"]))
     if not (isinstance(entities, list)
             and all(isinstance(e, str) for e in entities)):
         raise DataError(f"{path}.entities: expected a list of entity names, "
                         f"got {entities!r}")
+    key = "ingredients" if recipe else "entities"
+    for where, name in [("id", obj["id"]),
+                        *((f"{key}[{i}]", e) for i, e in enumerate(obj[key]))]:
+        if {"\t", "\r", "\n"} & set(name):
+            raise DataError(f"{path}.{where}: {name!r} holds a tab or line "
+                            f"break, which a TSV cell cannot")
+        if where != "id" and not question_tokens(name):
+            raise DataError(f"{path}.{where}: entity name {name!r} gives no "
+                            f"question tokens")
     if not isinstance(grid, dict):
         raise DataError(f"{path}.grid: expected an object of entity timelines")
     for entity, tl in grid.items():

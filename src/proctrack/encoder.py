@@ -93,9 +93,8 @@ def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(config: EncoderConfig, rng: np.random.Generator,
-                heads: bool) -> dict:
-    """The encoder's tensors of `param_shapes`, or with `heads` the heads'.
+def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
+    """Every tensor of `param_shapes`, the heads' last.
 
     Gains start at one, biases and the time-id table at zero (so a fresh
     model is step-agnostic), every other matrix from N(0, 0.02), drawn in
@@ -105,8 +104,6 @@ def init_params(config: EncoderConfig, rng: np.random.Generator,
     dh = config.d_model // config.n_heads
     params = {}
     for name, shape in param_shapes(config).items():
-        if name.startswith("head.") != heads:
-            continue
         if name.endswith(".gain"):
             value = np.ones(shape)
         elif len(shape) == 1 or name == "ts_emb":
@@ -118,11 +115,6 @@ def init_params(config: EncoderConfig, rng: np.random.Generator,
             value = rng.normal(0.0, 0.02, shape)
         params[name] = Tensor(value, requires_grad=True, name=name)
     return params
-
-
-def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
-    """Parameter dict for embeddings and all encoder layers."""
-    return init_params(config, rng, heads=False)
 
 
 def embed(inp: TimestampedInput, params: dict, token_ids=None) -> Tensor:

@@ -1,7 +1,7 @@
 """Prediction heads: 3-way status over [CLS] and start/end span distributions.
 
-The heads emit logits with the encoder output's leading axes; the loss is a
-log-softmax NLL on them, and decoding takes their softmax.
+The heads emit one logit row per input, an (entity, step); the loss is a
+log-softmax NLL on the rows, and decoding takes their softmax.
 """
 
 from __future__ import annotations
@@ -9,11 +9,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import EncoderConfig, EncoderOutput, init_params
+from .encoder import EncoderOutput
 
 # Fixed class order for entity status.
 STATUS_GONE, STATUS_UNKNOWN, STATUS_KNOWN = 0, 1, 2
@@ -34,26 +32,26 @@ class GoldStep:
 
 
 def status_head(output: EncoderOutput, w: Tensor) -> Tensor:
-    """Status logits, (..., 3), from the [CLS] rows."""
-    *lead, _, d = output.hidden.data.shape
+    """Status logits, (rows, 3), from the [CLS] row of each input."""
+    d = output.hidden.data.shape[-1]
     if w.data.shape != (d, 3):
         raise ad.ShapeMismatchError(
             f"status weight must be d_model x 3, got {w.data.shape}"
         )
-    return ad.reshape(ad.matmul(output.cls, w), (*lead, 3))
+    return ad.reshape(ad.matmul(output.cls, w), (-1, 3))
 
 
 def span_head(output: EncoderOutput, w_start: Tensor, w_end: Tensor
               ) -> tuple[Tensor, Tensor]:
-    """Start and end logits, each (..., T)."""
-    *lead, T, d = output.hidden.data.shape
+    """Start and end logits, each (rows, T), one row per input."""
+    T, d = output.hidden.data.shape[-2:]
     for w in (w_start, w_end):
         if w.data.shape != (d, 1):
             raise ad.ShapeMismatchError(
                 f"span weight must be d_model x 1, got {w.data.shape}"
             )
-    start = ad.reshape(ad.matmul(output.hidden, w_start), (*lead, T))
-    end = ad.reshape(ad.matmul(output.hidden, w_end), (*lead, T))
+    start = ad.reshape(ad.matmul(output.hidden, w_start), (-1, T))
+    end = ad.reshape(ad.matmul(output.hidden, w_end), (-1, T))
     return start, end
 
 
@@ -75,7 +73,3 @@ def joint_loss(status: Tensor, start: Tensor, end: Tensor,
         loss = ad.add(loss, ad.cross_entropy(ad.embedding(end, rows), ends))
     return loss
 
-
-def init_head_params(config: EncoderConfig, rng: np.random.Generator) -> dict:
-    """The status and span head weights for an encoder with `config`."""
-    return init_params(config, rng, heads=True)

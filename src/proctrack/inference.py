@@ -16,26 +16,26 @@ from .heads import STATUS_GONE, STATUS_KNOWN
 
 def decode_step(status: np.ndarray, start: np.ndarray, end: np.ndarray,
                 candidates, paragraph_positions):
-    """Resolve every step of one entity from its (n+1, 3) status logits and
-    (n+1, T) start/end logits.
+    """Resolve every row, an (entity, step), of (rows, 3) status logits and
+    (rows, T) start/end logits, in paragraph words: word i is logit column
+    `paragraph_positions[i]`.
 
     A row whose status argmax is known-location gets a span from the start
-    and end probabilities. With `candidates`, the (start, end) layout spans
+    and end probabilities. With `candidates`, the (start, end) word spans
     allowed, it is the candidate with the highest start*end product; ties go
     to the earliest start, then the shortest. With candidates=None (the
     --no-np-filter ablation) it is the independent start and end argmax over
-    `paragraph_positions`, and an end before its start gives no span.
+    the words, and an end before its start gives no span.
 
-    Returns each row's "-", "?" or inclusive (start, end) span, and the count
-    of known-location rows left with no span, which decode to "?".
+    Returns each row's "-", "?" or inclusive (start, end) word span, and the
+    count of known-location rows left with no span, which decode to "?".
     """
-    start_p, end_p = softmax_array(start), softmax_array(end)
+    pos = np.asarray(paragraph_positions, dtype=int)
+    start_p, end_p = softmax_array(start)[:, pos], softmax_array(end)[:, pos]
     spans = [None] * len(status)
-    if candidates is None and len(paragraph_positions):
-        pos = np.asarray(paragraph_positions)
+    if candidates is None and len(pos):
         spans = [(s, e) if s <= e else None for s, e in zip(
-            pos[start_p[:, pos].argmax(-1)].tolist(),
-            pos[end_p[:, pos].argmax(-1)].tolist())]
+            start_p.argmax(-1).tolist(), end_p.argmax(-1).tolist())]
     elif candidates:
         # In this order the first maximum is the tie rule's winner.
         ranked = sorted(candidates, key=lambda se: (se[0], se[1] - se[0]))

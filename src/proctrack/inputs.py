@@ -23,18 +23,12 @@ class QueryLayout:
     tokens: tuple[str, ...]
     token_ids: tuple[int, ...]
     sentence_index: tuple[int, ...]  # 0 = question region, 1..n = sentences
-    paragraph_index: tuple  # per-token global paragraph index, None off-paragraph
+    paragraph_pos: tuple[int, ...]  # layout position of paragraph word i
     n_sentences: int
 
     @property
     def position_ids(self):
         return tuple(range(len(self.tokens)))
-
-    def layout_pos_of_paragraph(self) -> dict[int, int]:
-        """Map paragraph-global word index -> layout position."""
-        return {
-            g: i for i, g in enumerate(self.paragraph_index) if g is not None
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,17 +52,14 @@ def build_query(entity: str, sentences: list[list[str]], vocab: Vocab,
         raise ValueError("procedure must have at least one sentence")
     tokens = [CLS, "where", "is", *question_tokens(entity), "?", SEP]
     sent_idx = [0] * len(tokens)
-    para_idx: list = [None] * len(tokens)
-    g = 0
+    para_pos = []
     for j, sent in enumerate(sentences, start=1):
         for tok in sent:
+            para_pos.append(len(tokens))
             tokens.append(tok)
             sent_idx.append(j)
-            para_idx.append(g)
-            g += 1
         tokens.append(SEP)
         sent_idx.append(j)
-        para_idx.append(None)
     if max_len is not None and len(tokens) > max_len:
         raise ValueError(
             f"query for entity {entity!r} has {len(tokens)} tokens, "
@@ -78,7 +69,7 @@ def build_query(entity: str, sentences: list[list[str]], vocab: Vocab,
         tokens=tuple(tokens),
         token_ids=tuple(vocab.encode_all(tokens)),
         sentence_index=tuple(sent_idx),
-        paragraph_index=tuple(para_idx),
+        paragraph_pos=tuple(para_pos),
         n_sentences=len(sentences),
     )
 

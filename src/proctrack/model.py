@@ -14,10 +14,7 @@ from .data import DataError, Procedure
 from .encoder import (
     EncoderConfig, embed, encode, init_encoder_params, param_count, param_shapes,
 )
-from .heads import (
-    GoldStep, init_head_params, joint_loss, span_head, status_class_of,
-    status_head,
-)
+from .heads import GoldStep, joint_loss, span_head, status_class_of, status_head
 from .inference import decode_step, repair_timeline, violates_rules
 from .inputs import (
     QueryLayout, TimestampedInput, build_query, question_tokens, time_ids,
@@ -30,6 +27,7 @@ from .tokenizer import Vocab, build_vocab
 # while one predict-long entity (88,935 or more) runs alone, as stacking those
 # ran 0.79x as fast. An entity is never split (0.63-0.95x as fast).
 STACK_SCORES = 2 ** 16
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def vocab_from_procedures(procs: list[Procedure]) -> Vocab:
@@ -51,9 +49,7 @@ class TrackerModel:
     @classmethod
     def fresh(cls, vocab: Vocab, config: EncoderConfig, seed: int) -> "TrackerModel":
         config.vocab_size = len(vocab)
-        rng = np.random.default_rng(seed)
-        params = init_encoder_params(config, rng)
-        params.update(init_head_params(config, rng))
+        params = init_encoder_params(config, np.random.default_rng(seed))
         return cls(vocab=vocab, config=config, params=params)
 
     # -- persistence --------------------------------------------------------
@@ -76,8 +72,9 @@ class TrackerModel:
     @classmethod
     def load(cls, directory) -> "TrackerModel":
         """Load a checkpoint; DataError if its header's vocabulary or config
-        is malformed, or its tensors are not the names and shapes that
-        config implies."""
+        is malformed, its tensors are not the names and shapes that config
+        implies, or a value lies outside float32's range, which prediction
+        runs in."""
         path = os.path.join(directory, "params.bin")
         if (not os.path.exists(path)
                 and os.path.exists(os.path.join(directory, "params.json"))):
@@ -109,6 +106,10 @@ class TrackerModel:
                                         f"expected {implied.get(k, 'nothing')}"
                                         for k in sorted(found.keys() | implied.keys())
                                         if found.get(k) != implied.get(k)))
+        for name, t in params.items():
+            if np.any(np.abs(t.data) > FLOAT32_MAX):
+                raise DataError(f"{path}: {name}: holds a value beyond float32's "
+                                f"range, which prediction runs in")
         return cls(vocab=vocab, config=config, params=params)
 
     # -- forward ------------------------------------------------------------
@@ -117,24 +118,21 @@ class TrackerModel:
         return build_query(entity, proc.sentences, self.vocab,
                            max_len=self.config.max_len)
 
-    def forward_steps(self, layouts: Sequence[QueryLayout], params: dict
+    def forward_steps(self, layouts: Sequence[QueryLayout], params: dict,
+                      rng: np.random.Generator | None = None
                       ) -> tuple[Tensor, Tensor, Tensor]:
-        """Steps 0..n of each layout in one batched pass, with leading entity
-        and step axes. The layouts must have one length, so that they share
-        positions and time ids, as a procedure's queries of one length do.
+        """Status, start and end logits, one row per (layout, step 0..n), of
+        one batched pass, with dropout when `rng` is given. The layouts must
+        have one length, so that they share positions and time ids.
 
-        The pass runs on `params`, tensors that need no gradient, so it
-        records no tape and each intermediate is freed once used; its dtype
-        is theirs. `predict_procedure` passes float32 copies.
+        On tensors that need no gradient the pass records no tape and frees
+        each intermediate once used; its dtype is that of `params`. Training
+        passes one layout on its own parameters, prediction a stack of them
+        on float32 copies.
         """
         tokens = np.array([layout.token_ids for layout in layouts])[:, None]
         inp = TimestampedInput(layouts[0], time_ids(layouts[0]))
-        return self._heads(inp, params, token_ids=tokens)
-
-    def _heads(self, inp: TimestampedInput, params: dict,
-               rng: np.random.Generator | None = None, token_ids=None
-               ) -> tuple[Tensor, Tensor, Tensor]:
-        out = encode(embed(inp, params, token_ids), params, self.config, rng=rng)
+        out = encode(embed(inp, params, tokens), params, self.config, rng=rng)
         return (status_head(out, params["head.status"]),
                 *span_head(out, params["head.start"], params["head.end"]))
 
@@ -145,11 +143,11 @@ class TrackerModel:
         """GoldStep per step 0..n. A known location's span is its first
         occurrence in the paragraph, at layout positions, or None when its
         text never occurs there."""
-        g2l = layout.layout_pos_of_paragraph()
+        pos = layout.paragraph_pos
         steps = []
         for value in proc.grid[entity]:
             spans = proc.occurrences.get(value)
-            span = (g2l[spans[0][0]], g2l[spans[0][1]]) if spans else None
+            span = (pos[spans[0][0]], pos[spans[0][1]]) if spans else None
             steps.append(GoldStep(status_class=status_class_of(value), span=span))
         return steps
 
@@ -165,9 +163,8 @@ class TrackerModel:
         for entity in proc.entities:
             layout = self.layout_for(entity, proc)
             golds = self.gold_steps(proc, entity, layout)
-            logits = self._heads(TimestampedInput(layout, time_ids(layout)),
-                                 self.params, rng)
-            losses.append(joint_loss(*logits, golds))
+            losses.append(joint_loss(
+                *self.forward_steps([layout], self.params, rng), golds))
             passes += len(golds)
         return ad.mean_of(losses, passes)
 
@@ -187,20 +184,18 @@ class TrackerModel:
         timelines = dict.fromkeys(proc.entities)
         flagged = violations = 0
         rows = proc.n_steps + 1
+        words = proc.paragraph
+        candidates = proc.candidate_spans if np_filter else None
         for T, group in groups.items():
-            first = group[0][1]  # the group's paragraph tokens and positions
-            g2l = first.layout_pos_of_paragraph()
-            candidates = ([(g2l[s], g2l[e]) for s, e in proc.candidate_spans]
-                          if np_filter else None)
+            positions = group[0][1].paragraph_pos  # shared by the group
             size = max(1, STACK_SCORES // (rows * T * T))
             for i in range(0, len(group), size):
                 entities, layouts = zip(*group[i:i + size])
                 states, fl = decode_step(
-                    *(t.data.reshape(len(entities) * rows, -1)
-                      for t in self.forward_steps(layouts, params)),
-                    candidates, list(g2l.values()))
+                    *(t.data for t in self.forward_steps(layouts, params)),
+                    candidates, positions)
                 flagged += fl
-                raw = [v if isinstance(v, str) else " ".join(first.tokens[v[0]:v[1] + 1])
+                raw = [v if isinstance(v, str) else " ".join(words[v[0]:v[1] + 1])
                        for v in states]
                 for j, entity in enumerate(entities):
                     steps = raw[j * rows:(j + 1) * rows]

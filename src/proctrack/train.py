@@ -11,6 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NonFiniteGradientError, SgdConfig
 from .data import Procedure
+from .heads import status_class_of
 from .model import TrackerModel
 
 log = logging.getLogger(__name__)
@@ -31,8 +32,6 @@ class TrainResult:
 
 
 def status_accuracy(model: TrackerModel, procs: list[Procedure]) -> float:
-    from .heads import status_class_of
-
     total = hit = 0
     for proc in procs:
         timelines, _ = model.predict_procedure(proc, repair=False)

@@ -387,6 +387,34 @@ class TestSgd:
         np.testing.assert_array_equal(b.data, [2.0, 3.0])
         np.testing.assert_array_equal(b.grad, [0.5, np.nan])
 
+    def test_nonfinite_new_value_applies_no_update(self):
+        """A finite gradient at a huge learning rate overflows in the last
+        parameter: no parameter moves and every gradient stays."""
+        a = Tensor([1.0], requires_grad=True)
+        a.grad = np.array([1.0])
+        b = Tensor([2.0, 3.0], requires_grad=True)
+        b.grad = np.array([0.5, -1e10])
+        with pytest.raises(NonFiniteGradientError, match="'b'"):
+            sgd_step({"a": a, "b": b}, SgdConfig(learning_rate=1e300), 0)
+        np.testing.assert_array_equal(a.data, [1.0])
+        np.testing.assert_array_equal(a.grad, [1.0])
+        np.testing.assert_array_equal(b.data, [2.0, 3.0])
+        np.testing.assert_array_equal(b.grad, [0.5, -1e10])
+
+    def test_update_is_in_place_with_the_written_out_bits(self):
+        rng = np.random.default_rng(3)
+        p = Tensor(rng.normal(0, 1, (4, 5)), requires_grad=True)
+        p.grad = rng.normal(0, 1, (4, 5))
+        data, want = p.data, p.data - 0.37 * p.grad
+        sgd_step({"p": p}, SgdConfig(learning_rate=0.37), 0)
+        assert p.data is data
+        np.testing.assert_array_equal(p.data, want)
+
+    @pytest.mark.parametrize("lr", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            SgdConfig(learning_rate=lr)
+
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             SgdConfig(learning_rate=-1.0)

@@ -75,6 +75,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="encoder.vocab_size"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("lr", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_learning_rate_is_config_error(self, workspace, caplog,
+                                                      lr):
+        """Python's json reads these literals; none reaches a checkpoint."""
+        tmp_path, cfg, data = workspace
+        cfg.write_text(cfg.read_text().replace('"learning_rate": 0.05',
+                                               f'"learning_rate": {lr}'))
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "ckpt")]) == EXIT_CONFIG
+        assert "learning_rate must be finite" in caplog.text
+        assert not (tmp_path / "ckpt").exists()
+
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o")]) == EXIT_DATA
@@ -219,6 +231,23 @@ class TestCheckpointLayout:
                      "--out", str(tmp_path / "pred.tsv")]) == EXIT_DATA
         assert f"header gives {len(body)} tensor bytes" in caplog.text
 
+    def test_value_beyond_float32_is_data_error(self, workspace, caplog):
+        """Prediction runs in float32: a checkpoint value it cannot hold is
+        rejected, naming its tensor, rather than cast to infinity."""
+        tmp_path, _, data = workspace
+        ckpt = tmp_path / "ckpt"
+        TrackerModel.fresh(vocab_from_procedures(load_procedures(data)),
+                           EncoderConfig(**TINY_CONFIG["encoder"]), seed=0).save(ckpt)
+        header, body = read_params(ckpt / "params.bin")
+        rec = next(r for r in header["tensors"] if r["name"] == "layer0.ff.w2")
+        tensor_values(rec, body)[5] = -1e39
+        write_params(ckpt / "params.bin", header, body)
+        pred = tmp_path / "pred.tsv"
+        assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(pred)]) == EXIT_DATA
+        assert "layer0.ff.w2: holds a value beyond float32's range" in caplog.text
+        assert not pred.exists()
+
     def test_vocab_not_an_object_is_data_error(self, workspace, caplog):
         tmp_path, _, data = workspace
         ckpt = tmp_path / "ckpt"
@@ -260,6 +289,20 @@ class TestMalformedCorpus:
         bad = dict(self.RECORD, entities=["water", "water"])
         assert self.train(tmp_path, [bad]) == EXIT_DATA
         assert "$[0].entities[1]: duplicate entity 'water'" in caplog.text
+
+    def test_tab_in_id_or_entity_is_data_error(self, tmp_path, caplog):
+        """Such a corpus used to train and predict, and then `evaluate`
+        could not read the TSV `predict` wrote."""
+        bad = dict(self.RECORD, id="p\t1", entities=["sa\tlt"],
+                   grid={"sa\tlt": ["?", "roots"]})
+        assert self.train(tmp_path, [bad]) == EXIT_DATA
+        assert r"$[0].id: 'p\t1' holds a tab or line break" in caplog.text
+
+    def test_blank_entity_is_data_error(self, tmp_path, caplog):
+        bad = dict(self.RECORD, entities=["  "], grid={"  ": ["?", "roots"]})
+        assert self.train(tmp_path, [bad]) == EXIT_DATA
+        assert "$[0].entities[0]: entity name '  ' gives no question tokens" \
+            in caplog.text
 
     def test_duplicate_entity_in_grid_tsv_is_data_error(self, tmp_path, caplog):
         tsv = tmp_path / "grid.tsv"

@@ -154,6 +154,57 @@ class TestJsonRoundTrip:
         assert proc.grid["e"] == ["soil", "?"]
 
 
+class TestWhatBreaksTheTsvFormats:
+    """Ids and entity names are TSV cells and predicted text is joined from
+    sentence tokens, so the loader rejects, naming the JSON path, what would
+    break those cells or give an empty question."""
+
+    RECORD = {"id": "p", "sentences": [["roots", "absorb", "water"]],
+              "entities": ["water"], "grid": {"water": ["?", "roots"]}}
+
+    def load(self, tmp_path, record):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps([self.RECORD, record]))
+        return load_procedures(path)
+
+    @staticmethod
+    def named(entity):
+        return {"entities": [entity], "grid": {entity: ["?", "roots"]}}
+
+    @pytest.mark.parametrize("fields, where", [
+        ({"id": "p\t1"}, r"\$\[1\]\.id: 'p\\t1' holds a tab or line break"),
+        ({"id": "p\r1"}, r"\$\[1\]\.id: "),
+        ({"id": "p\n1"}, r"\$\[1\]\.id: "),
+        (named("sa\tlt"), r"\$\[1\]\.entities\[0\]: 'sa\\tlt' holds a tab"),
+        (named("salt\n"), r"\$\[1\]\.entities\[0\]: "),
+        (named(""), r"\$\[1\]\.entities\[0\]: entity name '' gives no question"),
+        (named("  "), r"\$\[1\]\.entities\[0\]: entity name '  ' gives no"),
+        (named("; alias"), r"\$\[1\]\.entities\[0\]: entity name '; alias'"),
+        ({"sentences": [["roots", "", "water"]]},
+         r"\$\[1\]\.sentences\[0\]\[1\]: token '' is empty or holds whitespace"),
+        ({"sentences": [["roots", "absorb water"]]},
+         r"\$\[1\]\.sentences\[0\]\[1\]: token 'absorb water'"),
+        ({"sentences": [["roots", "water\t"]]}, r"\$\[1\]\.sentences\[0\]\[1\]: "),
+    ], ids=["tab-id", "cr-id", "lf-id", "tab-entity", "lf-entity", "empty-entity",
+            "blank-entity", "alias-only-entity", "empty-token", "space-token",
+            "tab-token"])
+    def test_rejected_naming_its_path(self, tmp_path, fields, where):
+        with pytest.raises(DataError, match=where):
+            self.load(tmp_path, {**self.RECORD, **fields})
+
+    def test_recipe_ingredient_named_by_its_path(self, tmp_path):
+        recipe = {"id": "r", "sentences": ["melt butter"], "ingredients": ["  "],
+                  "locations": {"  ": {"1": "butter"}}}
+        with pytest.raises(DataError, match=r"\$\[1\]\.ingredients\[0\]: "
+                                            r"entity name '  ' gives no"):
+            self.load(tmp_path, recipe)
+
+    def test_a_name_with_spaces_and_an_alias_loads(self, tmp_path):
+        (_, proc) = self.load(tmp_path, {**self.RECORD, "id": "p 2",
+                                         **self.named("root water; sap")})
+        assert proc.id == "p 2" and proc.entities == ["root water; sap"]
+
+
 class TestGridTsv:
     def test_fixture_round_trip_reproduces_json(self, tmp_path):
         p = photosynthesis()

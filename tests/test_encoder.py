@@ -8,7 +8,7 @@ from proctrack import autodiff as ad
 from proctrack.encoder import (
     EncoderConfig, embed, encode, init_encoder_params, param_count, param_shapes,
 )
-from proctrack.heads import init_head_params, joint_loss, span_head, status_head, GoldStep
+from proctrack.heads import joint_loss, span_head, status_head, GoldStep
 from proctrack.inputs import TimestampedInput, build_query, time_ids, timestamp
 from proctrack.cli import EXIT_CONFIG, main
 from proctrack.model import TrackerModel
@@ -92,9 +92,7 @@ class TestParamShapes:
     def test_fresh_draw_is_unchanged_and_listed_in_order(self, n_layers, n_heads):
         cfg = EncoderConfig(d_model=8, n_heads=n_heads, n_layers=n_layers, d_ff=12,
                             vocab_size=7, max_len=20)
-        rng = np.random.default_rng(0)
-        params = init_encoder_params(cfg, rng)
-        params.update(init_head_params(cfg, rng))
+        params = init_encoder_params(cfg, np.random.default_rng(0))
         want = drawn_layer_by_layer(cfg, np.random.default_rng(0))
         assert list(params) == list(want) == list(param_shapes(cfg))
         assert param_count(cfg) == len(want)
@@ -274,24 +272,26 @@ class TestStepBatch:
             cfg = tiny_config(vocab, n_heads=n_heads, n_layers=2)
             rng = np.random.default_rng(11)
             params = init_encoder_params(cfg, rng)
-            params.update(init_head_params(cfg, rng))
             for t in params.values():  # large enough that a mixed-up row shows
                 if t.data.ndim == 2:
                     t.data[:] = rng.normal(0, 0.5, t.data.shape)
             assert np.all(params["ts_emb"].data != 0.0)
 
             def heads(inp):
+                """The hidden states and logits, one row per input."""
                 out = encode(embed(inp, params), params, cfg)
                 status = status_head(out, params["head.status"])
                 start, end = span_head(out, params["head.start"], params["head.end"])
-                return out.hidden.data, status.data, start.data, end.data
+                hidden = out.hidden.data.reshape(-1, *out.hidden.shape[-2:])
+                return hidden, status.data, start.data, end.data
 
             batched = heads(steps)
             n_steps = layout.n_sentences + 1
             assert batched[0].shape == (n_steps, len(layout.tokens), cfg.d_model)
             for s in range(n_steps):
                 for got, alone in zip(batched, heads(timestamp(layout, s))):
-                    np.testing.assert_allclose(got[s], alone, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(got[s:s + 1], alone, rtol=0,
+                                               atol=1e-12)
 
 
 def chain_attention(qkv, n_heads):
@@ -319,7 +319,6 @@ class TestFusedAttention:
         steps = TimestampedInput(layout, time_ids(layout))
         rng = np.random.default_rng(seed)
         params = init_encoder_params(cfg, rng)
-        params.update(init_head_params(cfg, rng))
         for t in params.values():
             t.data += rng.normal(0, 0.3, t.data.shape)
         out = encode(embed(steps, params), params, cfg, collect_attn=True)
@@ -374,7 +373,6 @@ class TestEndToEndGradient:
         cfg = tiny_config(vocab)
         rng = np.random.default_rng(10)
         params = init_encoder_params(cfg, rng)
-        params.update(init_head_params(cfg, rng))
         params["ts_emb"].data[:] = rng.normal(0, 0.3, (4, 8))
         # At the 0.02 init the k gradients are ~2e-5, below what central
         # differences resolve at this tolerance.
@@ -386,9 +384,8 @@ class TestEndToEndGradient:
             out = encode(embed(inp, params), params, cfg)
             status = status_head(out, params["head.status"])
             start, end = span_head(out, params["head.start"], params["head.end"])
-            # One unbatched step, scored as a batch of one row.
-            return joint_loss(*(ad.reshape(t, (1, -1)) for t in (status, start, end)),
-                              [gold])
+            # One unbatched step: the heads give one row of each.
+            return joint_loss(status, start, end, [gold])
 
         checked = [params[k] for k in
                    ["ts_emb", "token_emb", "layer0.attn.qkv", "layer0.ff.w1",

@@ -7,8 +7,8 @@ from proctrack import autodiff as ad
 from proctrack.autodiff import ShapeMismatchError, Tensor
 from proctrack.encoder import EncoderOutput
 from proctrack.heads import (
-    GoldStep, STATUS_GONE, STATUS_KNOWN, STATUS_UNKNOWN, init_head_params,
-    joint_loss, span_head, status_class_of, status_head,
+    GoldStep, STATUS_GONE, STATUS_KNOWN, STATUS_UNKNOWN, joint_loss, span_head,
+    status_class_of, status_head,
 )
 
 from conftest import check_gradients, leaf
@@ -28,7 +28,7 @@ class TestStatusHead:
     def test_zero_weights_uniform(self, rng):
         out = enc_out(rng.normal(0, 1, (5, 8)))
         logits = status_head(out, Tensor(np.zeros((8, 3))))
-        np.testing.assert_allclose(ad.softmax_array(logits.data), [1 / 3] * 3,
+        np.testing.assert_allclose(ad.softmax_array(logits.data), [[1 / 3] * 3],
                                    atol=1e-12)
 
     def test_analytic_softmax(self):
@@ -38,7 +38,7 @@ class TestStatusHead:
         w = np.array([[math.log(2), 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 2)
         logits = status_head(enc_out(hidden), Tensor(w))
         np.testing.assert_allclose(ad.softmax_array(logits.data),
-                                   [0.5, 0.25, 0.25], atol=1e-12)
+                                   [[0.5, 0.25, 0.25]], atol=1e-12)
 
     def test_argmax_shift_invariant(self, rng):
         hidden = rng.normal(0, 1, (5, 8))
@@ -57,7 +57,7 @@ class TestStatusHead:
         out = enc_out(rng.normal(0, 1, (5, 8)))
         w = leaf(rng, 8, 3)
         check_gradients(lambda: ad.cross_entropy(
-            status_head(out, w), 1), [w])
+            status_head(out, w), [1]), [w])
 
 
 class TestSpanHead:
@@ -66,14 +66,14 @@ class TestSpanHead:
         for logits in span_head(out, Tensor(np.zeros((8, 1))),
                                 Tensor(np.zeros((8, 1)))):
             np.testing.assert_allclose(ad.softmax_array(logits.data),
-                                       np.full(6, 1 / 6), atol=1e-12)
+                                       np.full((1, 6), 1 / 6), atol=1e-12)
 
     def test_identical_rows_identical_probs(self, rng):
         hidden = rng.normal(0, 1, (6, 8))
         hidden[2] = hidden[4]
         start, _ = span_head(enc_out(hidden), leaf(rng, 8, 1), leaf(rng, 8, 1))
         start_p = ad.softmax_array(start.data)
-        assert start_p[2] == pytest.approx(start_p[4], abs=1e-12)
+        assert start_p[0, 2] == pytest.approx(start_p[0, 4], abs=1e-12)
 
     def test_matches_direct_formula(self, rng):
         hidden = rng.normal(0, 1, (6, 8))
@@ -81,7 +81,7 @@ class TestSpanHead:
         start, end = span_head(enc_out(hidden), Tensor(ws), Tensor(we))
         for w, t in [(ws, start), (we, end)]:
             probs = ad.softmax_array(t.data)
-            logits = (hidden @ w).ravel()
+            logits = (hidden @ w).T
             oracle = np.exp(logits) / np.exp(logits).sum()
             np.testing.assert_allclose(probs, oracle, atol=1e-9)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -90,6 +90,24 @@ class TestSpanHead:
         out = enc_out(rng.normal(0, 1, (6, 8)))
         with pytest.raises(ShapeMismatchError):
             span_head(out, Tensor(np.zeros((7, 1))), Tensor(np.zeros((8, 1))))
+
+
+class TestRows:
+    """The heads give one logit row per input, whatever its leading axes."""
+
+    def test_one_row_per_entity_and_step(self, rng):
+        E, B, T = 2, 4, 6
+        hidden = rng.normal(0, 1, (E, B, T, 8))
+        w_status, w_start, w_end = (rng.normal(0, 1, (8, k)) for k in (3, 1, 1))
+        status = status_head(enc_out(hidden), Tensor(w_status))
+        start, end = span_head(enc_out(hidden), Tensor(w_start), Tensor(w_end))
+        assert status.shape == (E * B, 3)
+        assert start.shape == end.shape == (E * B, T)
+        rows = hidden.reshape(E * B, T, 8)
+        for got, want in ((status, rows[:, 0] @ w_status),
+                          (start, (rows @ w_start)[..., 0]),
+                          (end, (rows @ w_end)[..., 0])):
+            np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
 class TestJointLoss:

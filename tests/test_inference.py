@@ -19,28 +19,29 @@ def logits(status, start, end):
 
 
 def oracle_row(status, start, end, candidates, paragraph_positions):
-    """The per-step decode rules, one row at a time: the status argmax; then
-    the candidate minimising (-start*end, start, length), or with
-    candidates=None the independent start and end argmax over the paragraph
-    positions, flagged when the end comes before the start.
+    """The per-step decode rules, one row at a time, in paragraph words, word
+    i at logit column paragraph_positions[i]: the status argmax; then the
+    candidate minimising (-start*end, start, length), or with
+    candidates=None the independent start and end argmax over the words,
+    flagged when the end comes before the start.
     Returns (value, flagged)."""
     cls = int(np.argmax(status))
     if cls == STATUS_GONE:
         return "-", False
     if cls == STATUS_UNKNOWN:
         return "?", False
+    pos = paragraph_positions
     start_p, end_p = softmax_array(start), softmax_array(end)
     if candidates is None:
-        if not paragraph_positions:
+        if not pos:
             return "?", True
-        pos = np.asarray(paragraph_positions)
-        s = int(pos[np.argmax(start_p[pos])])
-        e = int(pos[np.argmax(end_p[pos])])
+        s = int(np.argmax([start_p[p] for p in pos]))
+        e = int(np.argmax([end_p[p] for p in pos]))
         return ("?", True) if e < s else ((s, e), False)
     if not candidates:
         return "?", True
     best = min(candidates,
-               key=lambda se: (-float(start_p[se[0]] * end_p[se[1]]),
+               key=lambda se: (-float(start_p[pos[se[0]]] * end_p[pos[se[1]]]),
                                se[0], se[1] - se[0]))
     return tuple(best), False
 
@@ -49,8 +50,8 @@ def oracle_row(status, start, end, candidates, paragraph_positions):
 def entity_logits(draw):
     """(n+1, 3) status and (n+1, T) start/end logits, drawn partly from a few
     values so that exact probability and product ties and -inf logits (zero
-    probabilities) are common, plus candidate spans and paragraph positions,
-    either of which may be empty."""
+    probabilities) are common, plus paragraph positions, which may be empty,
+    and candidate word spans over them."""
     rows, T = draw(st.integers(1, 5)), draw(st.integers(1, 8))
     value = st.one_of(st.sampled_from([-np.inf, 0.0, 1.0, np.log(2.0)]),
                       st.floats(-4.0, 4.0))
@@ -63,21 +64,21 @@ def entity_logits(draw):
         return x
 
     status, start, end = block(3), block(T), block(T)
-    span = st.tuples(st.integers(0, T - 1), st.integers(0, T - 1)).map(
-        lambda se: (min(se), max(se)))
-    candidates = draw(st.lists(span, max_size=6))
     positions = draw(st.lists(st.integers(0, T - 1), unique=True, max_size=T))
+    word = st.integers(0, max(len(positions) - 1, 0))
+    span = st.tuples(word, word).map(lambda se: (min(se), max(se)))
+    candidates = draw(st.lists(span, max_size=6 if positions else 0))
     return status, start, end, candidates, positions
 
 
 class TestDecodeStep:
     def test_gone_ignores_span(self):
         rows = logits([0.8, 0.1, 0.1], [1.0] + [0.0] * 9, [1.0] + [0.0] * 9)
-        assert decode_step(*rows, [(2, 3)], []) == (["-"], 0)
+        assert decode_step(*rows, [(2, 3)], list(range(10))) == (["-"], 0)
 
     def test_unknown(self):
         rows = logits([0.1, 0.8, 0.1], [0.1] * 10, [0.1] * 10)
-        assert decode_step(*rows, [(2, 3)], []) == (["?"], 0)
+        assert decode_step(*rows, [(2, 3)], list(range(10))) == (["?"], 0)
 
     def test_candidate_restriction_beats_raw_argmax(self):
         # raw start argmax sits at token 7, which is not a candidate
@@ -90,7 +91,7 @@ class TestDecodeStep:
         scores = {c: start[c[0]] * end[c[1]] for c in candidates}
         best = max(scores, key=scores.get)
         values, _ = decode_step(*logits([0.1, 0.1, 0.8], start, end),
-                                candidates, [])
+                                candidates, list(range(12)))
         assert values == [best]
         assert values[0][0] != 7
 
@@ -101,18 +102,19 @@ class TestDecodeStep:
             end = rng.dirichlet(np.ones(10))
             candidates = [(2, 3), (4, 4), (6, 8), (1, 1)]
             (span,), flagged = decode_step(*logits([0.0, 0.0, 1.0], start, end),
-                                           candidates, [])
+                                           candidates, list(range(10)))
             best = max(start[s] * end[e] for s, e in candidates)
             assert start[span[0]] * end[span[1]] == pytest.approx(best)
             assert span in candidates and flagged == 0
 
     def test_single_candidate_always_chosen(self):
         rows = logits([0.0, 0.0, 1.0], [0.1] * 10, [0.1] * 10)
-        assert decode_step(*rows, [(4, 5)], []) == ([(4, 5)], 0)
+        assert decode_step(*rows, [(4, 5)], list(range(10))) == ([(4, 5)], 0)
 
     def test_tie_break_earliest_then_shortest(self):
         rows = logits([0.0, 0.0, 1.0], np.full(10, 0.1), np.full(10, 0.1))
-        assert decode_step(*rows, [(5, 6), (3, 5), (3, 4)], []) == ([(3, 4)], 0)
+        assert (decode_step(*rows, [(5, 6), (3, 5), (3, 4)], list(range(10)))
+                == ([(3, 4)], 0))
 
     def test_empty_candidates_falls_back_to_unknown_flagged(self):
         rows = logits([0.0, 0.0, 1.0], [0.5, 0.5], [0.5, 0.5])
@@ -126,7 +128,7 @@ class TestDecodeStepUnfiltered:
         for status in ([0.8, 0.1, 0.1], [0.1, 0.8, 0.1]):
             rows = logits(status, [0.1] * 10, [0.1] * 10)
             assert (decode_step(*rows, None, [2, 3])
-                    == decode_step(*rows, [(2, 3)], [2, 3]))
+                    == decode_step(*rows, [(0, 1)], [2, 3]))
 
     def test_no_paragraph_positions_flagged(self):
         rows = logits([0.0, 0.0, 1.0], [0.5, 0.5], [0.5, 0.5])
@@ -138,7 +140,8 @@ class TestDecodeStepUnfiltered:
         end = np.full(10, 0.05)
         end[6] = 0.3
         rows = logits([0.0, 0.0, 1.0], start, end)
-        assert decode_step(*rows, None, list(range(3, 9))) == ([(4, 6)], 0)
+        # Words 0..5 sit at positions 3..8: position 4 is word 1, 6 is word 3.
+        assert decode_step(*rows, None, list(range(3, 9))) == ([(1, 3)], 0)
 
     def test_end_before_start_flagged(self):
         start = np.full(10, 0.05)
@@ -152,9 +155,9 @@ class TestDecodeStepUnfiltered:
 class TestDecodeMatchesPerStepOracle:
     @given(entity_logits())
     @example(logits([0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5])
-             + ([(1, 2), (0, 1), (0, 2), (1, 1)], [2, 0, 1]))
+             + ([(1, 2), (0, 1), (0, 2), (1, 1)], [0, 1, 2]))
     @example(logits([0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
-             + ([(0, 0), (2, 2)], [0, 1]))
+             + ([(0, 0), (2, 2)], [0, 1, 2]))
     @settings(max_examples=400, deadline=None)
     def test_rows_equal_the_oracle_in_both_modes(self, case):
         status, start, end, candidates, positions = case

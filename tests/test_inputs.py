@@ -63,10 +63,11 @@ class TestBuildQuery:
         with pytest.raises(ValueError, match="max length"):
             build_query("water", photo.sentences, photo_vocab, max_len=10)
 
-    def test_paragraph_index_covers_sentence_words(self, photo, photo_vocab):
+    def test_paragraph_pos_places_each_paragraph_word(self, photo, photo_vocab):
         layout = build_query("water", photo.sentences, photo_vocab)
-        globals_seen = [g for g in layout.paragraph_index if g is not None]
-        assert globals_seen == list(range(len(photo.paragraph)))
+        assert [layout.tokens[i] for i in layout.paragraph_pos] == photo.paragraph
+        off = set(range(len(layout.tokens))) - set(layout.paragraph_pos)
+        assert {layout.tokens[i] for i in off if layout.sentence_index[i]} == {SEP}
 
 
 def _ts_by_sentence(layout, inp):

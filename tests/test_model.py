@@ -14,19 +14,23 @@ from proctrack import autodiff as ad
 from proctrack import model as model_module
 from proctrack.autodiff import SgdConfig, Tensor
 from proctrack.data import DataError, GrammarConfig, Procedure, generate_synthetic
-from proctrack.encoder import EncoderConfig
+from proctrack.encoder import EncoderConfig, embed, encode
 from proctrack.fixtures import photosynthesis
-from proctrack.heads import STATUS_KNOWN, joint_loss
+from proctrack.heads import STATUS_KNOWN, joint_loss, span_head, status_head
 from proctrack.inference import decode_step, repair_timeline, violates_rules
 from proctrack.inputs import timestamp
 from proctrack.model import STACK_SCORES, TrackerModel, vocab_from_procedures
-from proctrack.tokenizer import UNK
+from proctrack.tokenizer import SEP, UNK
 from proctrack.train import TrainingDiverged, status_accuracy, train_model
 
 
 def forward(model, layout, step):
-    """Status, start and end logits of one taped pass for one step."""
-    return model._heads(timestamp(layout, step), model.params)
+    """Status, start and end logits, one row each, of one taped pass for one
+    step."""
+    params = model.params
+    out = encode(embed(timestamp(layout, step), params), params, model.config)
+    return (status_head(out, params["head.status"]),
+            *span_head(out, params["head.start"], params["head.end"]))
 
 
 def views(params):
@@ -101,7 +105,7 @@ class TestForward:
                               for t in forward(model, layout, 1))
         assert status.sum() == pytest.approx(1.0, abs=1e-9)
         assert start.sum() == pytest.approx(1.0, abs=1e-9)
-        assert len(start) == len(layout.tokens)
+        assert start.shape == (1, len(layout.tokens))
 
     def test_gold_steps_alignment(self, model):
         proc = photosynthesis()
@@ -126,12 +130,12 @@ class TestForward:
         for t in batched:
             assert t._backward is None and t._parents == ()
             assert not t.requires_grad
-            assert t.data.shape[:2] == (1, proc.n_steps + 1)
+            assert len(t.data) == proc.n_steps + 1
         for step in range(proc.n_steps + 1):
             alone = forward(model, layout, step)
             assert len(alone) == len(batched) == 3
             for got, want in zip(batched, alone):
-                np.testing.assert_allclose(got.data[0, step], want.data,
+                np.testing.assert_allclose(got.data[step:step + 1], want.data,
                                            rtol=0, atol=1e-12)
 
     def test_float32_steps_match_float64_within_bound(self, procs):
@@ -194,9 +198,7 @@ class TestBatchedLoss:
             layout = model.layout_for(entity, proc)
             golds = model.gold_steps(proc, entity, layout)
             for step, gold in enumerate(golds):
-                logits = forward(model, layout, step)
-                losses.append(joint_loss(
-                    *(ad.reshape(t, (1, -1)) for t in logits), [gold]))
+                losses.append(joint_loss(*forward(model, layout, step), [gold]))
         return ad.mean_of(losses)
 
     def test_matches_per_pass_oracle(self, nudged):
@@ -241,15 +243,15 @@ class TestGoldSpanResolution:
     def golds(self, model):
         layout = model.layout_for("water", self.PROC)
         golds = model.gold_steps(self.PROC, "water", layout)
-        return golds, unaligned(golds), layout.layout_pos_of_paragraph()
+        return golds, unaligned(golds), layout.paragraph_pos
 
     def test_first_occurrence_wins(self, model):
-        golds, _, g2l = self.golds(model)
-        assert golds[0].span == (g2l[4], g2l[5])
+        golds, _, pos = self.golds(model)
+        assert golds[0].span == (pos[4], pos[5])
 
     def test_single_token(self, model):
-        golds, _, g2l = self.golds(model)
-        assert golds[1].span == (g2l[1], g2l[1])
+        golds, _, pos = self.golds(model)
+        assert golds[1].span == (pos[1], pos[1])
 
     def test_absent_returns_none(self, model):
         golds, unaligned, _ = self.golds(model)
@@ -294,13 +296,10 @@ def one_entity_prediction(model, proc, entity, params, np_filter, repair):
     """(timeline, flagged, violations) of `entity` from a pass of its own,
     decoded alone."""
     layout = model.layout_for(entity, proc)
-    g2l = layout.layout_pos_of_paragraph()
-    candidates = ([(g2l[s], g2l[e]) for s, e in proc.candidate_spans]
-                  if np_filter else None)
     states, flagged = decode_step(
-        *(t.data[0] for t in model.forward_steps([layout], params)),
-        candidates, list(g2l.values()))
-    raw = [v if isinstance(v, str) else " ".join(layout.tokens[v[0]:v[1] + 1])
+        *(t.data for t in model.forward_steps([layout], params)),
+        proc.candidate_spans if np_filter else None, layout.paragraph_pos)
+    raw = [v if isinstance(v, str) else " ".join(proc.paragraph[v[0]:v[1] + 1])
            for v in states]
     return (repair_timeline(raw) if repair else raw), flagged, int(violates_rules(raw))
 
@@ -356,13 +355,15 @@ class TestStackedPrediction:
         groups = stacks(model, self.PROC)
         assert [len(g) for g in groups] == [3, 1]
         assert len({len(g[0].tokens) for g in groups}) == 2
+        rows = self.PROC.n_steps + 1
         for layouts in groups:
             stacked = model.forward_steps(layouts, params)
             for j, layout in enumerate(layouts):
                 for got, want in zip(stacked,
                                      model.forward_steps([layout], params)):
                     assert got.data.dtype == np.float32
-                    assert np.array_equal(got.data[j], want.data[0])
+                    assert np.array_equal(got.data[j * rows:(j + 1) * rows],
+                                          want.data)
 
     @pytest.mark.parametrize("np_filter", [True, False])
     @pytest.mark.parametrize("repair", [True, False])
@@ -402,6 +403,90 @@ class TestStackedPrediction:
             before = len(calls)
             model.predict_procedure(proc)
             assert len(calls) - before == len(stacks(model, proc))
+
+
+class TestOneForwardPass:
+    """Training and prediction share `forward_steps`."""
+
+    def test_procedure_loss_runs_one_forward_steps_call_per_entity(
+            self, model, procs, monkeypatch):
+        calls = []
+        forward_steps = TrackerModel.forward_steps
+
+        def counted(self, layouts, params, rng=None):
+            calls.append((len(layouts), params is model.params))
+            return forward_steps(self, layouts, params, rng)
+
+        monkeypatch.setattr(TrackerModel, "forward_steps", counted)
+        proc = procs[0]
+        loss = model.procedure_loss(proc)
+        assert calls == [(1, True)] * len(proc.entities)
+        loss.backward()
+        assert all(p.grad is not None for p in model.params.values())
+        for p in model.params.values():
+            p.grad = None
+
+    def test_a_taped_entity_pass_has_33_tape_nodes(self, procs):
+        # Per layer 10 (ln1, qkv matmul, attention, out affine, residual add,
+        # ln2, affine, gelu, affine, residual add); embed 5, the final layer
+        # norm 1, the [CLS] slice and the heads 7.
+        cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16, max_len=96)
+        m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=1)
+        proc = procs[0]
+        logits = m.forward_steps([m.layout_for(proc.entities[0], proc)], m.params)
+        seen, stack = set(), list(logits)
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._backward is not None:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert len(seen) == 33
+        assert [t.shape[0] for t in logits] == [proc.n_steps + 1] * 3
+
+
+class TestAnswerText:
+    """A decoded span is a run of paragraph words, read from the paragraph,
+    so no [SEP] of the query reaches a prediction."""
+
+    # "the leaf" straddles the two sentences.
+    PROC = Procedure(id="p", sentences=[["water", "flows", "to", "the"],
+                                        ["leaf", "."]],
+                     entities=["water"], grid={"water": ["?", "the leaf", "-"]})
+
+    @pytest.mark.parametrize("np_filter", [True, False])
+    def test_a_span_across_sentences_reads_as_its_words(self, monkeypatch,
+                                                        np_filter):
+        model = TrackerModel.fresh(vocab_from_procedures([self.PROC]),
+                                   EncoderConfig(max_len=96), seed=1)
+        layout = model.layout_for("water", self.PROC)
+        s, e = (layout.paragraph_pos[i] for i in (3, 4))
+        assert layout.tokens[s:e + 1] == ("the", SEP, "leaf")
+        assert self.PROC.candidate_spans == [(3, 4)]
+        rows, T = self.PROC.n_steps + 1, len(layout.tokens)
+        status = np.tile([0.0, 0.0, 5.0], (rows, 1))  # known at every step
+        start, end = np.zeros((rows, T)), np.zeros((rows, T))
+        start[:, s] = end[:, e] = 5.0
+        monkeypatch.setattr(model, "forward_steps", lambda layouts, params: (
+            Tensor(status), Tensor(start), Tensor(end)))
+        timelines, stats = model.predict_procedure(self.PROC, np_filter=np_filter)
+        assert timelines == {"water": ["the leaf"] * rows}
+        assert stats == {"flagged": 0, "rule_violations": 0}
+
+    def test_unfiltered_predictions_are_paragraph_words(self):
+        procs = generate_synthetic(3, 6)
+        model = TestStackedPrediction.bench_like(procs, seed=4)
+        known = 0
+        for proc in procs:
+            para = proc.paragraph
+            runs = {" ".join(para[i:j + 1]) for i in range(len(para))
+                    for j in range(i, len(para))}
+            timelines, _ = model.predict_procedure(proc, np_filter=False,
+                                                   repair=False)
+            for value in (v for tl in timelines.values() for v in tl):
+                if value not in ("-", "?"):
+                    known += 1
+                    assert SEP not in value and value in runs, value
+        assert known >= 20  # 21 of the 26 held a [SEP] when read from the query
 
 
 class TestPersistence:
@@ -509,6 +594,37 @@ class TestPersistence:
                      "head.extra: found (1,), expected nothing",
                      "head.status: found (16, 4), expected (16, 3)"):
             assert part in str(err.value)
+
+    def test_values_must_fit_float32(self, model, tmp_path):
+        """float32's largest value loads; the next float64 above it does not."""
+        ppath = tmp_path / "ckpt" / "params.bin"
+        for value, ok in ((model_module.FLOAT32_MAX, True),
+                          (-np.nextafter(model_module.FLOAT32_MAX, np.inf), False)):
+            model.save(tmp_path / "ckpt")
+            header, params = ad.read_checkpoint(ppath)
+            params["head.end"].data[2, 0] = value
+            ad.save_checkpoint(params, ppath, config=header["config"],
+                               vocab=header["vocab"])
+            if ok:
+                assert TrackerModel.load(tmp_path / "ckpt").params[
+                    "head.end"].data[2, 0] == value
+            else:
+                with pytest.raises(DataError, match=r"head\.end: holds a value "
+                                                    r"beyond float32's range"):
+                    TrackerModel.load(tmp_path / "ckpt")
+
+    def test_fresh_draws_every_tensor_in_one_call(self, procs, monkeypatch):
+        calls = []
+        draw = model_module.init_encoder_params
+        monkeypatch.setattr(model_module, "init_encoder_params",
+                            lambda *a: calls.append(1) or draw(*a))
+        cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
+        m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=4)
+        assert len(calls) == 1
+        want = draw(cfg, np.random.default_rng(4))
+        assert list(m.params) == list(want)
+        for name, t in want.items():
+            np.testing.assert_array_equal(m.params[name].data, t.data, err_msg=name)
 
     def test_load_draws_no_fresh_model(self, model, tmp_path, monkeypatch):
         model.save(tmp_path / "ckpt")
