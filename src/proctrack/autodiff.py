@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,6 +211,25 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result(y, (a,), bw)
 
 
+# Per thread, dtype -> the flat array that tape-free attention writes its
+# scores into. It grows to the most scores one call has needed and is kept:
+# a fresh score array would be the largest block each pass frees, and glibc
+# hands a freed heap top back to the OS, so the next pass would fault those
+# pages in again. Per thread, because numpy releases the GIL in matmul.
+_score_buffers = threading.local()
+
+
+def _score_view(shape, dtype) -> np.ndarray:
+    """A C-contiguous array of `shape` on the front of this thread's score
+    buffer for `dtype`, which grows to hold it."""
+    buffers = _score_buffers.__dict__
+    count = math.prod(shape)
+    buf = buffers.get(dtype)
+    if buf is None or buf.size < count:
+        buf = buffers[dtype] = np.empty(count, dtype)
+    return buf[:count].reshape(shape)
+
+
 def attention(qkv: Tensor, n_heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head softmax(q kᵀ / sqrt(d_head)) v, as one tape node.
 
@@ -219,6 +239,11 @@ def attention(qkv: Tensor, n_heads: int) -> tuple[Tensor, np.ndarray]:
     split and merged by views and the scores normalised in place, by the same
     ufuncs in the same order as the separate tape ops, so the results are the
     same to the bit.
+
+    When `qkv` needs no gradient, the scores are written into this thread's
+    score buffer, kept across calls, so the probabilities returned then stay
+    valid only until the next such call in the same thread; copy them to
+    keep them.
     """
     *lead, T, d3 = qkv.data.shape
     dh = d3 // (3 * n_heads)
@@ -226,7 +251,11 @@ def attention(qkv: Tensor, n_heads: int) -> tuple[Tensor, np.ndarray]:
     # (..., T, H, 3, dh) -> (3, ..., H, T, dh)
     split = qkv.data.reshape(*lead, T, n_heads, 3, dh)
     q, k, v = np.moveaxis(split, -2, 0).swapaxes(-3, -2)
-    p = q @ np.swapaxes(k, -1, -2)
+    kt = np.swapaxes(k, -1, -2)
+    if qkv.requires_grad:  # backward keeps p: a fresh array
+        p = q @ kt
+    else:
+        p = np.matmul(q, kt, out=_score_view((*lead, n_heads, T, T), q.dtype))
     p *= scale
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
@@ -286,9 +315,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.data.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True)
     mu /= d
-    # Allocated before the work arrays: allocated after them, it cost about
-    # 30% more minor page faults per predict-long sweep, as glibc trims the
-    # heap's free top and the next (n+1, T, d) pass faults it back in.
+    # Allocated before the work arrays: allocated after them, a predict-short
+    # sweep took 50-70% more minor page faults at each of four seeds, as
+    # glibc trims the heap's free top and the next (n+1, T, d) pass faults
+    # it back in.
     out = np.empty_like(x.data)
     xhat = x.data - mu
     var = np.square(xhat).sum(axis=-1, keepdims=True)

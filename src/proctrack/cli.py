@@ -11,6 +11,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from .autodiff import NonFiniteGradientError, SgdConfig
 from .data import (
     DataError, GrammarConfig, generate_synthetic, load_grid_tsv,
@@ -248,11 +250,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # An overflow or invalid value is a numeric failure, not a warning.
+        with np.errstate(over="raise", invalid="raise"):
+            return args.fn(args)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
-    except (TrainingDiverged, NonFiniteGradientError) as exc:
+    except (TrainingDiverged, NonFiniteGradientError, FloatingPointError) as exc:
         log.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # DataError among them

@@ -30,6 +30,15 @@ STACK_SCORES = 2 ** 16
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
+def beyond_float32(params: dict) -> str | None:
+    """The name of the first tensor holding NaN, infinity or a value beyond
+    float32's range, which prediction runs in, or None if none does."""
+    for name, t in params.items():
+        if not np.all(np.abs(t.data) <= FLOAT32_MAX):  # NaN compares False
+            return name
+    return None
+
+
 def vocab_from_procedures(procs: list[Procedure]) -> Vocab:
     corpus = []
     for p in procs:
@@ -106,10 +115,10 @@ class TrackerModel:
                                         f"expected {implied.get(k, 'nothing')}"
                                         for k in sorted(found.keys() | implied.keys())
                                         if found.get(k) != implied.get(k)))
-        for name, t in params.items():
-            if np.any(np.abs(t.data) > FLOAT32_MAX):
-                raise DataError(f"{path}: {name}: holds a value beyond float32's "
-                                f"range, which prediction runs in")
+        name = beyond_float32(params)
+        if name is not None:
+            raise DataError(f"{path}: {name}: holds a value beyond float32's "
+                            f"range, which prediction runs in")
         return cls(vocab=vocab, config=config, params=params)
 
     # -- forward ------------------------------------------------------------

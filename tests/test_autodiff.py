@@ -132,6 +132,49 @@ class TestAttention:
         assert out._parents == (qkv,)
 
 
+class TestScoreBuffer:
+    """Tape-free attention writes its scores into one buffer per thread,
+    kept across calls; the taped path allocates fresh scores."""
+
+    # Growing, then shrinking, then float64 after float32 of the same shape.
+    SHAPES = [((4, 24), np.float32), ((3, 7, 24), np.float32),
+              ((2, 3, 11, 24), np.float32), ((2, 5, 24), np.float32),
+              ((9, 24), np.float32), ((2, 3, 11, 24), np.float64),
+              ((3, 7, 24), np.float64)]
+
+    def test_same_bits_as_fresh_scores(self, rng):
+        for shape, dtype in self.SHAPES:
+            qkv = rng.normal(0, 1, shape).astype(dtype)
+            want_out, want_p = ad.attention(Tensor(qkv, requires_grad=True), 2)
+            out, p = ad.attention(Tensor(qkv), 2)
+            assert out.data.dtype == p.dtype == dtype
+            np.testing.assert_array_equal(out.data, want_out.data)
+            np.testing.assert_array_equal(p, want_p)
+
+    def test_calls_share_one_buffer(self, rng):
+        qkv = rng.normal(0, 1, (3, 7, 24))
+        _, first = ad.attention(Tensor(qkv), 2)
+        _, second = ad.attention(Tensor(qkv + 1.0), 2)
+        _, smaller = ad.attention(Tensor(qkv[:1]), 2)
+        assert np.shares_memory(first, second)
+        assert np.shares_memory(first, smaller)
+        _, taped = ad.attention(Tensor(qkv, requires_grad=True), 2)
+        assert not np.shares_memory(first, taped)
+
+    def test_a_tape_free_call_leaves_a_taped_backward_whole(self, rng):
+        w = rng.normal(0, 1, (3, 7, 8))
+        values = rng.normal(0, 1, (3, 7, 24))
+        grads = []
+        for between in (False, True):
+            qkv = Tensor(values.copy(), requires_grad=True)
+            loss = TestAttention.weighted_sum(ad.attention(qkv, 2)[0], w)
+            if between:
+                ad.attention(Tensor(rng.normal(0, 1, (3, 7, 24))), 2)
+            loss.backward()
+            grads.append(qkv.grad)
+        np.testing.assert_array_equal(grads[1], grads[0])
+
+
 def parent_gelu(a):
     """`ad.gelu` as written out before its chain was computed in place."""
     x = a.data

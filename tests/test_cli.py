@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -779,6 +782,25 @@ class TestFuzz:
                      "--checkpoint", str(tmp_path / "ckpt"),
                      "--out", str(tmp_path / "out.tsv")]) == EXIT_DATA
         assert where in caplog.text
+
+    @pytest.mark.parametrize("lr", ["1e30", "1e308"])
+    def test_huge_learning_rate_is_one_line_numeric_failure(self, workspace, lr):
+        """The overflow is the CLI's one-line numeric failure: no numpy
+        warning reaches stderr and no checkpoint that predict rejects is
+        written."""
+        tmp_path, cfg, data = workspace
+        cfg.write_text(cfg.read_text().replace('"learning_rate": 0.05',
+                                               f'"learning_rate": {lr}'))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = subprocess.run(
+            [sys.executable, "-m", "proctrack.cli", "train", "--data", str(data),
+             "--config", str(cfg), "--out", str(tmp_path / "ckpt")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == EXIT_NUMERIC
+        assert run.stderr.startswith("ERROR numeric failure: ")
+        assert run.stderr.count("\n") == 1, run.stderr
+        assert not (tmp_path / "ckpt" / "params.bin").exists()
 
     def test_state0_sentence_in_grid_tsv_is_data_error(self, tmp_path, caplog):
         tsv = tmp_path / "grid.tsv"

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from proctrack.encoder import (
 from proctrack.heads import joint_loss, span_head, status_head, GoldStep
 from proctrack.inputs import TimestampedInput, build_query, time_ids, timestamp
 from proctrack.cli import EXIT_CONFIG, main
-from proctrack.model import TrackerModel
+from proctrack.fixtures import photosynthesis
+from proctrack.model import TrackerModel, vocab_from_procedures
 from proctrack.tokenizer import build_vocab
 
 from conftest import check_gradients
@@ -292,6 +295,58 @@ class TestStepBatch:
                 for got, alone in zip(batched, heads(timestamp(layout, s))):
                     np.testing.assert_allclose(got[s:s + 1], alone, rtol=0,
                                                atol=1e-12)
+
+
+class TestScoreBuffer:
+    """Tape-free passes share one attention score buffer per thread."""
+
+    def test_collected_probabilities_outlive_a_later_pass(self, vocab):
+        cfg = tiny_config(vocab, n_heads=2, n_layers=2, d_model=16)
+        params = {k: ad.Tensor(t.data) for k, t in  # tape-free
+                  init_encoder_params(cfg, np.random.default_rng(3)).items()}
+        params["ts_emb"].data[:] = np.random.default_rng(4).normal(0, 1, (4, 16))
+        out = encode(embed(make_input(vocab, 1), params), params, cfg,
+                     collect_attn=True)
+        kept = [probs.copy() for probs in out.attn_probs]
+        later = encode(embed(make_input(vocab, 2), params), params, cfg,
+                       collect_attn=True)
+        assert not all(np.array_equal(a, b)
+                       for a, b in zip(kept, later.attn_probs))
+        for probs, copy in zip(out.attn_probs, kept):
+            np.testing.assert_array_equal(probs, copy)
+
+    def test_threads_predicting_at_once_match_one_thread(self):
+        proc = photosynthesis()
+        model = TrackerModel.fresh(vocab_from_procedures([proc]), EncoderConfig(
+            d_model=16, n_heads=2, n_layers=2, d_ff=32), seed=0)
+        rng = np.random.default_rng(0)
+        for t in model.params.values():  # so that the decisions vary
+            if t.data.ndim == 2:
+                t.data[...] = rng.normal(0.0, 0.5, t.data.shape)
+        want = model.predict_procedure(proc, np_filter=False, repair=False)
+        statuses = {v for tl in want[0].values() for v in tl}
+        assert {"-", "?"} < statuses  # and a location
+        results = [[], [], []]
+
+        def predict(out):
+            for _ in range(20):
+                out.append(model.predict_procedure(proc, np_filter=False,
+                                                   repair=False))
+
+        threads = [threading.Thread(target=predict, args=(out,))
+                   for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # so that the threads' passes interleave
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in results:
+            assert out == [want] * 20
 
 
 def chain_attention(qkv, n_heads):

@@ -716,6 +716,25 @@ class TestTraining:
         restored = TrackerModel.load(ckpt)
         assert all(np.all(np.isfinite(p.data)) for p in restored.params.values())
 
+    @pytest.mark.parametrize("lr, poison", [(0.01, 1e39), (1e30, None)],
+                             ids=["finite-beyond-float32", "lr-1e30"])
+    def test_no_checkpoint_that_load_rejects_is_saved(self, procs, tmp_path,
+                                                      lr, poison):
+        cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
+        m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=1)
+        ckpt = tmp_path / "ckpt"
+        m.save(ckpt)
+        good = (ckpt / "params.bin").read_bytes()
+        if poison is not None:  # a position row that no query reaches
+            m.params["pos_emb"].data[-1, 0] = poison
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged, match=r"beyond float32's range "
+                                                       r"after epoch 0"):
+                train_model(m, procs, SgdConfig(learning_rate=lr), epochs=2,
+                            checkpoint_dir=ckpt)
+        assert (ckpt / "params.bin").read_bytes() == good
+        TrackerModel.load(ckpt)
+
     def test_frozen_timestamps_stay_zero(self, procs):
         cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
         m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=1)
