@@ -316,9 +316,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.sum(axis=-1, keepdims=True)
     mu /= d
     # Allocated before the work arrays: allocated after them, a predict-short
-    # sweep took 50-70% more minor page faults at each of four seeds, as
+    # sweep took more minor page faults at each of seeds 1, 2, 3 and 7 (6-7%
+    # more at seed 2, 36-114% at the others, three invocations each), as
     # glibc trims the heap's free top and the next (n+1, T, d) pass faults
-    # it back in.
+    # it back in. On predict-long the order moved the count either way.
     out = np.empty_like(x.data)
     xhat = x.data - mu
     var = np.square(xhat).sum(axis=-1, keepdims=True)
@@ -433,13 +434,14 @@ class SgdConfig:
     decay_every: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        rate, factor, every = self.learning_rate, self.decay_factor, self.decay_every
+        if type(rate) is bool or not (math.isfinite(rate) and rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, "
-                             f"got {self.learning_rate!r}")
-        if not 0 < self.decay_factor <= 1:
-            raise ValueError("decay_factor must be in (0, 1]")
-        if self.decay_every <= 0:
-            raise ValueError("decay_every must be a positive integer")
+                             f"got {rate!r}")
+        if type(factor) is bool or not 0 < factor <= 1:
+            raise ValueError(f"decay_factor must be in (0, 1], got {factor!r}")
+        if type(every) is not int or every <= 0:
+            raise ValueError(f"decay_every must be a positive integer, got {every!r}")
 
     def effective_lr(self, step_count: int) -> float:
         return self.learning_rate * self.decay_factor ** (step_count // self.decay_every)

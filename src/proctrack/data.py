@@ -115,7 +115,7 @@ def _recipe_grid(obj: dict, n: int, path: str) -> tuple[list, dict]:
     """The entities and grid of a recipe object over `n` sentences: per
     ingredient an object of step -> location, each location carried forward
     until the next annotated step. Ingredients with no annotation are left
-    out, with a warning."""
+    out, with a warning; an annotation of an unlisted name is an error."""
     ingredients, locations = obj["ingredients"], obj["locations"]
     if not (isinstance(ingredients, list)
             and all(isinstance(name, str) for name in ingredients)):
@@ -124,6 +124,10 @@ def _recipe_grid(obj: dict, n: int, path: str) -> tuple[list, dict]:
     if not isinstance(locations, dict):
         raise DataError(f"{path}.locations: expected an object of ingredient "
                         f"annotations, got {locations!r}")
+    for name in locations:
+        if name not in ingredients:
+            raise DataError(f"{path}.locations.{name}: not one of the "
+                            f"ingredients {ingredients!r}")
     entities, grid = [], {}
     for name in ingredients:
         ann = locations.get(name, {})

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .inputs import TimestampedInput
 
 N_TIMESTAMPS = 4
 
@@ -50,14 +49,8 @@ class EncoderConfig:
 @dataclass
 class EncoderOutput:
     hidden: Tensor  # (..., T, d_model)
-    # Per layer, the (T, T) array of each head for one input, or the
-    # (H, T, T) array of each input for a batch.
+    # One (..., H, T, T) array per layer, when collected.
     attn_probs: list = field(default_factory=list)
-
-    @property
-    def cls(self) -> Tensor:
-        """The [CLS] row of each input, (..., 1, d_model)."""
-        return ad.slice_rows(self.hidden, 0, 1, axis=-2)
 
 
 def _shape_groups(config: EncoderConfig) -> tuple[dict, dict, dict]:
@@ -117,19 +110,16 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict
     return params
 
 
-def embed(inp: TimestampedInput, params: dict, token_ids=None) -> Tensor:
-    """Sum of token, position, and time-id embeddings, one row per token.
+def embed(inp, params: dict) -> Tensor:
+    """Sum of token, position, and time-id embeddings of an
+    `inputs.TimestampedInput`, one row per token.
 
-    One step's time ids, (T,), give (T, d_model); a batch of them, (B, T),
-    gives (B, T, d_model): the token and position rows are looked up once
-    and broadcast over the B rows of time ids. `token_ids`, (E, 1, T), in
-    place of the layout's own, stacks E queries that share its positions and
-    time ids, giving (E, B, T, d_model).
+    (T,) token ids with one step's (T,) time ids give (T, d_model); (B, T)
+    time ids give (B, T, d_model), and (E, 1, T) token ids (E, B, T,
+    d_model): each table's rows are looked up once and broadcast.
     """
-    layout = inp.layout
-    tok = ad.embedding(params["token_emb"],
-                       layout.token_ids if token_ids is None else token_ids)
-    pos = ad.embedding(params["pos_emb"], layout.position_ids)
+    tok = ad.embedding(params["token_emb"], inp.token_ids)
+    pos = ad.embedding(params["pos_emb"], np.arange(inp.timestamp_ids.shape[-1]))
     ts = ad.embedding(params["ts_emb"], inp.timestamp_ids)
     return ad.add(ad.add(tok, pos), ts)
 
@@ -156,7 +146,7 @@ def encode(embedded: Tensor, params: dict, config: EncoderConfig,
         merged, probs = ad.attention(ad.matmul(h, params[p + "attn.qkv"]),
                                      config.n_heads)
         if collect_attn:
-            attn_probs.extend(probs.copy())
+            attn_probs.append(probs.copy())
         attn_out = ad.affine(merged, params[p + "attn.out"],
                              params[p + "attn.out_bias"])
         x = ad.add(x, _dropout(attn_out, config.dropout, rng))

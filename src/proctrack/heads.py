@@ -1,7 +1,8 @@
 """Prediction heads: 3-way status over [CLS] and start/end span distributions.
 
-The heads emit one logit row per input, an (entity, step); the loss is a
-log-softmax NLL on the rows, and decoding takes their softmax.
+The heads read the encoder's hidden states, (..., T, d_model), and emit one
+logit row per input, an (entity, step); the loss is a log-softmax NLL on the
+rows, and decoding takes their softmax.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import EncoderOutput
 
 # Fixed class order for entity status.
 STATUS_GONE, STATUS_UNKNOWN, STATUS_KNOWN = 0, 1, 2
@@ -31,27 +31,27 @@ class GoldStep:
     span: tuple[int, int] | None = None  # layout positions, inclusive
 
 
-def status_head(output: EncoderOutput, w: Tensor) -> Tensor:
+def status_head(hidden: Tensor, w: Tensor) -> Tensor:
     """Status logits, (rows, 3), from the [CLS] row of each input."""
-    d = output.hidden.data.shape[-1]
+    d = hidden.data.shape[-1]
     if w.data.shape != (d, 3):
         raise ad.ShapeMismatchError(
             f"status weight must be d_model x 3, got {w.data.shape}"
         )
-    return ad.reshape(ad.matmul(output.cls, w), (-1, 3))
+    return ad.reshape(ad.matmul(ad.slice_rows(hidden, 0, 1, axis=-2), w), (-1, 3))
 
 
-def span_head(output: EncoderOutput, w_start: Tensor, w_end: Tensor
+def span_head(hidden: Tensor, w_start: Tensor, w_end: Tensor
               ) -> tuple[Tensor, Tensor]:
     """Start and end logits, each (rows, T), one row per input."""
-    T, d = output.hidden.data.shape[-2:]
+    T, d = hidden.data.shape[-2:]
     for w in (w_start, w_end):
         if w.data.shape != (d, 1):
             raise ad.ShapeMismatchError(
                 f"span weight must be d_model x 1, got {w.data.shape}"
             )
-    start = ad.reshape(ad.matmul(output.hidden, w_start), (-1, T))
-    end = ad.reshape(ad.matmul(output.hidden, w_end), (-1, T))
+    start = ad.reshape(ad.matmul(hidden, w_start), (-1, T))
+    end = ad.reshape(ad.matmul(hidden, w_end), (-1, T))
     return start, end
 
 

@@ -26,15 +26,12 @@ class QueryLayout:
     paragraph_pos: tuple[int, ...]  # layout position of paragraph word i
     n_sentences: int
 
-    @property
-    def position_ids(self):
-        return tuple(range(len(self.tokens)))
-
 
 @dataclass(frozen=True, eq=False)
 class TimestampedInput:
-    """A layout with time ids: (T,) for one step, or (B, T) for B steps."""
-    layout: QueryLayout
+    """Token ids, (T,) or (E, 1, T) for E queries of one length, with time
+    ids, (T,) for one step or (B, T) for B steps."""
+    token_ids: tuple[int, ...] | np.ndarray
     timestamp_ids: np.ndarray
 
 
@@ -90,4 +87,4 @@ def timestamp(layout: QueryLayout, step: int) -> TimestampedInput:
     n = layout.n_sentences
     if not 0 <= step <= n:
         raise ValueError(f"step {step} out of range 0..{n}")
-    return TimestampedInput(layout=layout, timestamp_ids=time_ids(layout)[step])
+    return TimestampedInput(layout.token_ids, time_ids(layout)[step])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class TrackerModel:
 
     @classmethod
     def fresh(cls, vocab: Vocab, config: EncoderConfig, seed: int) -> "TrackerModel":
-        config.vocab_size = len(vocab)
+        config = replace(config, vocab_size=len(vocab))
         params = init_encoder_params(config, np.random.default_rng(seed))
         return cls(vocab=vocab, config=config, params=params)
 
@@ -140,10 +140,10 @@ class TrackerModel:
         on float32 copies.
         """
         tokens = np.array([layout.token_ids for layout in layouts])[:, None]
-        inp = TimestampedInput(layouts[0], time_ids(layouts[0]))
-        out = encode(embed(inp, params, tokens), params, self.config, rng=rng)
-        return (status_head(out, params["head.status"]),
-                *span_head(out, params["head.start"], params["head.end"]))
+        inp = TimestampedInput(tokens, time_ids(layouts[0]))
+        hidden = encode(embed(inp, params), params, self.config, rng=rng).hidden
+        return (status_head(hidden, params["head.status"]),
+                *span_head(hidden, params["head.start"], params["head.end"]))
 
     # -- training targets ---------------------------------------------------
 

@@ -466,6 +466,14 @@ class TestSgd:
         with pytest.raises(ValueError):
             SgdConfig(learning_rate=0.1, decay_every=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", True), ("decay_factor", True), ("decay_every", True),
+        ("decay_every", 2.5), ("decay_every", 50.0)])
+    def test_bool_or_fractional_setting_rejected(self, field, value):
+        """As `EncoderConfig` rejects a bool size: JSON's `true` is not 1."""
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SgdConfig(**{"learning_rate": 0.1, field: value})
+
 
 class TestTensorDtype:
     def test_float32_array_keeps_its_dtype(self):

@@ -762,10 +762,14 @@ class TestFuzz:
         ("data.json", [0], dict(RECIPE, locations={"water": {"1": 5}}),
          "$[0].locations.water.1:"),
         ("data.json", [0], dict(RECIPE, grid={}), "$[0]: unknown keys ['grid']"),
+        ("data.json", [0], dict(RECIPE, locations={"water": {"1": "pot"},
+                                                   "watr": {"1": "pan"}}),
+         "$[0].locations.watr:"),
     ], ids=["non-object-procedure", "non-string-entity", "number-spans",
             "float-span", "zero-heads", "bool-heads", "float-max-len",
             "list-layers", "vocab-id-out-of-range", "recipe-list-locations",
-            "recipe-word-step", "recipe-number-location", "recipe-unknown-key"])
+            "recipe-word-step", "recipe-number-location", "recipe-unknown-key",
+            "recipe-unlisted-ingredient"])
     def test_escapes_found_by_fuzzing_are_data_errors(self, clean_run, tmp_path,
                                                       caplog, name, path, value,
                                                       where):
@@ -801,6 +805,20 @@ class TestFuzz:
         assert run.stderr.startswith("ERROR numeric failure: ")
         assert run.stderr.count("\n") == 1, run.stderr
         assert not (tmp_path / "ckpt" / "params.bin").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", True), ("decay_factor", True), ("decay_every", 2.5)])
+    def test_bool_or_fractional_sgd_setting_is_config_error(
+            self, workspace, caplog, key, value):
+        """JSON's `true` is not a rate of 1.0, nor 2.5 a step count."""
+        tmp_path, cfg, data = workspace
+        doc = json.loads(cfg.read_text())
+        doc["sgd"][key] = value
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "ckpt")]) == EXIT_CONFIG
+        assert f"{key} must be" in caplog.text
+        assert not (tmp_path / "ckpt").exists()
 
     def test_state0_sentence_in_grid_tsv_is_data_error(self, tmp_path, caplog):
         tsv = tmp_path / "grid.tsv"

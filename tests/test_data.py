@@ -321,6 +321,15 @@ class TestRecipeAnnotationErrors:
         with pytest.raises(DataError, match=r"\$\[1\]: unknown keys \['entities'\]"):
             self.load(tmp_path, {**self.RECIPE, "entities": ["butter"]})
 
+    def test_annotation_of_an_unlisted_ingredient_names_its_path(self, tmp_path):
+        """A misspelt key is an error, not an annotation dropped in silence."""
+        recipe = {**self.RECIPE, "ingredients": ["egg", "milk"],
+                  "locations": {"egg": {"1": "pan"}, "milk": {"1": "bowl"},
+                                "mlik": {"2": "pan"}}}
+        with pytest.raises(DataError, match=r"\$\[1\]\.locations\.mlik: not one "
+                                            r"of the ingredients \['egg', 'milk'\]"):
+            self.load(tmp_path, recipe)
+
     def test_recipes_and_procedures_share_one_list(self, tmp_path):
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps([self.RECIPE, {

@@ -60,9 +60,10 @@ class TestConfig:
         vocab = build_vocab([[f"w{i}" for i in range(95)]])
         cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=3, d_ff=24,
                             max_len=64, dropout=0.125)
-        TrackerModel.fresh(vocab, cfg, seed=0).save(tmp_path / "ckpt")
+        model = TrackerModel.fresh(vocab, cfg, seed=0)
+        model.save(tmp_path / "ckpt")
         loaded = TrackerModel.load(tmp_path / "ckpt").config
-        assert loaded == cfg and loaded.vocab_size == 99
+        assert loaded == model.config and loaded.vocab_size == 99
 
 
 def drawn_layer_by_layer(config, rng):
@@ -129,7 +130,7 @@ class TestEmbed:
         params["ts_emb"].data[:] = 0.5
         inp = make_input(vocab, 1)
         out = embed(inp, params)
-        t = inp.layout.token_ids
+        t = inp.token_ids
         expected = (params["token_emb"].data[list(t)]
                     + params["pos_emb"].data[:len(t)]
                     + params["ts_emb"].data[list(inp.timestamp_ids)])
@@ -140,7 +141,7 @@ def straight_line_forward(inp, params, cfg):
     """Independent numpy re-derivation for a 1-layer encoder, one head at a
     time, slicing each head's q, k, v columns out of the head-major qkv."""
     P = {k: v.data for k, v in params.items()}
-    ids = list(inp.layout.token_ids)
+    ids = list(inp.token_ids)
     x = P["token_emb"][ids] + P["pos_emb"][:len(ids)] + \
         P["ts_emb"][list(inp.timestamp_ids)]
 
@@ -175,13 +176,20 @@ def straight_line_forward(inp, params, cfg):
 
 class TestEncode:
     def test_attention_rows_sum_to_one(self, vocab):
+        """One (..., H, T, T) array per layer, for one query and for a stack
+        of every step of two."""
         cfg = tiny_config(vocab, n_heads=2, n_layers=2, d_model=16)
         params = init_encoder_params(cfg, np.random.default_rng(3))
-        out = encode(embed(make_input(vocab), params), params, cfg,
-                     collect_attn=True)
-        assert len(out.attn_probs) == cfg.n_layers * cfg.n_heads
-        for probs in out.attn_probs:
-            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
+        layout = build_query("water", SENTS, vocab)
+        T, B = len(layout.tokens), layout.n_sentences + 1
+        stack = TimestampedInput(np.array([layout.token_ids] * 2)[:, None],
+                                 time_ids(layout))
+        for inp, lead in ((make_input(vocab), ()), (stack, (2, B))):
+            out = encode(embed(inp, params), params, cfg, collect_attn=True)
+            assert len(out.attn_probs) == cfg.n_layers
+            for probs in out.attn_probs:
+                assert probs.shape == (*lead, cfg.n_heads, T, T)
+                np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_dropout_applies_exactly_when_an_rng_is_given(self, vocab):
         cfg = tiny_config(vocab, n_heads=2, n_layers=1, d_model=16, dropout=0.5)
@@ -270,7 +278,7 @@ class TestStepBatch:
 
     def test_rows_match_steps_run_alone(self, vocab):
         layout = build_query("water", SENTS, vocab)
-        steps = TimestampedInput(layout, time_ids(layout))
+        steps = TimestampedInput(layout.token_ids, time_ids(layout))
         for n_heads in (1, 2):
             cfg = tiny_config(vocab, n_heads=n_heads, n_layers=2)
             rng = np.random.default_rng(11)
@@ -282,11 +290,11 @@ class TestStepBatch:
 
             def heads(inp):
                 """The hidden states and logits, one row per input."""
-                out = encode(embed(inp, params), params, cfg)
-                status = status_head(out, params["head.status"])
-                start, end = span_head(out, params["head.start"], params["head.end"])
-                hidden = out.hidden.data.reshape(-1, *out.hidden.shape[-2:])
-                return hidden, status.data, start.data, end.data
+                hidden = encode(embed(inp, params), params, cfg).hidden
+                status = status_head(hidden, params["head.status"])
+                start, end = span_head(hidden, params["head.start"], params["head.end"])
+                rows = hidden.data.reshape(-1, *hidden.shape[-2:])
+                return rows, status.data, start.data, end.data
 
             batched = heads(steps)
             n_steps = layout.n_sentences + 1
@@ -371,14 +379,14 @@ class TestFusedAttention:
         """A batch of every step of one query with every weight nonzero, and
         the logits of both heads on one tape."""
         layout = build_query("water", SENTS, vocab)
-        steps = TimestampedInput(layout, time_ids(layout))
+        steps = TimestampedInput(layout.token_ids, time_ids(layout))
         rng = np.random.default_rng(seed)
         params = init_encoder_params(cfg, rng)
         for t in params.values():
             t.data += rng.normal(0, 0.3, t.data.shape)
         out = encode(embed(steps, params), params, cfg, collect_attn=True)
-        status = status_head(out, params["head.status"])
-        start, end = span_head(out, params["head.start"], params["head.end"])
+        status = status_head(out.hidden, params["head.status"])
+        start, end = span_head(out.hidden, params["head.start"], params["head.end"])
         return params, out, (status, start, end)
 
     def run(self, vocab, cfg):
@@ -436,9 +444,9 @@ class TestEndToEndGradient:
         gold = GoldStep(status_class=2, span=(7, 8))
 
         def loss():
-            out = encode(embed(inp, params), params, cfg)
-            status = status_head(out, params["head.status"])
-            start, end = span_head(out, params["head.start"], params["head.end"])
+            hidden = encode(embed(inp, params), params, cfg).hidden
+            status = status_head(hidden, params["head.status"])
+            start, end = span_head(hidden, params["head.start"], params["head.end"])
             # One unbatched step: the heads give one row of each.
             return joint_loss(status, start, end, [gold])
 

@@ -5,7 +5,6 @@ import pytest
 
 from proctrack import autodiff as ad
 from proctrack.autodiff import ShapeMismatchError, Tensor
-from proctrack.encoder import EncoderOutput
 from proctrack.heads import (
     GoldStep, STATUS_GONE, STATUS_KNOWN, STATUS_UNKNOWN, joint_loss, span_head,
     status_class_of, status_head,
@@ -14,8 +13,8 @@ from proctrack.heads import (
 from conftest import check_gradients, leaf
 
 
-def enc_out(arr):
-    return EncoderOutput(hidden=Tensor(arr, requires_grad=True))
+def hidden_states(arr):
+    return Tensor(arr, requires_grad=True)
 
 
 def logits_of(probs):
@@ -26,7 +25,7 @@ def logits_of(probs):
 
 class TestStatusHead:
     def test_zero_weights_uniform(self, rng):
-        out = enc_out(rng.normal(0, 1, (5, 8)))
+        out = hidden_states(rng.normal(0, 1, (5, 8)))
         logits = status_head(out, Tensor(np.zeros((8, 3))))
         np.testing.assert_allclose(ad.softmax_array(logits.data), [[1 / 3] * 3],
                                    atol=1e-12)
@@ -36,25 +35,25 @@ class TestStatusHead:
         hidden = np.zeros((4, 3))
         hidden[0] = [1.0, 0.0, 0.0]
         w = np.array([[math.log(2), 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 2)
-        logits = status_head(enc_out(hidden), Tensor(w))
+        logits = status_head(hidden_states(hidden), Tensor(w))
         np.testing.assert_allclose(ad.softmax_array(logits.data),
                                    [[0.5, 0.25, 0.25]], atol=1e-12)
 
     def test_argmax_shift_invariant(self, rng):
         hidden = rng.normal(0, 1, (5, 8))
         w = rng.normal(0, 1, (8, 3))
-        base = np.argmax(status_head(enc_out(hidden), Tensor(w)).data)
+        base = np.argmax(status_head(hidden_states(hidden), Tensor(w)).data)
         # add a constant column: logits all shift by c
         cls = hidden[0]
         shifted = w + np.outer(cls / (cls @ cls), np.full(3, 3.7))
-        assert np.argmax(status_head(enc_out(hidden), Tensor(shifted)).data) == base
+        assert np.argmax(status_head(hidden_states(hidden), Tensor(shifted)).data) == base
 
     def test_shape_check(self, rng):
         with pytest.raises(ShapeMismatchError):
-            status_head(enc_out(rng.normal(0, 1, (5, 8))), Tensor(np.zeros((8, 4))))
+            status_head(hidden_states(rng.normal(0, 1, (5, 8))), Tensor(np.zeros((8, 4))))
 
     def test_gradient_wrt_weights(self, rng):
-        out = enc_out(rng.normal(0, 1, (5, 8)))
+        out = hidden_states(rng.normal(0, 1, (5, 8)))
         w = leaf(rng, 8, 3)
         check_gradients(lambda: ad.cross_entropy(
             status_head(out, w), [1]), [w])
@@ -62,7 +61,7 @@ class TestStatusHead:
 
 class TestSpanHead:
     def test_zero_weights_uniform(self, rng):
-        out = enc_out(rng.normal(0, 1, (6, 8)))
+        out = hidden_states(rng.normal(0, 1, (6, 8)))
         for logits in span_head(out, Tensor(np.zeros((8, 1))),
                                 Tensor(np.zeros((8, 1)))):
             np.testing.assert_allclose(ad.softmax_array(logits.data),
@@ -71,14 +70,14 @@ class TestSpanHead:
     def test_identical_rows_identical_probs(self, rng):
         hidden = rng.normal(0, 1, (6, 8))
         hidden[2] = hidden[4]
-        start, _ = span_head(enc_out(hidden), leaf(rng, 8, 1), leaf(rng, 8, 1))
+        start, _ = span_head(hidden_states(hidden), leaf(rng, 8, 1), leaf(rng, 8, 1))
         start_p = ad.softmax_array(start.data)
         assert start_p[0, 2] == pytest.approx(start_p[0, 4], abs=1e-12)
 
     def test_matches_direct_formula(self, rng):
         hidden = rng.normal(0, 1, (6, 8))
         ws, we = rng.normal(0, 1, (8, 1)), rng.normal(0, 1, (8, 1))
-        start, end = span_head(enc_out(hidden), Tensor(ws), Tensor(we))
+        start, end = span_head(hidden_states(hidden), Tensor(ws), Tensor(we))
         for w, t in [(ws, start), (we, end)]:
             probs = ad.softmax_array(t.data)
             logits = (hidden @ w).T
@@ -87,7 +86,7 @@ class TestSpanHead:
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_shape_check(self, rng):
-        out = enc_out(rng.normal(0, 1, (6, 8)))
+        out = hidden_states(rng.normal(0, 1, (6, 8)))
         with pytest.raises(ShapeMismatchError):
             span_head(out, Tensor(np.zeros((7, 1))), Tensor(np.zeros((8, 1))))
 
@@ -99,8 +98,8 @@ class TestRows:
         E, B, T = 2, 4, 6
         hidden = rng.normal(0, 1, (E, B, T, 8))
         w_status, w_start, w_end = (rng.normal(0, 1, (8, k)) for k in (3, 1, 1))
-        status = status_head(enc_out(hidden), Tensor(w_status))
-        start, end = span_head(enc_out(hidden), Tensor(w_start), Tensor(w_end))
+        status = status_head(hidden_states(hidden), Tensor(w_status))
+        start, end = span_head(hidden_states(hidden), Tensor(w_start), Tensor(w_end))
         assert status.shape == (E * B, 3)
         assert start.shape == end.shape == (E * B, T)
         rows = hidden.reshape(E * B, T, 8)
@@ -171,7 +170,7 @@ class TestJointLoss:
             assert float(loss.data) >= 0.0
 
     def test_span_gradient_only_for_known_gold(self, rng):
-        out = enc_out(rng.normal(0, 1, (1, 6, 8)))
+        out = hidden_states(rng.normal(0, 1, (1, 6, 8)))
         w_status, w_start, w_end = leaf(rng, 8, 3), leaf(rng, 8, 1), leaf(rng, 8, 1)
 
         def run(gold):
@@ -205,12 +204,12 @@ class TestBatchedJointLoss:
         assert float(loss.data) == pytest.approx(expected, abs=1e-9)
 
     def test_gradient_through_a_batch(self, rng):
-        out = enc_out(rng.normal(0, 1, (len(self.GOLDS), 6, 8)))
+        out = hidden_states(rng.normal(0, 1, (len(self.GOLDS), 6, 8)))
         w_status, w_start, w_end = leaf(rng, 8, 3), leaf(rng, 8, 1), leaf(rng, 8, 1)
         check_gradients(lambda: joint_loss(status_head(out, w_status),
                                            *span_head(out, w_start, w_end),
                                            self.GOLDS),
-                        [out.hidden, w_status, w_start, w_end])
+                        [out, w_status, w_start, w_end])
 
 
 class TestStatusClassOf:

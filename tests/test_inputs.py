@@ -109,8 +109,7 @@ class TestTimestamp:
     def test_step_changes_only_timestamp_ids(self, photo, photo_vocab):
         layout = build_query("water", photo.sentences, photo_vocab)
         a, b = timestamp(layout, 1), timestamp(layout, 4)
-        assert a.layout is b.layout
-        assert a.layout.token_ids == b.layout.token_ids
+        assert a.token_ids is b.token_ids is layout.token_ids
         assert not np.array_equal(a.timestamp_ids, b.timestamp_ids)
 
 

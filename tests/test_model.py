@@ -28,9 +28,10 @@ def forward(model, layout, step):
     """Status, start and end logits, one row each, of one taped pass for one
     step."""
     params = model.params
-    out = encode(embed(timestamp(layout, step), params), params, model.config)
-    return (status_head(out, params["head.status"]),
-            *span_head(out, params["head.start"], params["head.end"]))
+    hidden = encode(embed(timestamp(layout, step), params), params,
+                    model.config).hidden
+    return (status_head(hidden, params["head.status"]),
+            *span_head(hidden, params["head.start"], params["head.end"]))
 
 
 def views(params):
@@ -490,6 +491,20 @@ class TestAnswerText:
 
 
 class TestPersistence:
+    def test_two_models_from_one_config_both_save_and_load(self, tmp_path):
+        """`fresh` sizes a copy of the config: the second model's vocabulary
+        does not reach the first's checkpoint."""
+        cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16)
+        small = TrackerModel.fresh(vocab_from_procedures(generate_synthetic(1, 3)),
+                                   cfg, 0)
+        large = TrackerModel.fresh(vocab_from_procedures(generate_synthetic(2, 30)),
+                                   cfg, 0)
+        assert cfg.vocab_size == 0
+        for name, m in (("small", small), ("large", large)):
+            assert m.config.vocab_size == len(m.vocab)
+            m.save(tmp_path / name)
+            assert TrackerModel.load(tmp_path / name).config == m.config
+
     def test_save_load_round_trip(self, model, procs, tmp_path):
         model.save(tmp_path / "ckpt")
         assert [f.name for f in (tmp_path / "ckpt").iterdir()] == ["params.bin"]
@@ -621,7 +636,7 @@ class TestPersistence:
         cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
         m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=4)
         assert len(calls) == 1
-        want = draw(cfg, np.random.default_rng(4))
+        want = draw(m.config, np.random.default_rng(4))
         assert list(m.params) == list(want)
         for name, t in want.items():
             np.testing.assert_array_equal(m.params[name].data, t.data, err_msg=name)
