@@ -3,10 +3,11 @@
 CPU-only. A Tensor wraps a numpy array, float64 unless it is given a float32
 array, plus an optional gradient; ops keep their operands' dtype and build a
 tape of backward closures that `backward()` replays in reverse topological
-order. Gradients accumulate additively until an optimizer step clears them,
-so several losses can be backpropagated before a single parameter update.
-Prediction runs on float32 copies of the parameters; the parameters, their
-gradients, the SGD step and the checkpoints stay float64.
+order, freeing each intermediate's gradient once its closure has consumed
+it. Only leaves, such as parameters, keep gradients; they accumulate until an
+optimizer step clears them, so several losses can be backpropagated before a
+single parameter update. Prediction runs on float32 copies of the parameters;
+the parameters, their gradients, the SGD step and the checkpoints stay float64.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, copy=False):
+        # A first float64 `g` is adopted: ops hand over arrays they have just
+        # allocated, or pass copy=True when g is or views one held elsewhere.
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = (np.array if copy else np.asarray)(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -77,6 +80,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def _result(data, parents, backward_fn):
@@ -124,9 +128,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            a._accumulate(_unbroadcast(g, a.data.shape), copy=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            b._accumulate(_unbroadcast(g, b.data.shape), copy=True)
 
     return _result(a.data + b.data, (a, b), bw)
 
@@ -188,9 +192,21 @@ def gelu(a: Tensor) -> Tensor:
     out *= 0.5
 
     def bw(g):
-        if a.requires_grad:
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-            a._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner))
+        if a.requires_grad:  # g * (0.5(1 + t) + 0.5x(1 - t²)·c(1 + 3·0.044715x²))
+            d_inner = 3 * 0.044715 * x
+            d_inner *= x
+            d_inner += 1.0
+            d_inner *= _GELU_C
+            dx = np.square(t)
+            np.subtract(1.0, dx, out=dx)
+            dx *= 0.5 * x
+            dx *= d_inner
+            np.add(t, 1.0, out=d_inner)
+            d_inner *= 0.5
+            dx += d_inner
+            dx = dx.astype(g.dtype, copy=False)  # float32 x: g's float64 product
+            dx *= g
+            a._accumulate(dx)
 
     return _result(out, (a,), bw)
 
@@ -267,9 +283,12 @@ def attention(qkv: Tensor, n_heads: int) -> tuple[Tensor, np.ndarray]:
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        dqkv = np.stack((ds @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2),
-                         np.swapaxes(p, -1, -2) @ g))
-        qkv._accumulate(np.moveaxis(dqkv.swapaxes(-3, -2), 0, -2).reshape(qkv.shape))
+        dqkv = np.empty(qkv.shape)  # dq, dk and dv are views of its (..., T, H, 3, dh)
+        dq, dk, dv = np.moveaxis(dqkv.reshape(split.shape), -2, 0).swapaxes(-3, -2)
+        np.matmul(ds, k, out=dq)
+        np.matmul(np.swapaxes(q, -1, -2), ds, out=np.swapaxes(dk, -1, -2))
+        np.matmul(np.swapaxes(p, -1, -2), g, out=dv)
+        qkv._accumulate(dqkv)
 
     merged = (p @ v).swapaxes(-3, -2).reshape(*lead, T, d3 // 3)
     return _result(merged, (qkv,), bw), p
@@ -334,14 +353,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gain._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             bias._accumulate(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
+        if x.requires_grad:  # istd·(dxhat - mean(dxhat) - xhat·mean(dxhat·xhat))
             dxhat = g * gain.data
-            dx = istd * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-            x._accumulate(dx)
+            along = dxhat * xhat
+            np.multiply(xhat, along.sum(axis=-1, keepdims=True) / d, out=along)
+            dxhat -= dxhat.sum(axis=-1, keepdims=True) / d
+            dxhat -= along
+            dxhat *= istd
+            x._accumulate(dxhat)
 
     return _result(out, (x, gain, bias), bw)
 
@@ -358,7 +377,7 @@ def embedding(table: Tensor, ids) -> Tensor:
     def bw(g):
         if table.requires_grad:
             if table.grad is None:
-                table.grad = np.zeros_like(table.data)
+                table.grad = np.zeros(table.data.shape)
             np.add.at(table.grad, ids, g)
 
     return _result(table.data[ids], (table,), bw)
@@ -373,7 +392,7 @@ def concat(tensors, axis: int = 1) -> Tensor:
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
+                t._accumulate(g[tuple(idx)], copy=True)
 
     return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
@@ -386,7 +405,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(g.transpose(inverse))
+            a._accumulate(g.transpose(inverse), copy=True)
 
     return _result(a.data.transpose(axes), (a,), bw)
 
@@ -396,7 +415,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(g.reshape(orig))
+            a._accumulate(g.reshape(orig), copy=True)
 
     return _result(a.data.reshape(shape), (a,), bw)
 
@@ -408,7 +427,7 @@ def slice_rows(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
     def bw(g):
         if a.requires_grad:
             if a.grad is None:
-                a.grad = np.zeros_like(a.data)
+                a.grad = np.zeros(a.data.shape)
             a.grad[idx] += g
 
     return _result(a.data[idx], (a,), bw)

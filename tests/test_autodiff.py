@@ -209,15 +209,49 @@ def parent_affine(x, w, b):
     return ad.add(ad.matmul(x, w), b)
 
 
-class TestInPlaceChains:
-    """gelu, layer_norm and affine give the same bits as the expressions
-    written out, taped and tape-free, on inputs with two leading axes."""
+def parent_attention(qkv, n_heads):
+    """`ad.attention` with fresh scores and the backward that stacked dq, dk
+    and dv and moved them into qkv's layout."""
+    *lead, T, d3 = qkv.data.shape
+    dh = d3 // (3 * n_heads)
+    scale = 1.0 / math.sqrt(dh)
+    split = qkv.data.reshape(*lead, T, n_heads, 3, dh)
+    q, k, v = np.moveaxis(split, -2, 0).swapaxes(-3, -2)
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
-    # A last axis of 6, not a power of two, so that dividing by it rounds.
+    def bw(g):
+        g = g.reshape(*lead, T, n_heads, dh).swapaxes(-3, -2)
+        ds = g @ np.swapaxes(v, -1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        dqkv = np.stack((ds @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2),
+                         np.swapaxes(p, -1, -2) @ g))
+        qkv._accumulate(np.moveaxis(dqkv.swapaxes(-3, -2), 0, -2).reshape(qkv.shape))
+
+    merged = (p @ v).swapaxes(-3, -2).reshape(*lead, T, d3 // 3)
+    return ad._result(merged, (qkv,), bw)
+
+
+class TestInPlaceChains:
+    """gelu, layer_norm, affine and attention give the same bits as the
+    expressions written out, taped and tape-free, on inputs with two leading
+    axes."""
+
+    # A last axis of 6, not a power of two, so that dividing by it rounds;
+    # attention's heads are 6 and 3 wide.
     CASES = {
         "gelu": (ad.gelu, parent_gelu, [(2, 3, 5, 6)]),
         "layer_norm": (ad.layer_norm, parent_layer_norm, [(2, 3, 5, 6), (6,), (6,)]),
         "affine": (ad.affine, parent_affine, [(2, 3, 5, 6), (6, 4), (4,)]),
+        "attention-1-head": (lambda qkv: ad.attention(qkv, 1)[0],
+                             lambda qkv: parent_attention(qkv, 1), [(2, 3, 5, 18)]),
+        "attention-2-heads": (lambda qkv: ad.attention(qkv, 2)[0],
+                              lambda qkv: parent_attention(qkv, 2), [(2, 3, 5, 18)]),
     }
 
     @staticmethod
@@ -368,11 +402,69 @@ class TestOtherOps:
         assert [float(x.grad) for x in xs] == [pytest.approx(1 / 3)] * 3
 
     def test_first_gradient_is_a_copy(self, rng):
-        x = leaf(rng, 2, 3)
-        y = ad.reshape(x, (6,))  # backward hands x a view of y's gradient
-        ad.cross_entropy(y, 4).backward()
-        assert not np.shares_memory(x.grad, y.grad)
-        np.testing.assert_array_equal(x.grad, y.grad.reshape(2, 3))
+        """A leaf fed by a pass-through op (reshape, add) gets an array of its
+        own: no later += into the gradient it came from, or into the other
+        operand's, can change it."""
+        for op in ("reshape", "add"):
+            x, other = leaf(rng, 2, 3), leaf(rng, 2, 3)
+            y = ad.reshape(x, (3, 2)) if op == "reshape" else ad.add(x, other)
+            handed, inner = [], y._backward  # keep the array y's backward gets
+            y._backward = lambda g: (handed.append(g), inner(g))
+            ad.cross_entropy(y, np.ones(y.shape[0], dtype=int)).backward()
+            g, want = handed[0], x.grad.copy()
+            assert x.grad.flags.owndata and x.grad.dtype == np.float64, op
+            np.testing.assert_array_equal(want.ravel(), g.ravel())
+            g += 1.0
+            if op == "add":
+                assert not np.shares_memory(x.grad, other.grad)
+                other.grad += 1.0
+            np.testing.assert_array_equal(x.grad, want)
+
+    def test_float32_graph_gives_float64_leaf_gradients(self, rng):
+        """A taped float32 graph leaves float64 gradients on its leaves; gelu's
+        in-place backward gives the bits of the expression written out."""
+        values = rng.normal(0, 3, (2, 3, 6)).astype(np.float32)
+        table = rng.normal(0, 1, (5, 6)).astype(np.float32)
+        grads = []
+        for op in (ad.gelu, parent_gelu):
+            x = Tensor(values.copy(), requires_grad=True)
+            emb = Tensor(table.copy(), requires_grad=True)
+            h = ad.add(op(x), ad.embedding(emb, [1, 4, 1]))
+            ad.cross_entropy(h, np.zeros((2, 3), dtype=int)).backward()
+            assert x.grad.dtype == emb.grad.dtype == np.float64
+            grads.append((x.grad, emb.grad))
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_two_losses_through_a_shared_node_count_it_once(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        h = ad.scale(x, 3.0)
+        l1, l2 = total(h), total(h)
+        l1.backward()
+        l2.backward()
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+    def test_backward_frees_every_intermediate_gradient(self, rng):
+        x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 6), leaf(rng, 6)
+        gain, bias, const = leaf(rng, 6), leaf(rng, 6), Tensor(np.ones(6))
+        h = ad.gelu(ad.affine(x, w, b))
+        logits = ad.layer_norm(ad.add(ad.scale(h, 0.5), ad.add(h, const)), gain, bias)
+        loss = ad.cross_entropy(logits, np.array([[0, 5, 2], [1, 1, 4]]))
+        nodes, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if node not in nodes:
+                nodes.add(node)
+                stack.extend(node._parents)
+        leaves = [x, w, b, gain, bias]
+        assert {n for n in nodes if n._backward is None} == {*leaves, const}
+        loss.backward()
+        assert all(n.grad is None for n in nodes if n._backward is not None)
+        assert all(t.grad is not None for t in leaves) and const.grad is None
+        first = [t.grad.copy() for t in leaves]
+        loss.backward()  # the same graph again doubles every leaf's gradient
+        for t, g in zip(leaves, first):
+            np.testing.assert_array_equal(t.grad, 2 * g)
 
     def test_grad_accumulation_is_additive(self, rng):
         x = leaf(rng, 3)
