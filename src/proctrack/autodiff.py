@@ -31,6 +31,8 @@ class NonFiniteGradientError(RuntimeError):
 
 
 class Tensor:
+    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
+
     def __init__(self, data, requires_grad=False, name=None):
         self.data = (data if isinstance(data, np.ndarray) and data.dtype == np.float32
                      else np.asarray(data, dtype=np.float64))
@@ -85,10 +87,12 @@ class Tensor:
 
 def _result(data, parents, backward_fn):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward = backward_fn
+            break
     return out
 
 
@@ -246,7 +250,8 @@ def _score_view(shape, dtype) -> np.ndarray:
     return buf[:count].reshape(shape)
 
 
-def attention(qkv: Tensor, n_heads: int) -> tuple[Tensor, np.ndarray]:
+def attention(qkv: Tensor, n_heads: int,
+              cls_only: bool = False) -> tuple[Tensor, np.ndarray]:
     """Multi-head softmax(q kᵀ / sqrt(d_head)) v, as one tape node.
 
     `qkv` is the (..., T, 3·d) projection, its columns head-major (q0 k0 v0
@@ -259,19 +264,31 @@ def attention(qkv: Tensor, n_heads: int) -> tuple[Tensor, np.ndarray]:
     When `qkv` needs no gradient, the scores are written into this thread's
     score buffer, kept across calls, so the probabilities returned then stay
     valid only until the next such call in the same thread; copy them to
-    keep them.
+    keep them. Only then may `cls_only` be set: position 0, the [CLS] token,
+    is the one query, over the keys and values of every position, and the
+    results are (..., 1, d) and (..., H, 1, T). They are within rounding of
+    row 0 of the full call, not the same to the bit: BLAS rounds a one-row
+    q kᵀ product differently from row 0 of the T-row one.
     """
+    if cls_only and qkv.requires_grad:
+        raise ValueError("attention from [CLS] alone has no backward; "
+                         "it needs a qkv that needs no gradient")
     *lead, T, d3 = qkv.data.shape
     dh = d3 // (3 * n_heads)
     scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 scores float32
     # (..., T, H, 3, dh) -> (3, ..., H, T, dh)
     split = qkv.data.reshape(*lead, T, n_heads, 3, dh)
-    q, k, v = np.moveaxis(split, -2, 0).swapaxes(-3, -2)
+    n = len(lead)
+    to_heads = (n + 2, *range(n), n + 1, n, n + 3)
+    q, k, v = split.transpose(to_heads)
+    if cls_only:
+        q = q[..., :1, :]
+    rows = q.shape[-2]
     kt = np.swapaxes(k, -1, -2)
     if qkv.requires_grad:  # backward keeps p: a fresh array
         p = q @ kt
     else:
-        p = np.matmul(q, kt, out=_score_view((*lead, n_heads, T, T), q.dtype))
+        p = np.matmul(q, kt, out=_score_view((*lead, n_heads, rows, T), q.dtype))
     p *= scale
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
@@ -284,13 +301,13 @@ def attention(qkv: Tensor, n_heads: int) -> tuple[Tensor, np.ndarray]:
         ds *= p
         ds *= scale
         dqkv = np.empty(qkv.shape)  # dq, dk and dv are views of its (..., T, H, 3, dh)
-        dq, dk, dv = np.moveaxis(dqkv.reshape(split.shape), -2, 0).swapaxes(-3, -2)
+        dq, dk, dv = dqkv.reshape(split.shape).transpose(to_heads)
         np.matmul(ds, k, out=dq)
         np.matmul(np.swapaxes(q, -1, -2), ds, out=np.swapaxes(dk, -1, -2))
         np.matmul(np.swapaxes(p, -1, -2), g, out=dv)
         qkv._accumulate(dqkv)
 
-    merged = (p @ v).swapaxes(-3, -2).reshape(*lead, T, d3 // 3)
+    merged = (p @ v).swapaxes(-3, -2).reshape(*lead, rows, d3 // 3)
     return _result(merged, (qkv,), bw), p
 
 

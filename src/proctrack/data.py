@@ -140,10 +140,7 @@ def _recipe_grid(obj: dict, n: int, path: str) -> tuple[list, dict]:
             continue
         steps = {}
         for key, value in ann.items():
-            try:
-                step = int(key)
-            except ValueError:
-                step = -1
+            step = int(key) if key.isascii() and key.isdigit() else -1
             if not 0 <= step <= n or step in steps:
                 raise DataError(f"{path}.locations.{name}.{key}: expected a "
                                 f"step number 0..{n}, each step once")

@@ -10,6 +10,7 @@ leading axes, (..., T, d_model), through the same code.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +49,7 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    hidden: Tensor  # (..., T, d_model)
+    hidden: Tensor  # (..., T, d_model), or (rows, T, d_model) with `select`
     # One (..., H, T, T) array per layer, when collected.
     attn_probs: list = field(default_factory=list)
 
@@ -131,28 +132,62 @@ def _dropout(x: Tensor, rate: float, rng) -> Tensor:
     return ad.scale(x, mask)
 
 
+def _final_norm(x: Tensor, params: dict) -> Tensor:
+    return ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
+
+
+def _block(x: Tensor, params: dict, p: str, config: EncoderConfig, rng,
+           attn_probs: list | None = None, cls_only: bool = False) -> Tensor:
+    """One pre-norm residual layer, its tensors named `p` + "ln1.gain" and so
+    on. Appends a copy of its attention probabilities to `attn_probs` when
+    given. With `cls_only`, on a tape-free `x` only, the [CLS] row alone
+    queries and goes on through the layer: the result is (..., 1, d_model)."""
+    h = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
+    merged, probs = ad.attention(ad.matmul(h, params[p + "attn.qkv"]),
+                                 config.n_heads, cls_only)
+    if attn_probs is not None:
+        attn_probs.append(probs.copy())
+    if cls_only:
+        x = Tensor(x.data[..., :1, :])
+    attn_out = ad.affine(merged, params[p + "attn.out"], params[p + "attn.out_bias"])
+    x = ad.add(x, _dropout(attn_out, config.dropout, rng))
+    h = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
+    ff = ad.affine(ad.gelu(ad.affine(h, params[p + "ff.w1"], params[p + "ff.b1"])),
+                   params[p + "ff.w2"], params[p + "ff.b2"])
+    return ad.add(x, _dropout(ff, config.dropout, rng))
+
+
 def encode(embedded: Tensor, params: dict, config: EncoderConfig,
-           rng: np.random.Generator | None = None,
-           collect_attn: bool = False) -> EncoderOutput:
-    """The encoder's output for `embedded`, with dropout when `rng` is given."""
-    T = embedded.data.shape[-2]
+           rng: np.random.Generator | None = None, collect_attn: bool = False,
+           select: Callable[[Tensor], np.ndarray] | None = None) -> EncoderOutput:
+    """The encoder's output for `embedded`, with dropout when `rng` is given.
+
+    With no `select`, every layer runs at every position of every input.
+    `select` asks for less on a tape-free pass: layers 0..L-2 run in full,
+    then the last layer and the final layer norm run for the [CLS] query
+    alone, giving (..., 1, d_model) rows that go to `select`. It returns the
+    flat indices, over the inputs' leading axes in C order, of the inputs to
+    finish; the last layer then runs again at every position of those inputs
+    only, from their LN1 on, and `hidden` is their (rows, T, d_model). Those
+    rows are the same to the bit as in the full pass, because each matrix
+    product keeps its per-input shape; the [CLS] rows are within rounding of
+    it (see `autodiff.attention`). With `collect_attn`, the last layer's
+    array then holds the finished inputs only.
+    """
+    T, d = embedded.data.shape[-2:]
     if T > config.max_len:
         raise ValueError(f"sequence length {T} exceeds max length {config.max_len}")
-    x = embedded
     attn_probs = []
-    for l in range(config.n_layers):
-        p = f"layer{l}."
-        h = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
-        merged, probs = ad.attention(ad.matmul(h, params[p + "attn.qkv"]),
-                                     config.n_heads)
-        if collect_attn:
-            attn_probs.append(probs.copy())
-        attn_out = ad.affine(merged, params[p + "attn.out"],
-                             params[p + "attn.out_bias"])
-        x = ad.add(x, _dropout(attn_out, config.dropout, rng))
-        h = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
-        ff = ad.affine(ad.gelu(ad.affine(h, params[p + "ff.w1"], params[p + "ff.b1"])),
-                       params[p + "ff.w2"], params[p + "ff.b2"])
-        x = ad.add(x, _dropout(ff, config.dropout, rng))
-    x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
-    return EncoderOutput(hidden=x, attn_probs=attn_probs)
+    collect = attn_probs if collect_attn else None
+    full = config.n_layers if select is None else config.n_layers - 1
+    x = embedded
+    for l in range(full):
+        x = _block(x, params, f"layer{l}.", config, rng, collect)
+    if select is not None:
+        last = f"layer{full}."
+        rows = select(_final_norm(_block(x, params, last, config, rng,
+                                         cls_only=True), params))
+        x = _block(Tensor(x.data.reshape(-1, T, d)[rows]), params, last, config,
+                   rng, collect)
+    return EncoderOutput(hidden=_final_norm(x, params), attn_probs=attn_probs)
+

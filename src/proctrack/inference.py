@@ -10,29 +10,37 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import softmax_array
+from .autodiff import ShapeMismatchError, softmax_array
 from .heads import STATUS_GONE, STATUS_KNOWN
 
 
 def decode_step(status: np.ndarray, start: np.ndarray, end: np.ndarray,
                 candidates, paragraph_positions):
-    """Resolve every row, an (entity, step), of (rows, 3) status logits and
-    (rows, T) start/end logits, in paragraph words: word i is logit column
-    `paragraph_positions[i]`.
+    """Resolve every row, an (entity, step), of (rows, 3) status logits, in
+    paragraph words. `start` and `end` hold (known, T) logits: one row for
+    each row whose status argmax is known-location, in row order, and none
+    for the others, as a tape-free `TrackerModel.forward_steps` computes
+    them. Word i is logit column `paragraph_positions[i]`.
 
-    A row whose status argmax is known-location gets a span from the start
-    and end probabilities. With `candidates`, the (start, end) word spans
-    allowed, it is the candidate with the highest start*end product; ties go
-    to the earliest start, then the shortest. With candidates=None (the
-    --no-np-filter ablation) it is the independent start and end argmax over
-    the words, and an end before its start gives no span.
+    A known-location row gets a span from its start and end probabilities.
+    With `candidates`, the (start, end) word spans allowed, it is the
+    candidate with the highest start*end product; ties go to the earliest
+    start, then the shortest. With candidates=None (the --no-np-filter
+    ablation) it is the independent start and end argmax over the words, and
+    an end before its start gives no span.
 
     Returns each row's "-", "?" or inclusive (start, end) word span, and the
     count of known-location rows left with no span, which decode to "?".
     """
+    classes = status.argmax(-1).tolist()
+    known = classes.count(STATUS_KNOWN)
+    if start.shape[:-1] != (known,) or end.shape != start.shape:
+        raise ShapeMismatchError(
+            f"{known} known-location rows need that many start and end "
+            f"logit rows, got {start.shape} and {end.shape}")
     pos = np.asarray(paragraph_positions, dtype=int)
     start_p, end_p = softmax_array(start)[:, pos], softmax_array(end)[:, pos]
-    spans = [None] * len(status)
+    spans = [None] * known
     if candidates is None and len(pos):
         spans = [(s, e) if s <= e else None for s, e in zip(
             start_p.argmax(-1).tolist(), end_p.argmax(-1).tolist())]
@@ -41,15 +49,17 @@ def decode_step(status: np.ndarray, start: np.ndarray, end: np.ndarray,
         ranked = sorted(candidates, key=lambda se: (se[0], se[1] - se[0]))
         s, e = np.array(ranked).T
         spans = [ranked[i] for i in (start_p[:, s] * end_p[:, e]).argmax(-1)]
-    values, flagged = [], 0
-    for cls, span in zip(status.argmax(-1).tolist(), spans):
+    values, flagged, spans = [], 0, iter(spans)
+    for cls in classes:
         if cls == STATUS_GONE:
             values.append("-")
-        elif cls == STATUS_KNOWN and span is not None:
+        elif cls != STATUS_KNOWN:
+            values.append("?")
+        elif (span := next(spans)) is not None:
             values.append(span)
         else:
             values.append("?")
-            flagged += cls == STATUS_KNOWN
+            flagged += 1
     return values, flagged
 
 

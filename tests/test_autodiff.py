@@ -131,6 +131,22 @@ class TestAttention:
         out, _ = ad.attention(qkv, 1)
         assert out._parents == (qkv,)
 
+    @pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12),
+                                             (np.float32, 1e-5)])
+    def test_cls_only_is_row_0_of_the_full_call(self, rng, dtype, atol):
+        qkv = rng.normal(0, 1, (2, 3, 5, 24)).astype(dtype)
+        full_out, full_probs = (a.copy() if isinstance(a, np.ndarray)
+                                else a.data for a in ad.attention(Tensor(qkv), 2))
+        out, probs = ad.attention(Tensor(qkv), 2, cls_only=True)
+        assert out.data.shape == (2, 3, 1, 8) and probs.shape == (2, 3, 2, 1, 5)
+        assert out.data.dtype == probs.dtype == dtype
+        np.testing.assert_allclose(out.data, full_out[..., :1, :], rtol=0, atol=atol)
+        np.testing.assert_allclose(probs, full_probs[..., :1, :], rtol=0, atol=atol)
+
+    def test_cls_only_needs_a_tape_free_qkv(self, rng):
+        with pytest.raises(ValueError, match="no backward"):
+            ad.attention(leaf(rng, 2, 5, 12), 1, cls_only=True)
+
 
 class TestScoreBuffer:
     """Tape-free attention writes its scores into one buffer per thread,

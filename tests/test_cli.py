@@ -765,11 +765,16 @@ class TestFuzz:
         ("data.json", [0], dict(RECIPE, locations={"water": {"1": "pot"},
                                                    "watr": {"1": "pan"}}),
          "$[0].locations.watr:"),
+        ("data.json", [0], dict(RECIPE, locations={"water": {" 1": "pot"}}),
+         "$[0].locations.water. 1:"),
+        ("data.json", [0], dict(RECIPE, locations={"water": {"\u0661": "pot"}}),
+         "$[0].locations.water.\u0661:"),
     ], ids=["non-object-procedure", "non-string-entity", "number-spans",
             "float-span", "zero-heads", "bool-heads", "float-max-len",
             "list-layers", "vocab-id-out-of-range", "recipe-list-locations",
             "recipe-word-step", "recipe-number-location", "recipe-unknown-key",
-            "recipe-unlisted-ingredient"])
+            "recipe-unlisted-ingredient", "recipe-padded-step",
+            "recipe-non-ascii-digit-step"])
     def test_escapes_found_by_fuzzing_are_data_errors(self, clean_run, tmp_path,
                                                       caplog, name, path, value,
                                                       where):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -311,6 +312,21 @@ class TestRecipeAnnotationErrors:
     def test_malformed_field_names_its_path(self, tmp_path, field, value, where):
         with pytest.raises(DataError, match=where):
             self.load(tmp_path, {**self.RECIPE, field: value})
+
+    @pytest.mark.parametrize("key", [" 1", "1 ", "+1", "0_1", "\u0661", "\uff11"],
+                             ids=["space-before", "space-after", "plus",
+                                  "underscore", "arabic-indic-digit",
+                                  "fullwidth-digit"])
+    def test_step_key_is_ascii_digits_only(self, tmp_path, key):
+        """Keys that Python's int() reads as step 1 are not step numbers."""
+        locations = {"butter": {key: "pan"}}
+        with pytest.raises(DataError, match=re.escape(
+                f"$[1].locations.butter.{key}: expected a step number 0..2")):
+            self.load(tmp_path, {**self.RECIPE, "locations": locations})
+
+    def test_step_key_with_leading_zeros_is_its_number(self, tmp_path):
+        recipe = {**self.RECIPE, "locations": {"butter": {"01": "pan"}}}
+        assert self.load(tmp_path, recipe)[1].grid == {"butter": ["?", "pan", "pan"]}
 
     def test_non_object_recipe(self, tmp_path):
         with pytest.raises(DataError,

@@ -357,10 +357,53 @@ class TestScoreBuffer:
             assert out == [want] * 20
 
 
-def chain_attention(qkv, n_heads):
+class TestSelect:
+    """`encode(select=...)`: the last layer for [CLS] alone, then in full for
+    the inputs `select` picks."""
+
+    def pass_and_selection(self, vocab, n_layers, rows):
+        cfg = tiny_config(vocab, n_heads=2, n_layers=n_layers, d_model=16)
+        params = {k: ad.Tensor(t.data.astype(np.float32)) for k, t in
+                  init_encoder_params(cfg, np.random.default_rng(3)).items()}
+        rng = np.random.default_rng(4)
+        for t in params.values():
+            t.data += rng.normal(0, 0.3, t.data.shape).astype(np.float32)
+        layout = build_query("water", SENTS, vocab)
+        x = embed(TimestampedInput(np.array([layout.token_ids] * 2)[:, None],
+                                   time_ids(layout)), params)
+        full = encode(x, params, cfg).hidden.data
+        seen = []
+        part = encode(x, params, cfg, select=lambda cls: seen.append(
+            cls.data.copy()) or np.array(rows, dtype=int)).hidden.data
+        return full, seen, part
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_selected_inputs_equal_the_full_pass_to_the_bit(self, vocab, n_layers):
+        full, (cls,), part = self.pass_and_selection(vocab, n_layers, [5, 0, 2])
+        assert full.shape[:2] == (2, 4) and cls.shape == (2, 4, 1, 16)
+        np.testing.assert_allclose(cls, full[..., :1, :], rtol=0, atol=1e-5)
+        flat = full.reshape(-1, *full.shape[-2:])
+        assert part.dtype == np.float32
+        assert np.array_equal(part, flat[[5, 0, 2]])
+
+    def test_no_selected_input_gives_no_rows(self, vocab):
+        full, _, part = self.pass_and_selection(vocab, 2, [])
+        assert part.shape == (0, *full.shape[-2:])
+
+    def test_a_taped_pass_cannot_select(self, vocab):
+        cfg = tiny_config(vocab)
+        params = init_encoder_params(cfg, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="no backward"):
+            encode(embed(make_input(vocab), params), params, cfg,
+                   select=lambda cls: np.arange(1))
+
+
+def chain_attention(qkv, n_heads, cls_only=False):
     """Attention as the separate tape ops the fused op replaced: a `reshape`
     and `transpose` split into heads, slices, `matmul(q, kᵀ)`, `scale`,
-    `softmax`, `matmul(·, v)`, and a `transpose` and `reshape` merge."""
+    `softmax`, `matmul(·, v)`, and a `transpose` and `reshape` merge. Taped
+    passes, the only ones it stands in for, query from every position."""
+    assert not cls_only
     *lead, T, d3 = qkv.shape
     L, dh = len(lead), d3 // (3 * n_heads)
     heads = ad.transpose(ad.reshape(qkv, (*lead, T, n_heads, 3, dh)),

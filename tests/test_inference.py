@@ -5,17 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proctrack.autodiff import softmax_array
-from proctrack.heads import STATUS_GONE, STATUS_UNKNOWN
+from proctrack.autodiff import ShapeMismatchError, softmax_array
+from proctrack.heads import STATUS_GONE, STATUS_KNOWN, STATUS_UNKNOWN
 from proctrack.inference import decode_step, repair_timeline, violates_rules
 
 
 def logits(status, start, end):
-    """One row each of status, start and end logits whose softmax
-    probabilities are the given (normalised) rows; zeros become -inf."""
+    """One row of status logits and, as `decode_step` takes them, one row
+    each of start and end logits if its argmax is known-location, else none;
+    their softmax probabilities are the given (normalised) rows, and zeros
+    become -inf."""
     with np.errstate(divide="ignore"):
-        return tuple(np.log(np.asarray(v, float))[None]
-                     for v in (status, start, end))
+        status, start, end = (np.log(np.asarray(v, float))[None]
+                              for v in (status, start, end))
+    known = status.argmax(-1) == STATUS_KNOWN
+    return status, start[known], end[known]
 
 
 def oracle_row(status, start, end, candidates, paragraph_positions):
@@ -120,6 +124,15 @@ class TestDecodeStep:
         rows = logits([0.0, 0.0, 1.0], [0.5, 0.5], [0.5, 0.5])
         assert decode_step(*rows, [], [0, 1]) == (["?"], 1)
 
+    def test_span_rows_must_be_the_known_rows(self):
+        status = np.log([[0.1, 0.1, 0.8], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
+        for n in (0, 1, 3):
+            span = np.zeros((n, 4))
+            with pytest.raises(ShapeMismatchError, match="2 known-location rows"):
+                decode_step(status, span, span, [(0, 1)], [0, 1, 2, 3])
+        with pytest.raises(ShapeMismatchError):
+            decode_step(status, np.zeros((2, 4)), np.zeros((2, 3)), None, [0, 1])
+
 
 class TestDecodeStepUnfiltered:
     """candidates=None: the --no-np-filter ablation."""
@@ -160,9 +173,13 @@ class TestDecodeMatchesPerStepOracle:
              + ([(0, 0), (2, 2)], [0, 1, 2]))
     @settings(max_examples=400, deadline=None)
     def test_rows_equal_the_oracle_in_both_modes(self, case):
+        """decode_step gets the start and end rows of the known-location
+        rows only; the oracle reads every row's own."""
         status, start, end, candidates, positions = case
+        known = status.argmax(-1) == STATUS_KNOWN
         for cands in (candidates, None):
-            values, flagged = decode_step(status, start, end, cands, positions)
+            values, flagged = decode_step(status, start[known], end[known],
+                                          cands, positions)
             rows = [oracle_row(status[i], start[i], end[i], cands, positions)
                     for i in range(len(status))]
             assert values == [v for v, _ in rows]

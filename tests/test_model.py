@@ -18,7 +18,7 @@ from proctrack.encoder import EncoderConfig, embed, encode
 from proctrack.fixtures import photosynthesis
 from proctrack.heads import STATUS_KNOWN, joint_loss, span_head, status_head
 from proctrack.inference import decode_step, repair_timeline, violates_rules
-from proctrack.inputs import timestamp
+from proctrack.inputs import TimestampedInput, time_ids, timestamp
 from proctrack.model import STACK_SCORES, TrackerModel, vocab_from_procedures
 from proctrack.tokenizer import SEP, UNK
 from proctrack.train import TrainingDiverged, status_accuracy, train_model
@@ -32,6 +32,26 @@ def forward(model, layout, step):
                     model.config).hidden
     return (status_head(hidden, params["head.status"]),
             *span_head(hidden, params["head.start"], params["head.end"]))
+
+
+def full_pass(model, layouts, params):
+    """Status, start and end logits of every row (layout, step 0..n) from
+    `encode` with no selector and the heads: every layer at every position,
+    the pass a status-first prediction is checked against."""
+    tokens = np.array([layout.token_ids for layout in layouts])[:, None]
+    inp = TimestampedInput(tokens, time_ids(layouts[0]))
+    hidden = encode(embed(inp, params), params, model.config).hidden
+    return tuple(t.data for t in (
+        status_head(hidden, params["head.status"]),
+        *span_head(hidden, params["head.start"], params["head.end"])))
+
+
+def known_rows(status):
+    return np.flatnonzero(status.argmax(-1) == STATUS_KNOWN)
+
+
+def float32_params(model):
+    return {k: Tensor(t.data.astype(np.float32)) for k, t in model.params.items()}
 
 
 def views(params):
@@ -123,40 +143,48 @@ class TestForward:
     def test_step_batch_is_tape_free_and_matches_single_steps(self, model, procs):
         params = {k: Tensor(t.data.copy(), requires_grad=True)
                   for k, t in model.params.items()}
-        params["ts_emb"].data[:] = np.random.default_rng(2).normal(0, 0.5, (4, 16))
-        model = TrackerModel(model.vocab, model.config, params)
+        # Every matrix, ts_emb too, redrawn so that the steps differ and
+        # their statuses mix known-location and other rows.
+        model = redraw_matrices(TrackerModel(model.vocab, model.config, params),
+                                seed=2)
         proc = procs[0]
         layout = model.layout_for(proc.entities[0], proc)
         batched = model.forward_steps([layout], views(model.params))
         for t in batched:
             assert t._backward is None and t._parents == ()
             assert not t.requires_grad
-            assert len(t.data) == proc.n_steps + 1
-        for step in range(proc.n_steps + 1):
-            alone = forward(model, layout, step)
-            assert len(alone) == len(batched) == 3
-            for got, want in zip(batched, alone):
-                np.testing.assert_allclose(got.data[step:step + 1], want.data,
+        status, start, end = (t.data for t in batched)
+        assert len(status) == proc.n_steps + 1
+        known = known_rows(status)
+        assert 0 < len(known) < len(status)
+        assert len(start) == len(end) == len(known)
+        alone = [forward(model, layout, step) for step in range(len(status))]
+        for step, logits in enumerate(alone):
+            assert len(logits) == len(batched) == 3
+            np.testing.assert_allclose(status[step:step + 1], logits[0].data,
+                                       rtol=0, atol=1e-12)
+        for row, step in enumerate(known):
+            for got, want in zip((start, end), alone[step][1:]):
+                np.testing.assert_allclose(got[row:row + 1], want.data,
                                            rtol=0, atol=1e-12)
 
     def test_float32_steps_match_float64_within_bound(self, procs):
-        """The float32 pass prediction runs stays within 1e-4 of float64 in
-        every logit (8.1e-5 was the largest difference over the benchmark's
-        corpora, with logits up to 10.3 in size), on a model of the
-        benchmark's shape and weight scale."""
+        """The float32 pass prediction runs stays within 1e-4 of the full
+        float64 pass in every logit it computes (8.1e-5 was the largest
+        difference over the benchmark's corpora, with logits up to 10.3 in
+        size), on a model of the benchmark's shape and weight scale."""
         model = redraw_matrices(TrackerModel.fresh(
             vocab_from_procedures(procs), EncoderConfig(max_len=96), seed=5))
-        single = {k: Tensor(t.data.astype(np.float32))
-                  for k, t in model.params.items()}
+        single = float32_params(model)
         double = views(model.params)
         for proc in procs:
             for layouts in stacks(model, proc):
-                for got, want in zip(model.forward_steps(layouts, single),
-                                     model.forward_steps(layouts, double)):
-                    assert got.data.dtype == np.float32
-                    assert want.data.dtype == np.float64
-                    np.testing.assert_allclose(got.data, want.data,
-                                               rtol=0, atol=1e-4)
+                got = [t.data for t in model.forward_steps(layouts, single)]
+                want = full_pass(model, layouts, double)
+                known = known_rows(got[0])
+                for g, w in zip(got, (want[0], *(w[known] for w in want[1:]))):
+                    assert g.dtype == np.float32 and w.dtype == np.float64
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-4)
 
     def test_prediction_leaves_no_gradients(self, model, procs):
         model.predict_procedure(procs[0])
@@ -294,11 +322,13 @@ class TestPredict:
 
 
 def one_entity_prediction(model, proc, entity, params, np_filter, repair):
-    """(timeline, flagged, violations) of `entity` from a pass of its own,
-    decoded alone."""
+    """(timeline, flagged, violations) of `entity` from a full pass of its
+    own, decoded alone."""
     layout = model.layout_for(entity, proc)
+    status, start, end = full_pass(model, [layout], params)
+    known = known_rows(status)
     states, flagged = decode_step(
-        *(t.data for t in model.forward_steps([layout], params)),
+        status, start[known], end[known],
         proc.candidate_spans if np_filter else None, layout.paragraph_pos)
     raw = [v if isinstance(v, str) else " ".join(proc.paragraph[v[0]:v[1] + 1])
            for v in states]
@@ -339,8 +369,7 @@ class TestStackedPrediction:
         return calls
 
     def oracle(self, model, proc, np_filter, repair):
-        params = {k: Tensor(t.data.astype(np.float32))
-                  for k, t in model.params.items()}
+        params = float32_params(model)
         timelines, flagged, violations = {}, 0, 0
         for entity in proc.entities:
             timelines[entity], fl, vi = one_entity_prediction(
@@ -350,21 +379,25 @@ class TestStackedPrediction:
         return timelines, {"flagged": flagged, "rule_violations": violations}
 
     def test_stacked_logits_equal_one_entity_passes(self):
+        """Each entity's status rows, and the span rows of its known-location
+        rows, are the same to the bit stacked as in a pass of its own."""
         model = self.bench_like([self.PROC], seed=7)
-        params = {k: Tensor(t.data.astype(np.float32))
-                  for k, t in model.params.items()}
+        params = float32_params(model)
         groups = stacks(model, self.PROC)
         assert [len(g) for g in groups] == [3, 1]
         assert len({len(g[0].tokens) for g in groups}) == 2
         rows = self.PROC.n_steps + 1
         for layouts in groups:
-            stacked = model.forward_steps(layouts, params)
+            status, start, end = (t.data for t in
+                                  model.forward_steps(layouts, params))
+            known = known_rows(status)
             for j, layout in enumerate(layouts):
-                for got, want in zip(stacked,
-                                     model.forward_steps([layout], params)):
-                    assert got.data.dtype == np.float32
-                    assert np.array_equal(got.data[j * rows:(j + 1) * rows],
-                                          want.data)
+                alone = [t.data for t in model.forward_steps([layout], params)]
+                mine = (known >= j * rows) & (known < (j + 1) * rows)
+                for got, want in zip((status[j * rows:(j + 1) * rows],
+                                      start[mine], end[mine]), alone):
+                    assert got.dtype == np.float32
+                    assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("np_filter", [True, False])
     @pytest.mark.parametrize("repair", [True, False])
@@ -404,6 +437,69 @@ class TestStackedPrediction:
             before = len(calls)
             model.predict_procedure(proc)
             assert len(calls) - before == len(stacks(model, proc))
+
+
+class TestStatusFirst:
+    """A tape-free `forward_steps` gives every row's status, then runs the
+    last layer in full, and the span head, only for the rows whose status
+    argmax is known-location."""
+
+    PROC = TestStackedPrediction.PROC
+
+    def bench_like(self, n_layers):
+        procs = [self.PROC] + generate_synthetic(3, 4)
+        return redraw_matrices(TrackerModel.fresh(
+            vocab_from_procedures(procs),
+            EncoderConfig(n_layers=n_layers, max_len=96), seed=5), 7)
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_decoded_span_logits_are_exact_and_status_within_1e_5(self,
+                                                                  n_layers):
+        model = self.bench_like(n_layers)
+        params = float32_params(model)
+        decoded = total = 0
+        for proc in [self.PROC] + generate_synthetic(3, 4):
+            for layouts in stacks(model, proc):
+                status, start, end = (t.data for t in
+                                      model.forward_steps(layouts, params))
+                want = full_pass(model, layouts, params)
+                np.testing.assert_allclose(status, want[0], rtol=0, atol=1e-5)
+                known = known_rows(status)
+                assert np.array_equal(known, known_rows(want[0]))
+                assert np.array_equal(start, want[1][known])
+                assert np.array_equal(end, want[2][known])
+                decoded, total = decoded + len(known), total + len(status)
+        assert 0 < decoded < total
+        assert max(len(g) for g in stacks(model, self.PROC)) > 1
+
+    @pytest.mark.parametrize("np_filter", [True, False])
+    @pytest.mark.parametrize("repair", [True, False])
+    def test_one_layer_timelines_match_one_entity_passes(self, np_filter, repair):
+        model = self.bench_like(1)
+        got = model.predict_procedure(self.PROC, np_filter=np_filter,
+                                      repair=repair)
+        assert got == TestStackedPrediction().oracle(model, self.PROC,
+                                                      np_filter, repair)
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_rows_not_decoded_never_reach_the_span_head(self, monkeypatch,
+                                                        n_layers):
+        model = self.bench_like(n_layers)
+        params = float32_params(model)
+        rows = []
+        span_head = model_module.span_head
+
+        def counted(hidden, *weights):
+            rows.append(len(hidden.data.reshape(-1, *hidden.shape[-2:])))
+            return span_head(hidden, *weights)
+
+        monkeypatch.setattr(model_module, "span_head", counted)
+        model.predict_procedure(self.PROC)
+        groups = stacks(model, self.PROC)
+        known = [len(known_rows(full_pass(model, layouts, params)[0]))
+                 for layouts in groups]
+        assert rows == known
+        assert sum(known) < len(self.PROC.entities) * (self.PROC.n_steps + 1)
 
 
 class TestOneForwardPass:
