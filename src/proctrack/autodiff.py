@@ -534,9 +534,10 @@ def load_checkpoint(path) -> dict:
 def read_checkpoint(path) -> tuple[dict, dict]:
     """The header and the parameters saved by `save_checkpoint`, each
     parameter a writable array of its own; ValueError naming the first thing
-    in the header or the bytes that is malformed: a format or version not
-    this one, a record without a string name, a shape of non-negative ints or
-    an int offset, a repeated name, offsets that are not each tensor's bytes
+    in the header or the bytes that is malformed: a header that is not JSON
+    or is nested too deeply to read, a format or version not this one, a
+    record without a string name, a shape of non-negative ints or an int
+    offset, a repeated name, offsets that are not each tensor's bytes
     packed back to back, a byte count that is not the file's, or a value
     that is NaN or infinity."""
     with open(path, "rb") as f:
@@ -545,6 +546,8 @@ def read_checkpoint(path) -> tuple[dict, dict]:
         header = json.loads(head)
     except ValueError as exc:
         raise ValueError(f"{path}: header line is not JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: header line is nested too deeply to read") from None
     if not (isinstance(header, dict) and header.get("format") == _CHECKPOINT_FORMAT):
         raise ValueError(f"{path}: not a {_CHECKPOINT_FORMAT} header")
     if header.get("version") != _CHECKPOINT_VERSION:

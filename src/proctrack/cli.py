@@ -47,6 +47,8 @@ def load_run_config(path=None, **overrides) -> dict:
                 cfg = json.load(f)
             except ValueError as exc:
                 raise ConfigError(f"{path}: not JSON: {exc}") from exc
+            except RecursionError:
+                raise ConfigError(f"{path}: JSON nested too deeply to read") from None
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: expected a JSON object")
     cfg.update((k, v) for k, v in overrides.items() if v is not None)
@@ -107,7 +109,10 @@ def cmd_train(args) -> int:
     # Made now, so an --out that cannot be a directory fails before training.
     os.makedirs(args.out, exist_ok=True)
     vocab = vocab_from_procedures(procs)
-    model = TrackerModel.fresh(vocab, cfg["encoder"], cfg["seed"])
+    try:
+        model = TrackerModel.fresh(vocab, cfg["encoder"], cfg["seed"])
+    except MemoryError as exc:
+        raise ConfigError(f"encoder config too large to allocate: {exc}") from exc
     result = train_model(
         model, procs, cfg["sgd"], cfg["epochs"], seed=cfg["seed"],
         checkpoint_dir=args.out, dev_procs=dev,

@@ -230,12 +230,28 @@ def _proc_from_obj(obj, path: str) -> Procedure:
     return proc
 
 
+def _unique_ids(procs: list[Procedure], places: list[str]) -> list[Procedure]:
+    """`procs`, or a DataError naming both places of the first repeated id:
+    predictions and gold tables are keyed by it."""
+    first = {}
+    for proc, place in zip(procs, places):
+        if proc.id in first:
+            raise DataError(f"{place}.id: {proc.id!r} repeats {first[proc.id]}")
+        first[proc.id] = place
+    return procs
+
+
 def load_procedures(path) -> list[Procedure]:
     with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+        try:
+            data = json.load(f)
+        except RecursionError:
+            raise DataError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(data, list):
         raise DataError("$: top level must be a list of procedures")
-    return [_proc_from_obj(obj, f"$[{i}]") for i, obj in enumerate(data)]
+    places = [f"$[{i}]" for i in range(len(data))]
+    return _unique_ids([_proc_from_obj(obj, where)
+                        for obj, where in zip(data, places)], places)
 
 
 def save_procedures(procs: list[Procedure], path) -> None:
@@ -273,9 +289,8 @@ def load_grid_tsv(path) -> list[Procedure]:
     if cur:
         blocks.append(cur)
 
-    procs = []
-    for b, block in enumerate(blocks):
-        where = f"{path}:block{b}"
+    procs, places = [], [f"{path}:block{b}" for b in range(len(blocks))]
+    for block, where in zip(blocks, places):
         header = block[0].split("\t")
         if len(header) < 2:
             raise DataError(f"{where}: header needs a process id and >=1 entity")
@@ -299,7 +314,7 @@ def load_grid_tsv(path) -> list[Procedure]:
         procs.append(_proc_from_obj({"id": pid, "sentences": sentences,
                                      "entities": entities, "grid": columns},
                                     where))
-    return procs
+    return _unique_ids(procs, places)
 
 
 def save_grid_tsv(procs: list[Procedure], path) -> None:

@@ -136,19 +136,10 @@ def _final_norm(x: Tensor, params: dict) -> Tensor:
     return ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
 
 
-def _block(x: Tensor, params: dict, p: str, config: EncoderConfig, rng,
-           attn_probs: list | None = None, cls_only: bool = False) -> Tensor:
-    """One pre-norm residual layer, its tensors named `p` + "ln1.gain" and so
-    on. Appends a copy of its attention probabilities to `attn_probs` when
-    given. With `cls_only`, on a tape-free `x` only, the [CLS] row alone
-    queries and goes on through the layer: the result is (..., 1, d_model)."""
-    h = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
-    merged, probs = ad.attention(ad.matmul(h, params[p + "attn.qkv"]),
-                                 config.n_heads, cls_only)
-    if attn_probs is not None:
-        attn_probs.append(probs.copy())
-    if cls_only:
-        x = Tensor(x.data[..., :1, :])
+def _finish(x: Tensor, merged: Tensor, params: dict, p: str,
+            config: EncoderConfig, rng) -> Tensor:
+    """The rest of layer `p` after attention: the output projection, both
+    residuals and the feed-forward."""
     attn_out = ad.affine(merged, params[p + "attn.out"], params[p + "attn.out_bias"])
     x = ad.add(x, _dropout(attn_out, config.dropout, rng))
     h = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
@@ -157,37 +148,48 @@ def _block(x: Tensor, params: dict, p: str, config: EncoderConfig, rng,
     return ad.add(x, _dropout(ff, config.dropout, rng))
 
 
+def _block(x: Tensor, params: dict, p: str, config: EncoderConfig, rng,
+           attn_probs: list | None = None, select=None) -> Tensor:
+    """One pre-norm residual layer, its tensors named `p` + "ln1.gain" and so
+    on, finishing only the inputs `select` picks (see `encode`). Appends a
+    copy of its attention probabilities to `attn_probs` when given."""
+    qkv = ad.matmul(ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"]),
+                    params[p + "attn.qkv"])
+    if select is not None:
+        cls, _ = ad.attention(qkv, config.n_heads, cls_only=True)
+        rows = select(_final_norm(_finish(Tensor(x.data[..., :1, :]), cls, params,
+                                          p, config, rng), params))
+        x, qkv = (Tensor(t.data.reshape(-1, *t.shape[-2:])[rows]) for t in (x, qkv))
+    merged, probs = ad.attention(qkv, config.n_heads)
+    if attn_probs is not None:
+        attn_probs.append(probs.copy())
+    return _finish(x, merged, params, p, config, rng)
+
+
 def encode(embedded: Tensor, params: dict, config: EncoderConfig,
            rng: np.random.Generator | None = None, collect_attn: bool = False,
            select: Callable[[Tensor], np.ndarray] | None = None) -> EncoderOutput:
     """The encoder's output for `embedded`, with dropout when `rng` is given.
 
     With no `select`, every layer runs at every position of every input.
-    `select` asks for less on a tape-free pass: layers 0..L-2 run in full,
-    then the last layer and the final layer norm run for the [CLS] query
-    alone, giving (..., 1, d_model) rows that go to `select`. It returns the
-    flat indices, over the inputs' leading axes in C order, of the inputs to
-    finish; the last layer then runs again at every position of those inputs
-    only, from their LN1 on, and `hidden` is their (rows, T, d_model). Those
-    rows are the same to the bit as in the full pass, because each matrix
-    product keeps its per-input shape; the [CLS] rows are within rounding of
-    it (see `autodiff.attention`). With `collect_attn`, the last layer's
-    array then holds the finished inputs only.
+    `select` asks for less on a tape-free pass. The last layer projects every
+    input once, then finishes the [CLS] query alone, and the final layer norm
+    gives (..., 1, d_model) rows that go to `select`. It returns the flat
+    indices, over the inputs' leading axes in C order, of the inputs to
+    finish: only those go on through full attention and the rest of the
+    layer, and `hidden` is their (rows, T, d_model). Those rows are the same
+    to the bit as in the full pass, because each matrix product keeps its
+    per-input shape; the [CLS] rows are within rounding of it (see
+    `autodiff.attention`). With `collect_attn`, the last layer's array then
+    holds the finished inputs only.
     """
-    T, d = embedded.data.shape[-2:]
+    T = embedded.data.shape[-2]
     if T > config.max_len:
         raise ValueError(f"sequence length {T} exceeds max length {config.max_len}")
     attn_probs = []
     collect = attn_probs if collect_attn else None
-    full = config.n_layers if select is None else config.n_layers - 1
     x = embedded
-    for l in range(full):
-        x = _block(x, params, f"layer{l}.", config, rng, collect)
-    if select is not None:
-        last = f"layer{full}."
-        rows = select(_final_norm(_block(x, params, last, config, rng,
-                                         cls_only=True), params))
-        x = _block(Tensor(x.data.reshape(-1, T, d)[rows]), params, last, config,
-                   rng, collect)
+    for l in range(config.n_layers):
+        x = _block(x, params, f"layer{l}.", config, rng, collect,
+                   select if l == config.n_layers - 1 else None)
     return EncoderOutput(hidden=_final_norm(x, params), attn_probs=attn_probs)
-

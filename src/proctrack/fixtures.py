@@ -1,6 +1,7 @@
 """Built-in demo data: a small photosynthesis procedure with a full gold grid.
 
-Used by tests and as a quick-start dataset for the CLI.
+Used by the tests, the acceptance suite's golden fixture among them. No CLI
+command reads it; `generate-data` writes a corpus to start from.
 """
 
 from __future__ import annotations

@@ -143,21 +143,16 @@ class TrackerModel:
 
         Otherwise (prediction: a stack of layouts on float32 copies) the pass
         is status first. It records no tape, frees each intermediate once
-        used and runs in the dtype of `params`. The last layer runs for each
-        row's [CLS] query alone, for the status logits of every row; then in
-        full only for the rows whose status argmax is known-location, and
-        only those rows, in row order, get start and end logits, as
-        `decode_step` takes them. Those span logits are the same to the bit
-        as the full pass's; the status logits are within 1e-5 of it, as BLAS
-        rounds the one-row [CLS] product differently.
+        used and runs in the dtype of `params`. The last layer's attention
+        runs for each row's [CLS] query alone, for the status logits of every
+        row; then in full only for the rows whose status argmax is
+        known-location, and only those rows, in row order, get start and end
+        logits, as `decode_step` takes them. Those span logits are the same
+        to the bit as the full pass's; the status logits are within 1e-5 of
+        it, as BLAS rounds the one-row [CLS] product differently.
         """
         tokens = np.array([layout.token_ids for layout in layouts])[:, None]
         inp = TimestampedInput(tokens, time_ids(layouts[0]))
-        embedded = embed(inp, params)
-        if any(t.requires_grad for t in params.values()):
-            hidden = encode(embedded, params, self.config, rng=rng).hidden
-            return (status_head(hidden, params["head.status"]),
-                    *span_head(hidden, params["head.start"], params["head.end"]))
         status = None
 
         def known_rows(cls: Tensor) -> np.ndarray:
@@ -165,8 +160,11 @@ class TrackerModel:
             status = status_head(cls, params["head.status"])
             return np.flatnonzero(status.data.argmax(-1) == STATUS_KNOWN)
 
-        hidden = encode(embedded, params, self.config, rng=rng,
-                        select=known_rows).hidden
+        taped = any(t.requires_grad for t in params.values())
+        hidden = encode(embed(inp, params), params, self.config, rng=rng,
+                        select=None if taped else known_rows).hidden
+        if status is None:
+            status = status_head(hidden, params["head.status"])
         return status, *span_head(hidden, params["head.start"], params["head.end"])
 
     # -- training targets ---------------------------------------------------

@@ -315,6 +315,23 @@ class TestMalformedCorpus:
                      "--out", str(tmp_path / "out.json")]) == EXIT_DATA
         assert "block0.entities[1]: duplicate entity 'water'" in caplog.text
 
+    def test_repeated_id_is_data_error(self, tmp_path, caplog):
+        """Such a corpus used to train, and `predict` then wrote one
+        process for two."""
+        other = dict(self.RECORD, grid={"water": ["?", "water"]})
+        assert self.train(tmp_path, [self.RECORD, other]) == EXIT_DATA
+        assert "$[1].id: 'p' repeats $[0]" in caplog.text
+
+    def test_repeated_id_in_grid_tsv_is_data_error(self, tmp_path, caplog):
+        tsv = tmp_path / "grid.tsv"
+        block = "p1\twater\nstate0\t\t?\nstate1\troots absorb water\troots\n"
+        tsv.write_text(block + "\n" + block)
+        assert main(["convert", "--tsv", str(tsv),
+                     "--out", str(tmp_path / "out.json")]) == EXIT_DATA
+        assert "block1.id: 'p1' repeats " in caplog.text
+        assert caplog.text.rstrip().endswith("grid.tsv:block0")
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestPipeline:
     def test_generate_is_deterministic(self, tmp_path):
@@ -680,11 +697,16 @@ def clean_run(tmp_path_factory):
     return files
 
 
+NEST = "<nest>"  # where `mutated` splices its nested lists into the text
+
+
 @st.composite
 def mutated(draw, text):
-    """`text` (JSON) with one value replaced or deleted at a random depth,
-    or cut short."""
-    if draw(st.integers(0, 9)) == 0:
+    """`text` (JSON) cut short, or with one value at a random depth deleted
+    or replaced: by a drawn value, or, as text, by lists nested to a depth
+    near or far beyond what Python's parser follows."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
         return text[:draw(st.integers(0, len(text) - 1))]
     root = node = json.loads(text)
     while True:
@@ -695,6 +717,13 @@ def mutated(draw, text):
                 or draw(st.integers(0, 2)) == 0:
             break
         node = child
+    if kind == 1:
+        depth = draw(st.integers(1, 1000) | st.just(100000))
+        if key is None:
+            return "[" * depth + "]" * depth
+        node[key] = NEST
+        return json.dumps(root).replace(json.dumps(NEST),
+                                        "[" * depth + "]" * depth, 1)
     if key is None:
         return json.dumps(draw(JSON_VALUES))
     if draw(st.booleans()):
@@ -740,6 +769,54 @@ def write_files(root, files):
             (root / rel).write_bytes(content)
         else:
             (root / rel).write_text(content)
+
+
+def one_error_line(caplog):
+    """The text of the one ERROR record, checked to be one line."""
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert "\n" not in error
+    return error
+
+
+class TestTooDeepOrTooLarge:
+    """Input that Python's parser or numpy's allocator refuses is a one-line
+    contract error, not a traceback."""
+
+    DEEP = "[" * 100000 + "]" * 100000
+
+    @pytest.mark.parametrize("site, code", [
+        ("predict-data", EXIT_DATA), ("evaluate-gold", EXIT_DATA),
+        ("train-config", EXIT_CONFIG), ("checkpoint-header", EXIT_DATA)])
+    def test_deeply_nested_json(self, clean_run, tmp_path, caplog, site, code):
+        files = dict(clean_run)
+        if site == "checkpoint-header":
+            body = clean_run["ckpt/params.bin"].split(b"\n", 1)[1]
+            files["ckpt/params.bin"] = self.DEEP.encode() + b"\n" + body
+        else:
+            files["config.json" if site == "train-config" else "data.json"] = self.DEEP
+        write_files(tmp_path, files)
+        data, ckpt = str(tmp_path / "data.json"), str(tmp_path / "ckpt")
+        argv = {
+            "predict-data": ["predict", "--data", data, "--checkpoint", ckpt,
+                             "--out", str(tmp_path / "out.tsv")],
+            "evaluate-gold": ["evaluate", "--pred", str(tmp_path / "pred.tsv"),
+                              "--gold", data],
+            "train-config": ["train", "--data", data, "--out", str(tmp_path / "t"),
+                             "--config", str(tmp_path / "config.json")],
+        }
+        argv["checkpoint-header"] = argv["predict-data"]
+        assert main(argv[site]) == code
+        assert "nested too deeply to read" in one_error_line(caplog)
+
+    def test_encoder_too_large_to_allocate_is_config_error(self, workspace,
+                                                           caplog):
+        """numpy refuses a (10¹², 32) position table at once."""
+        tmp_path, cfg, data = workspace
+        cfg.write_text(json.dumps({"encoder": {"max_len": 10**12}, "epochs": 1}))
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "ckpt")]) == EXIT_CONFIG
+        assert "too large to allocate" in one_error_line(caplog)
+        assert not (tmp_path / "ckpt" / "params.bin").exists()
 
 
 class TestFuzz:

@@ -282,12 +282,13 @@ class TestRecipeAnnotationErrors:
               "ingredients": ["butter"], "locations": {"butter": {"1": "pan"}}}
 
     def load(self, tmp_path, recipe):
+        """`recipe` loaded as $[1], after a well-formed one with its own id."""
         path = tmp_path / "recipes.json"
-        path.write_text(json.dumps([self.RECIPE, recipe]))
+        path.write_text(json.dumps([{**self.RECIPE, "id": "r0"}, recipe]))
         return load_procedures(path)
 
     def test_well_formed_recipe_loads(self, tmp_path):
-        assert [p.id for p in self.load(tmp_path, self.RECIPE)] == ["r1", "r1"]
+        assert [p.id for p in self.load(tmp_path, self.RECIPE)] == ["r0", "r1"]
 
     @pytest.mark.parametrize("field, value, where", [
         ("id", ["x"], r"\$\[1\]\.id:"),

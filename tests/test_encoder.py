@@ -398,12 +398,11 @@ class TestSelect:
                    select=lambda cls: np.arange(1))
 
 
-def chain_attention(qkv, n_heads, cls_only=False):
+def chain_attention(qkv, n_heads):
     """Attention as the separate tape ops the fused op replaced: a `reshape`
     and `transpose` split into heads, slices, `matmul(q, kᵀ)`, `scale`,
     `softmax`, `matmul(·, v)`, and a `transpose` and `reshape` merge. Taped
     passes, the only ones it stands in for, query from every position."""
-    assert not cls_only
     *lead, T, d3 = qkv.shape
     L, dh = len(lead), d3 // (3 * n_heads)
     heads = ad.transpose(ad.reshape(qkv, (*lead, T, n_heads, 3, dh)),

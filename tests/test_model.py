@@ -502,6 +502,34 @@ class TestStatusFirst:
         assert sum(known) < len(self.PROC.entities) * (self.PROC.n_steps + 1)
 
 
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_the_last_layer_projects_and_norms_each_row_once(self, monkeypatch,
+                                                             n_layers):
+        """The [CLS] query and the decoded rows share one LN1 and one qkv
+        product of the last layer."""
+        model = self.bench_like(n_layers)
+        params = float32_params(model)
+        last = f"layer{n_layers - 1}."
+        named = {"attn.qkv": params[last + "attn.qkv"],
+                 "ln1.gain": params[last + "ln1.gain"]}
+        calls = []
+
+        def counting(op):
+            def run(x, weight, *rest):
+                calls.extend(k for k, t in named.items() if t is weight)
+                return op(x, weight, *rest)
+            return run
+
+        monkeypatch.setattr(ad, "matmul", counting(ad.matmul))
+        monkeypatch.setattr(ad, "layer_norm", counting(ad.layer_norm))
+        decoded = 0
+        for layouts in stacks(model, self.PROC):
+            calls.clear()
+            decoded += len(model.forward_steps(layouts, params)[1].data)
+            assert sorted(calls) == ["attn.qkv", "ln1.gain"]
+        assert decoded > 0
+
+
 class TestOneForwardPass:
     """Training and prediction share `forward_steps`."""
 
