@@ -1,13 +1,16 @@
 """Minimal dense-tensor math with reverse-mode autodiff and an SGD optimizer.
 
 CPU-only. A Tensor wraps a numpy array, float64 unless it is given a float32
-array, plus an optional gradient; ops keep their operands' dtype and build a
-tape of backward closures that `backward()` replays in reverse topological
-order, freeing each intermediate's gradient once its closure has consumed
-it. Only leaves, such as parameters, keep gradients; they accumulate until an
-optimizer step clears them, so several losses can be backpropagated before a
-single parameter update. Prediction runs on float32 copies of the parameters;
-the parameters, their gradients, the SGD step and the checkpoints stay float64.
+array, plus an optional gradient; ops keep their operands' dtype, down to a
+0-d loss, and build a tape of backward closures that `backward()` replays in
+reverse topological order, freeing each intermediate's gradient once its
+closure has consumed it. A gradient takes its tensor's dtype, but a leaf's is
+float64. Only leaves, such as parameters, keep gradients; they accumulate
+until an optimizer step clears them, so several losses can be backpropagated
+before a single parameter update. Prediction runs on float32 copies of the
+parameters, and training on float32 casts (`cast`), one per parameter per SGD
+step; the parameters, their gradients, the SGD step and the checkpoints stay
+float64.
 """
 
 from __future__ import annotations
@@ -51,10 +54,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{tag})"
 
     def _accumulate(self, g, copy=False):
-        # A first float64 `g` is adopted: ops hand over arrays they have just
-        # allocated, or pass copy=True when g is or views one held elsewhere.
+        # A gradient takes this tensor's dtype, but a leaf's is float64. A
+        # first `g` of that dtype is adopted: ops hand over arrays they have
+        # just allocated, or pass copy=True when g is or views one held
+        # elsewhere.
         if self.grad is None:
-            self.grad = (np.array if copy else np.asarray)(g, dtype=np.float64)
+            dtype = np.float64 if self._backward is None else self.data.dtype
+            self.grad = (np.array if copy else np.asarray)(g, dtype=dtype)
         else:
             self.grad += g
 
@@ -86,7 +92,7 @@ class Tensor:
 
 
 def _result(data, parents, backward_fn):
-    out = Tensor(data)
+    out = Tensor(np.asarray(data))  # a 0-d result keeps its dtype
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True
@@ -168,7 +174,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c) -> Tensor:
     """Multiply by a constant scalar or ndarray (no gradient through c)."""
-    c = np.asarray(c, dtype=np.float64)
+    c = np.asarray(c, dtype=a.data.dtype)
 
     def bw(g):
         if a.requires_grad:
@@ -300,7 +306,8 @@ def attention(qkv: Tensor, n_heads: int,
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        dqkv = np.empty(qkv.shape)  # dq, dk and dv are views of its (..., T, H, 3, dh)
+        # dq, dk and dv are views of dqkv's (..., T, H, 3, dh)
+        dqkv = np.empty(qkv.shape, qkv.data.dtype)
         dq, dk, dv = dqkv.reshape(split.shape).transpose(to_heads)
         np.matmul(ds, k, out=dq)
         np.matmul(np.swapaxes(q, -1, -2), ds, out=np.swapaxes(dk, -1, -2))
@@ -394,7 +401,7 @@ def embedding(table: Tensor, ids) -> Tensor:
     def bw(g):
         if table.requires_grad:
             if table.grad is None:
-                table.grad = np.zeros(table.data.shape)
+                table._accumulate(np.zeros_like(table.data))
             np.add.at(table.grad, ids, g)
 
     return _result(table.data[ids], (table,), bw)
@@ -427,6 +434,17 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return _result(a.data.transpose(axes), (a,), bw)
 
 
+def cast(a: Tensor, dtype) -> Tensor:
+    """`a` as a new array of `dtype`, as one tape node. Its gradient reaches
+    `a` in `a`'s gradient dtype: a float64 parameter cast to float32 gets a
+    float64 gradient."""
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(g)
+
+    return _result(a.data.astype(dtype), (a,), bw)
+
+
 def reshape(a: Tensor, shape) -> Tensor:
     orig = a.data.shape
 
@@ -444,7 +462,7 @@ def slice_rows(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
     def bw(g):
         if a.requires_grad:
             if a.grad is None:
-                a.grad = np.zeros(a.data.shape)
+                a._accumulate(np.zeros_like(a.data))
             a.grad[idx] += g
 
     return _result(a.data[idx], (a,), bw)

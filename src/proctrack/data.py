@@ -92,7 +92,7 @@ def validate_procedure(proc: Procedure, path: str = "") -> None:
     seen = set()
     for i, entity in enumerate(proc.entities):
         if entity in seen:
-            raise DataError(f"{path}.entities[{i}]: duplicate entity {entity!r}")
+            raise DataError(f"{path}.entities[{i}]: duplicate entity {entity!r:.80}")
         seen.add(entity)
     if set(proc.grid) != set(proc.entities):
         raise DataError(f"{path}.grid: grid entities do not match entity list")
@@ -120,20 +120,20 @@ def _recipe_grid(obj: dict, n: int, path: str) -> tuple[list, dict]:
     if not (isinstance(ingredients, list)
             and all(isinstance(name, str) for name in ingredients)):
         raise DataError(f"{path}.ingredients: expected a list of strings, "
-                        f"got {ingredients!r}")
+                        f"got {ingredients!r:.80}")
     if not isinstance(locations, dict):
         raise DataError(f"{path}.locations: expected an object of ingredient "
-                        f"annotations, got {locations!r}")
+                        f"annotations, got {locations!r:.80}")
     for name in locations:
         if name not in ingredients:
             raise DataError(f"{path}.locations.{name}: not one of the "
-                            f"ingredients {ingredients!r}")
+                            f"ingredients {ingredients!r:.80}")
     entities, grid = [], {}
     for name in ingredients:
         ann = locations.get(name, {})
         if not isinstance(ann, dict):
             raise DataError(f"{path}.locations.{name}: expected an object of "
-                            f"step -> location, got {ann!r}")
+                            f"step -> location, got {ann!r:.80}")
         if not ann:
             log.warning("%s: ingredient %r has no location annotations; skipped",
                         obj["id"], name)
@@ -146,7 +146,7 @@ def _recipe_grid(obj: dict, n: int, path: str) -> tuple[list, dict]:
                                 f"step number 0..{n}, each step once")
             if not isinstance(value, str):
                 raise DataError(f"{path}.locations.{name}.{key}: expected a "
-                                f"location string, got {value!r}")
+                                f"location string, got {value!r:.80}")
             steps[step] = value
         timeline = [steps.get(0, "?")]
         for step in range(1, n + 1):
@@ -167,7 +167,7 @@ def _proc_from_obj(obj, path: str) -> Procedure:
     that is empty or holds whitespace."""
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a procedure or recipe object, "
-                        f"got {obj!r}")
+                        f"got {obj!r:.80}")
     recipe = "locations" in obj
     required = {"id", "sentences",
                 *(("ingredients", "locations") if recipe else ("entities", "grid"))}
@@ -178,7 +178,7 @@ def _proc_from_obj(obj, path: str) -> Procedure:
     if unknown:
         raise DataError(f"{path}: unknown keys {sorted(unknown)}")
     if not isinstance(obj["id"], str):
-        raise DataError(f"{path}.id: expected a string, got {obj['id']!r}")
+        raise DataError(f"{path}.id: expected a string, got {obj['id']!r:.80}")
     sentences = obj["sentences"]
     if not isinstance(sentences, list):
         raise DataError(f"{path}.sentences: expected a list of sentences")
@@ -187,38 +187,38 @@ def _proc_from_obj(obj, path: str) -> Procedure:
     for j, sent in enumerate(sentences):
         if not (isinstance(sent, list) and all(isinstance(t, str) for t in sent)):
             raise DataError(f"{path}.sentences[{j}]: expected a list of token "
-                            f"strings, got {sent!r}")
+                            f"strings, got {sent!r:.80}")
         for k, tok in enumerate(sent):
             if tok.split() != [tok]:
-                raise DataError(f"{path}.sentences[{j}][{k}]: token {tok!r} is "
+                raise DataError(f"{path}.sentences[{j}][{k}]: token {tok!r:.80} is "
                                 f"empty or holds whitespace")
     entities, grid = (_recipe_grid(obj, len(sentences), path) if recipe
                       else (obj["entities"], obj["grid"]))
     if not (isinstance(entities, list)
             and all(isinstance(e, str) for e in entities)):
         raise DataError(f"{path}.entities: expected a list of entity names, "
-                        f"got {entities!r}")
+                        f"got {entities!r:.80}")
     key = "ingredients" if recipe else "entities"
     for where, name in [("id", obj["id"]),
                         *((f"{key}[{i}]", e) for i, e in enumerate(obj[key]))]:
         if {"\t", "\r", "\n"} & set(name):
-            raise DataError(f"{path}.{where}: {name!r} holds a tab or line "
+            raise DataError(f"{path}.{where}: {name!r:.80} holds a tab or line "
                             f"break, which a TSV cell cannot")
         if where != "id" and not question_tokens(name):
-            raise DataError(f"{path}.{where}: entity name {name!r} gives no "
+            raise DataError(f"{path}.{where}: entity name {name!r:.80} gives no "
                             f"question tokens")
     if not isinstance(grid, dict):
         raise DataError(f"{path}.grid: expected an object of entity timelines")
     for entity, tl in grid.items():
         if not (isinstance(tl, list) and all(isinstance(v, str) for v in tl)):
             raise DataError(f"{path}.grid.{entity}: expected a list of location "
-                            f"strings, got {tl!r}")
+                            f"strings, got {tl!r:.80}")
     spans = obj.get("candidate_spans", [])
     if not (isinstance(spans, list)
             and all(isinstance(sp, list) and len(sp) == 2
                     and all(type(i) is int for i in sp) for sp in spans)):
         raise DataError(f"{path}.candidate_spans: expected a list of [start, end] "
-                        f"integer pairs, got {spans!r}")
+                        f"integer pairs, got {spans!r:.80}")
     proc = Procedure(
         id=obj["id"],
         sentences=[[t.lower() for t in s] for s in sentences],
@@ -236,7 +236,7 @@ def _unique_ids(procs: list[Procedure], places: list[str]) -> list[Procedure]:
     first = {}
     for proc, place in zip(procs, places):
         if proc.id in first:
-            raise DataError(f"{place}.id: {proc.id!r} repeats {first[proc.id]}")
+            raise DataError(f"{place}.id: {proc.id!r:.80} repeats {first[proc.id]}")
         first[proc.id] = place
     return procs
 
@@ -299,7 +299,8 @@ def load_grid_tsv(path) -> list[Procedure]:
         for k, line in enumerate(block[1:]):
             cells = line.split("\t")
             if cells[0] != f"state{k}":
-                raise DataError(f"{where}: expected row 'state{k}', got {cells[0]!r}")
+                raise DataError(f"{where}: expected row 'state{k}', "
+                                f"got {cells[0]!r:.80}")
             if len(cells) != len(entities) + 2:
                 raise DataError(
                     f"{where}.state{k}: expected {len(entities) + 2} cells, "

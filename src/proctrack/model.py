@@ -137,9 +137,10 @@ class TrackerModel:
         (layout, step 0..n), with dropout when `rng` is given. The layouts
         must have one length, so that they share positions and time ids.
 
-        On parameters that need a gradient (training: one layout on the
-        model's own), the pass is taped and every row gets (rows, 3) status
-        and (rows, T) start and end logits.
+        On parameters that need a gradient (training: one layout on float32
+        casts of the model's own), the pass is taped, runs in the dtype of
+        `params`, and every row gets (rows, 3) status and (rows, T) start
+        and end logits.
 
         Otherwise (prediction: a stack of layouts on float32 copies) the pass
         is status first. It records no tape, frees each intermediate once
@@ -185,17 +186,21 @@ class TrackerModel:
     def procedure_loss(self, proc: Procedure,
                        rng: np.random.Generator | None = None) -> Tensor:
         """Mean joint loss over every (entity, step 0..n) pair, with dropout
-        when `rng` is given.
+        when `rng` is given, as a float32 tensor.
 
-        Each entity's steps run as one batched pass on the tape, scored by
-        one loss over its rows.
+        The passes run on float32 casts of the parameters, one `ad.cast`
+        tape node each, made once for this call, so `backward()` leaves
+        float64 gradients on the float64 parameters themselves. Each
+        entity's steps run as one batched pass on the tape, scored by one
+        loss over its rows.
         """
+        params = {k: ad.cast(t, np.float32) for k, t in self.params.items()}
         losses, passes = [], 0
         for entity in proc.entities:
             layout = self.layout_for(entity, proc)
             golds = self.gold_steps(proc, entity, layout)
             losses.append(joint_loss(
-                *self.forward_steps([layout], self.params, rng), golds))
+                *self.forward_steps([layout], params, rng), golds))
             passes += len(golds)
         return ad.mean_of(losses, passes)
 

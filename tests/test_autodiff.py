@@ -452,6 +452,31 @@ class TestOtherOps:
         for got, want in zip(*grads):
             np.testing.assert_array_equal(got, want)
 
+    def test_float32_losses_stay_float32(self, rng):
+        """Scalar results of a float32 graph are float32 0-d arrays, not numpy
+        scalars that `Tensor` would widen to float64."""
+        logits = Tensor(rng.normal(0, 1, (3, 4)).astype(np.float32),
+                        requires_grad=True)
+        ce = ad.cross_entropy(logits, [0, 2, 3])
+        both = ad.add(ce, ad.scale(ce, 2.0))
+        mean = ad.mean_of([ce, both], 4)
+        for t in (ce, both, mean):
+            assert type(t.data) is np.ndarray and t.data.shape == ()
+            assert t.data.dtype == np.float32
+        mean.backward()
+        assert logits.grad.dtype == np.float64
+
+    def test_cast_hands_the_gradient_back_in_the_leaf_dtype(self, rng):
+        w = leaf(rng, 3, 2)
+        w32 = ad.cast(w, np.float32)
+        assert w32.data.dtype == np.float32 and w32._parents == (w,)
+        np.testing.assert_array_equal(w32.data, w.data.astype(np.float32))
+        ad.cross_entropy(w32, [1, 0, 1]).backward()
+        assert w.grad.dtype == np.float64
+        w.grad = None
+        check_gradients(lambda: ad.cross_entropy(ad.cast(w, np.float64),
+                                                 [1, 0, 1]), [w])
+
     def test_two_losses_through_a_shared_node_count_it_once(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         h = ad.scale(x, 3.0)

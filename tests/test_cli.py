@@ -888,6 +888,25 @@ class TestFuzz:
         assert run.stderr.count("\n") == 1, run.stderr
         assert not (tmp_path / "ckpt" / "params.bin").exists()
 
+    def test_a_huge_bad_value_gives_a_short_error_line(self, clean_run,
+                                                       tmp_path):
+        """The loader's message quotes at most the start of the value: the
+        whole list read as one 689 KB line."""
+        write_files(tmp_path, {**clean_run,
+                               "data.json": json.dumps([list(range(100000))])})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = subprocess.run(
+            [sys.executable, "-m", "proctrack.cli", "evaluate",
+             "--pred", str(tmp_path / "pred.tsv"),
+             "--gold", str(tmp_path / "data.json"),
+             "--out", str(tmp_path / "metrics.json")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == EXIT_DATA
+        assert "$[0]: expected a procedure or recipe object" in run.stderr
+        assert run.stderr.count("\n") == 1 and len(run.stderr) < 1024, \
+            len(run.stderr)
+
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", True), ("decay_factor", True), ("decay_every", 2.5)])
     def test_bool_or_fractional_sgd_setting_is_config_error(

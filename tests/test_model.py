@@ -198,8 +198,8 @@ class TestForward:
 
 
 class TestBatchedLoss:
-    """`procedure_loss` runs each entity's steps as one batch; the oracle runs
-    one pass per (entity, step) and averages the per-pass losses."""
+    """Training runs each entity's steps as one batch; the oracle runs one
+    pass per (entity, step) and averages the per-pass losses, in float64."""
 
     @pytest.fixture
     def nudged(self):
@@ -230,13 +230,26 @@ class TestBatchedLoss:
                 losses.append(joint_loss(*forward(model, layout, step), [gold]))
         return ad.mean_of(losses)
 
+    @staticmethod
+    def batched_loss(model, proc):
+        """`procedure_loss` as it runs, one batched pass per entity, but on
+        the float64 parameters themselves."""
+        losses, passes = [], 0
+        for entity in proc.entities:
+            layout = model.layout_for(entity, proc)
+            golds = model.gold_steps(proc, entity, layout)
+            losses.append(joint_loss(
+                *model.forward_steps([layout], model.params), golds))
+            passes += len(golds)
+        return ad.mean_of(losses, passes)
+
     def test_matches_per_pass_oracle(self, nudged):
         proc = photosynthesis()  # all three statuses; water's "root" unaligned
         assert np.any(nudged.params["ts_emb"].data != 0)
         assert {g.status_class for e in proc.entities for g in nudged.gold_steps(
             proc, e, nudged.layout_for(e, proc))} == {0, 1, 2}
         batched, got = self.loss_and_grads(
-            nudged, lambda: nudged.procedure_loss(proc))
+            nudged, lambda: self.batched_loss(nudged, proc))
         oracle, want = self.loss_and_grads(
             nudged, lambda: self.per_pass_loss(nudged, proc))
         assert batched == pytest.approx(oracle, rel=0, abs=1e-12)
@@ -245,6 +258,30 @@ class TestBatchedLoss:
             assert g is not None, name
             np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-12,
                                        err_msg=name)
+
+    def test_float32_training_within_bound_of_float64_oracle(self, nudged,
+                                                             procs):
+        """`procedure_loss` computes in float32. Its loss is within 1e-6
+        relative of the float64 oracle's, and each parameter's gradient
+        within 1e-5 of that gradient's largest magnitude (the worst seen:
+        1.4e-7 and 4.4e-7 on photosynthesis, 1.1e-7 and 9.4e-7 on the
+        benchmark's 20-procedure training corpus at seed 1)."""
+        fresh = TrackerModel.fresh(vocab_from_procedures(procs),
+                                   EncoderConfig(max_len=96), seed=1)
+        for model, corpus in ((nudged, [photosynthesis()]), (fresh, procs)):
+            for proc in corpus:
+                loss, got = self.loss_and_grads(
+                    model, lambda: model.procedure_loss(proc))
+                oracle, want = self.loss_and_grads(
+                    model, lambda: self.per_pass_loss(model, proc))
+                assert loss == pytest.approx(oracle, rel=1e-6, abs=0)
+                assert want.keys() == got.keys()
+                for name, g in want.items():
+                    assert g is not None, name
+                    assert got[name].dtype == np.float64, name
+                    np.testing.assert_allclose(got[name], g, rtol=0,
+                                               atol=1e-5 * np.abs(g).max(),
+                                               err_msg=name)
 
     def test_dropout_training_repeats_under_a_seed(self, procs):
         cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
@@ -539,13 +576,21 @@ class TestOneForwardPass:
         forward_steps = TrackerModel.forward_steps
 
         def counted(self, layouts, params, rng=None):
-            calls.append((len(layouts), params is model.params))
+            calls.append((len(layouts), params))
             return forward_steps(self, layouts, params, rng)
 
         monkeypatch.setattr(TrackerModel, "forward_steps", counted)
         proc = procs[0]
         loss = model.procedure_loss(proc)
-        assert calls == [(1, True)] * len(proc.entities)
+        assert [n for n, _ in calls] == [1] * len(proc.entities)
+        casts = calls[0][1]  # one float32 cast per parameter, for every pass
+        assert all(params is casts for _, params in calls)
+        assert casts.keys() == model.params.keys()
+        for name, t in casts.items():
+            assert t.data.dtype == np.float32, name
+            assert t._parents == (model.params[name],), name
+            np.testing.assert_array_equal(t.data, model.params[name].data.astype(
+                np.float32), err_msg=name)
         loss.backward()
         assert all(p.grad is not None for p in model.params.values())
         for p in model.params.values():
@@ -855,10 +900,14 @@ class TestTraining:
         restored = TrackerModel.load(ckpt)
         assert all(np.all(np.isfinite(p.data)) for p in restored.params.values())
 
-    @pytest.mark.parametrize("lr, poison", [(0.01, 1e39), (1e30, None)],
-                             ids=["finite-beyond-float32", "lr-1e30"])
+    # At lr 1e30 the weights after the first step are ~7e29, so the next
+    # procedure's float32 activations overflow before the epoch's check.
+    @pytest.mark.parametrize("lr, poison, stop", [
+        (0.01, 1e39, r"beyond float32's range after epoch 0"),
+        (1e30, None, r"non-finite loss at epoch 0"),
+    ], ids=["finite-beyond-float32", "lr-1e30"])
     def test_no_checkpoint_that_load_rejects_is_saved(self, procs, tmp_path,
-                                                      lr, poison):
+                                                      lr, poison, stop):
         cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
         m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=1)
         ckpt = tmp_path / "ckpt"
@@ -867,8 +916,7 @@ class TestTraining:
         if poison is not None:  # a position row that no query reaches
             m.params["pos_emb"].data[-1, 0] = poison
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged, match=r"beyond float32's range "
-                                                       r"after epoch 0"):
+            with pytest.raises(TrainingDiverged, match=stop):
                 train_model(m, procs, SgdConfig(learning_rate=lr), epochs=2,
                             checkpoint_dir=ckpt)
         assert (ckpt / "params.bin").read_bytes() == good
@@ -941,8 +989,9 @@ class TestTraining:
 
 class TestPrecision:
     """Prediction runs in float32 on copies of the parameters made per
-    `predict_procedure` call; training, gradients and checkpoints stay
-    float64."""
+    `predict_procedure` call, and training on float32 casts made per
+    `procedure_loss` call; the parameters, their gradients, the SGD step and
+    the checkpoints stay float64."""
 
     CFG = dict(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
 
@@ -961,6 +1010,26 @@ class TestPrecision:
         for name, p in m.params.items():
             assert loaded.params[name].data.dtype == np.float64, name
             np.testing.assert_array_equal(loaded.params[name].data, p.data)
+
+    def test_training_loss_and_every_intermediate_gradient_are_float32(
+            self, procs, monkeypatch):
+        m = TrackerModel.fresh(vocab_from_procedures(procs),
+                               EncoderConfig(**self.CFG), seed=1)
+        handed = []
+        accumulate = Tensor._accumulate
+
+        def recorded(self, g, copy=False):
+            handed.append((self._backward is None, self.data.dtype,
+                           np.asarray(g).dtype))
+            accumulate(self, g, copy)
+
+        monkeypatch.setattr(Tensor, "_accumulate", recorded)
+        loss = m.procedure_loss(procs[0])
+        assert loss.data.dtype == np.float32 and loss.data.shape == ()
+        loss.backward()
+        inner = {(node, g) for leaf, node, g in handed if not leaf}
+        assert inner == {(np.dtype(np.float32), np.dtype(np.float32))}
+        assert all(p.grad.dtype == np.float64 for p in m.params.values())
 
     def test_prediction_during_training_sees_the_current_weights(
             self, procs, tmp_path):
