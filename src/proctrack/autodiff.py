@@ -113,13 +113,20 @@ def _unbroadcast(g, shape):
     return g
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """np.matmul of two tensors of rank >= 2, broadcasting leading axes."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """np.matmul of two tensors of rank >= 2, broadcasting leading axes. A
+    `bias` row, allowed with a weight matrix `b` (2-D), is added in place to
+    the product in the same node; its gradient comes after a's and b's."""
     if (a.data.ndim < 2 or b.data.ndim < 2
-            or a.data.shape[-1] != b.data.shape[-2]):
+            or a.data.shape[-1] != b.data.shape[-2]
+            or bias is not None and (b.data.ndim != 2
+                                     or bias.data.shape != b.data.shape[1:])):
         raise ShapeMismatchError(
             f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}"
-        )
+            + ("" if bias is None else f" + {bias.data.shape}"))
+    out = a.data @ b.data
+    if bias is not None:
+        out += bias.data
 
     def bw(g):
         if a.requires_grad:
@@ -131,8 +138,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             else:
                 b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g,
                                            b.data.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
 
-    return _result(a.data @ b.data, (a, b), bw)
+    return _result(out, (a, b) if bias is None else (a, b, bias), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -143,33 +152,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(g, b.data.shape), copy=True)
 
     return _result(a.data + b.data, (a, b), bw)
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for a weight matrix w and a bias row b, as one tape node.
-
-    The bias is added in place to the product; the gradients are those of
-    `matmul` followed by `add`, in the same operand order.
-    """
-    if (x.data.ndim < 2 or w.data.ndim != 2
-            or x.data.shape[-1] != w.data.shape[0]
-            or b.data.shape != w.data.shape[1:]):
-        raise ShapeMismatchError(
-            f"affine shapes incompatible: {x.data.shape} x {w.data.shape} "
-            f"+ {b.data.shape}")
-    out = x.data @ w.data
-    out += b.data
-
-    def bw(g):
-        if x.requires_grad:
-            x._accumulate(_unbroadcast(g @ w.data.T, x.data.shape))
-        if w.requires_grad:
-            w._accumulate(x.data.reshape(-1, x.data.shape[-1]).T
-                          @ g.reshape(-1, g.shape[-1]))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _result(out, (x, w, b), bw)
 
 
 def scale(a: Tensor, c) -> Tensor:
@@ -214,17 +196,20 @@ def gelu(a: Tensor) -> Tensor:
             np.add(t, 1.0, out=d_inner)
             d_inner *= 0.5
             dx += d_inner
-            dx = dx.astype(g.dtype, copy=False)  # float32 x: g's float64 product
             dx *= g
             a._accumulate(dx)
 
     return _result(out, (a,), bw)
 
 
-def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax of a plain array; builds no tape node."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax_array(x: np.ndarray, axis: int = -1,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax of a float array, written into `out` (which
+    may be `x`) or a new array, and returned; builds no tape node."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -296,9 +281,7 @@ def attention(qkv: Tensor, n_heads: int,
     else:
         p = np.matmul(q, kt, out=_score_view((*lead, n_heads, rows, T), q.dtype))
     p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    softmax_array(p, out=p)
 
     def bw(g):
         g = g.reshape(*lead, T, n_heads, dh).swapaxes(-3, -2)

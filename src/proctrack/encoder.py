@@ -140,10 +140,10 @@ def _finish(x: Tensor, merged: Tensor, params: dict, p: str,
             config: EncoderConfig, rng) -> Tensor:
     """The rest of layer `p` after attention: the output projection, both
     residuals and the feed-forward."""
-    attn_out = ad.affine(merged, params[p + "attn.out"], params[p + "attn.out_bias"])
+    attn_out = ad.matmul(merged, params[p + "attn.out"], params[p + "attn.out_bias"])
     x = ad.add(x, _dropout(attn_out, config.dropout, rng))
     h = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
-    ff = ad.affine(ad.gelu(ad.affine(h, params[p + "ff.w1"], params[p + "ff.b1"])),
+    ff = ad.matmul(ad.gelu(ad.matmul(h, params[p + "ff.w1"], params[p + "ff.b1"])),
                    params[p + "ff.w2"], params[p + "ff.b2"])
     return ad.add(x, _dropout(ff, config.dropout, rng))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,28 @@ class TestMatmul:
         out = ad.matmul(ad.matmul(a, b), c)
         np.testing.assert_allclose(out.data, a.data @ b.data @ c.data, atol=1e-12)
         check_gradients(lambda: total(ad.matmul(ad.matmul(a, b), c)), [a, b, c])
+
+    def test_bias_gradient_with_two_leading_axes(self, rng):
+        x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
+        weights = rng.normal(0, 1, (2, 3, 5))
+        check_gradients(
+            lambda: TestAttention.weighted_sum(ad.matmul(x, w, b), weights),
+            [x, w, b])
+
+    def test_bias_is_the_last_parent(self, rng):
+        x, w, b = leaf(rng, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
+        assert ad.matmul(x, w)._parents == (x, w)
+        assert ad.matmul(x, w, b)._parents == (x, w, b)
+
+    @pytest.mark.parametrize("a, b, bias", [
+        ((3, 4), (5, 6), (6,)),  # the product's own axes
+        ((3, 4), (4, 5), (4,)),  # a bias of the wrong length
+        ((3, 4), (2, 4, 5), (5,)),  # a batched b
+    ], ids=["inner-axes", "wrong-length", "batched-weight"])
+    def test_bias_shape_mismatch_names_the_shapes(self, a, b, bias):
+        match = ".*".join(re.escape(str(s)) for s in (a, b, bias))
+        with pytest.raises(ShapeMismatchError, match=match):
+            ad.matmul(*(Tensor(np.zeros(s)) for s in (a, b, bias)))
 
 
 def total(t):
@@ -92,6 +115,15 @@ class TestSoftmax:
         check_gradients(lambda: ad.reshape(
             ad.matmul(ad.reshape(ad.softmax(x), (1, 6)),
                       Tensor(w.reshape(6, 1))), ()), [x])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_array_in_place_keeps_the_bits(self, rng, dtype, axis):
+        x = rng.normal(0, 3, (4, 7)).astype(dtype)
+        want = ad.softmax_array(x, axis)
+        assert want.dtype == dtype and not np.shares_memory(want, x)
+        assert ad.softmax_array(x, axis, out=x) is x
+        np.testing.assert_array_equal(x, want)
 
 
 class TestAttention:
@@ -254,16 +286,16 @@ def parent_attention(qkv, n_heads):
 
 
 class TestInPlaceChains:
-    """gelu, layer_norm, affine and attention give the same bits as the
-    expressions written out, taped and tape-free, on inputs with two leading
-    axes."""
+    """gelu, layer_norm, matmul with a bias (an affine map) and attention give
+    the same bits as the expressions written out, taped and tape-free, on
+    inputs with two leading axes."""
 
     # A last axis of 6, not a power of two, so that dividing by it rounds;
     # attention's heads are 6 and 3 wide.
     CASES = {
         "gelu": (ad.gelu, parent_gelu, [(2, 3, 5, 6)]),
         "layer_norm": (ad.layer_norm, parent_layer_norm, [(2, 3, 5, 6), (6,), (6,)]),
-        "affine": (ad.affine, parent_affine, [(2, 3, 5, 6), (6, 4), (4,)]),
+        "affine": (ad.matmul, parent_affine, [(2, 3, 5, 6), (6, 4), (4,)]),
         "attention-1-head": (lambda qkv: ad.attention(qkv, 1)[0],
                              lambda qkv: parent_attention(qkv, 1), [(2, 3, 5, 18)]),
         "attention-2-heads": (lambda qkv: ad.attention(qkv, 2)[0],
@@ -293,24 +325,6 @@ class TestInPlaceChains:
         assert len(got_grads) == len(want_grads)
         for g, w in zip(got_grads, want_grads):
             np.testing.assert_array_equal(g, w)
-
-
-class TestAffine:
-    def test_gradient_with_two_leading_axes(self, rng):
-        x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
-        weights = rng.normal(0, 1, (2, 3, 5))
-        check_gradients(
-            lambda: TestAttention.weighted_sum(ad.affine(x, w, b), weights),
-            [x, w, b])
-
-    def test_one_tape_node(self, rng):
-        x, w, b = leaf(rng, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
-        assert ad.affine(x, w, b)._parents == (x, w, b)
-
-    def test_shape_mismatch_names_the_shapes(self):
-        with pytest.raises(ShapeMismatchError, match=r"\(3, 4\).*\(4, 5\).*\(4,\)"):
-            ad.affine(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 5))),
-                      Tensor(np.zeros(4)))
 
 
 class TestCrossEntropy:
@@ -488,7 +502,7 @@ class TestOtherOps:
     def test_backward_frees_every_intermediate_gradient(self, rng):
         x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 6), leaf(rng, 6)
         gain, bias, const = leaf(rng, 6), leaf(rng, 6), Tensor(np.ones(6))
-        h = ad.gelu(ad.affine(x, w, b))
+        h = ad.gelu(ad.matmul(x, w, b))
         logits = ad.layer_norm(ad.add(ad.scale(h, 0.5), ad.add(h, const)), gain, bias)
         loss = ad.cross_entropy(logits, np.array([[0, 5, 2], [1, 1, 4]]))
         nodes, stack = set(), [loss]

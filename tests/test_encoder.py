@@ -458,9 +458,9 @@ class TestFusedAttention:
 
     def test_tape_nodes_of_one_entity_pass(self, vocab):
         # Per layer: ln1, the qkv matmul, attention (split, heads and merge),
-        # the out affine, residual add, ln2, and the feed-forward affine,
-        # gelu, affine and residual add make 10; embed adds 5, the final
-        # layer norm 1, the [CLS] slice and the heads 7.
+        # the out matmul with its bias, residual add, ln2, and the feed-forward
+        # matmul with bias, gelu, matmul with bias and residual add make 10;
+        # embed adds 5, the final layer norm 1, the [CLS] slice and the heads 7.
         _, _, logits = self.taped_entity_pass(vocab, EncoderConfig(
             d_model=8, n_heads=2, n_layers=2, d_ff=16, vocab_size=len(vocab),
             max_len=32))

@@ -597,9 +597,9 @@ class TestOneForwardPass:
             p.grad = None
 
     def test_a_taped_entity_pass_has_33_tape_nodes(self, procs):
-        # Per layer 10 (ln1, qkv matmul, attention, out affine, residual add,
-        # ln2, affine, gelu, affine, residual add); embed 5, the final layer
-        # norm 1, the [CLS] slice and the heads 7.
+        # Per layer 10 (ln1, qkv matmul, attention, out matmul with its bias,
+        # residual add, ln2, matmul with bias, gelu, matmul with bias, residual
+        # add); embed 5, the final layer norm 1, the [CLS] slice and the heads 7.
         cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16, max_len=96)
         m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=1)
         proc = procs[0]
