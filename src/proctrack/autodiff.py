@@ -255,15 +255,13 @@ def attention(qkv: Tensor, n_heads: int,
     When `qkv` needs no gradient, the scores are written into this thread's
     score buffer, kept across calls, so the probabilities returned then stay
     valid only until the next such call in the same thread; copy them to
-    keep them. Only then may `cls_only` be set: position 0, the [CLS] token,
-    is the one query, over the keys and values of every position, and the
-    results are (..., 1, d) and (..., H, 1, T). They are within rounding of
-    row 0 of the full call, not the same to the bit: BLAS rounds a one-row
-    q kᵀ product differently from row 0 of the T-row one.
+    keep them. With `cls_only`, position 0, the [CLS] token, is the one
+    query, over the keys and values of every position, and the results are
+    (..., 1, d) and (..., H, 1, T); its backward gives q a gradient at
+    position 0 alone, and k and v one at every position. They are within
+    rounding of row 0 of the full call, not the same to the bit: BLAS rounds
+    a one-row q kᵀ product differently from row 0 of the T-row one.
     """
-    if cls_only and qkv.requires_grad:
-        raise ValueError("attention from [CLS] alone has no backward; "
-                         "it needs a qkv that needs no gradient")
     *lead, T, d3 = qkv.data.shape
     dh = d3 // (3 * n_heads)
     scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 scores float32
@@ -284,15 +282,16 @@ def attention(qkv: Tensor, n_heads: int,
     softmax_array(p, out=p)
 
     def bw(g):
-        g = g.reshape(*lead, T, n_heads, dh).swapaxes(-3, -2)
+        g = g.reshape(*lead, rows, n_heads, dh).swapaxes(-3, -2)
         ds = g @ np.swapaxes(v, -1, -2)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        # dq, dk and dv are views of dqkv's (..., T, H, 3, dh)
-        dqkv = np.empty(qkv.shape, qkv.data.dtype)
+        # dq, dk and dv are views of dqkv's (..., T, H, 3, dh); from [CLS]
+        # alone, q has no gradient past position 0
+        dqkv = (np.zeros if cls_only else np.empty)(qkv.shape, qkv.data.dtype)
         dq, dk, dv = dqkv.reshape(split.shape).transpose(to_heads)
-        np.matmul(ds, k, out=dq)
+        np.matmul(ds, k, out=dq[..., :rows, :])
         np.matmul(np.swapaxes(q, -1, -2), ds, out=np.swapaxes(dk, -1, -2))
         np.matmul(np.swapaxes(p, -1, -2), g, out=dv)
         qkv._accumulate(dqkv)
@@ -436,6 +435,22 @@ def reshape(a: Tensor, shape) -> Tensor:
             a._accumulate(g.reshape(orig), copy=True)
 
     return _result(a.data.reshape(shape), (a,), bw)
+
+
+def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """The inputs `rows` of a (..., T, d) tensor with at least one leading
+    axis, as (len(rows), T, d): flat indices over the leading axes in C
+    order, each at most once, as the backward adds each row's gradient back
+    with one scatter. Indices are checked by numpy's indexing alone."""
+    *lead, T, d = a.data.shape
+
+    def bw(g):
+        if a.requires_grad:
+            if a.grad is None:
+                a._accumulate(np.zeros_like(a.data))
+            a.grad[np.unravel_index(rows, lead)] += g
+
+    return _result(a.data.reshape(-1, T, d)[rows], (a,), bw)
 
 
 def slice_rows(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:

@@ -157,9 +157,9 @@ def _block(x: Tensor, params: dict, p: str, config: EncoderConfig, rng,
                     params[p + "attn.qkv"])
     if select is not None:
         cls, _ = ad.attention(qkv, config.n_heads, cls_only=True)
-        rows = select(_final_norm(_finish(Tensor(x.data[..., :1, :]), cls, params,
-                                          p, config, rng), params))
-        x, qkv = (Tensor(t.data.reshape(-1, *t.shape[-2:])[rows]) for t in (x, qkv))
+        rows = select(_final_norm(_finish(ad.slice_rows(x, 0, 1, axis=-2), cls,
+                                          params, p, config, rng), params))
+        x, qkv = ad.take_rows(x, rows), ad.take_rows(qkv, rows)
     merged, probs = ad.attention(qkv, config.n_heads)
     if attn_probs is not None:
         attn_probs.append(probs.copy())
@@ -172,14 +172,16 @@ def encode(embedded: Tensor, params: dict, config: EncoderConfig,
     """The encoder's output for `embedded`, with dropout when `rng` is given.
 
     With no `select`, every layer runs at every position of every input.
-    `select` asks for less on a tape-free pass. The last layer projects every
-    input once, then finishes the [CLS] query alone, and the final layer norm
-    gives (..., 1, d_model) rows that go to `select`. It returns the flat
-    indices, over the inputs' leading axes in C order, of the inputs to
-    finish: only those go on through full attention and the rest of the
-    layer, and `hidden` is their (rows, T, d_model). Those rows are the same
-    to the bit as in the full pass, because each matrix product keeps its
-    per-input shape; the [CLS] rows are within rounding of it (see
+    `select` asks for less, on a taped pass or a tape-free one, of inputs
+    with at least one leading axis. The last layer projects every input
+    once, then finishes the [CLS] query alone, and the final layer norm
+    gives (..., 1, d_model) rows, on the tape when the pass is taped, that
+    go to `select`. It returns the flat indices, over the inputs' leading
+    axes in C order and each at most once, of the inputs to finish: only
+    those go on through full attention and the rest of the layer, and
+    `hidden` is their (rows, T, d_model). Those rows are the same to the bit
+    as in the full pass, because each matrix product keeps its per-input
+    shape; the [CLS] rows are within rounding of it (see
     `autodiff.attention`). With `collect_attn`, the last layer's array then
     holds the finished inputs only.
     """

@@ -55,21 +55,32 @@ def span_head(hidden: Tensor, w_start: Tensor, w_end: Tensor
     return start, end
 
 
+def span_rows(golds: Sequence[GoldStep]) -> list[int]:
+    """The rows whose gold is a known location with a span, in row order:
+    the only rows a loss scores spans on. Gold steps whose location text
+    could not be aligned to the paragraph have gold.span = None and are left
+    out (callers flag them)."""
+    return [i for i, g in enumerate(golds)
+            if g.status_class == STATUS_KNOWN and g.span is not None]
+
+
 def joint_loss(status: Tensor, start: Tensor, end: Tensor,
                golds: Sequence[GoldStep]) -> Tensor:
     """Status cross-entropy, plus start+end cross-entropy where gold has a span.
 
-    Scores the rows of (B, 3) status and (B, T) start/end logits against one
-    GoldStep per row; the terms are summed over the rows. Gold steps whose
-    location text could not be aligned to the paragraph have gold.span =
-    None; their span terms are skipped (callers flag them).
+    Scores (B, 3) status logits against one GoldStep per row, and (S, T)
+    start/end logits against the S rows of `span_rows(golds)`, one logit row
+    each, in that order; the terms are summed over the rows.
     """
+    rows = span_rows(golds)
+    if start.data.shape[0] != len(rows) or end.data.shape[0] != len(rows):
+        raise ad.ShapeMismatchError(
+            f"span logits {start.data.shape} and {end.data.shape} need one row "
+            f"per gold span, {len(rows)}")
     loss = ad.cross_entropy(status, [g.status_class for g in golds])
-    rows = [i for i, g in enumerate(golds)
-            if g.status_class == STATUS_KNOWN and g.span is not None]
     if rows:
         starts, ends = zip(*(golds[i].span for i in rows))
-        loss = ad.add(loss, ad.cross_entropy(ad.embedding(start, rows), starts))
-        loss = ad.add(loss, ad.cross_entropy(ad.embedding(end, rows), ends))
+        loss = ad.add(loss, ad.cross_entropy(start, starts))
+        loss = ad.add(loss, ad.cross_entropy(end, ends))
     return loss
 

@@ -15,7 +15,8 @@ from .encoder import (
     EncoderConfig, embed, encode, init_encoder_params, param_count, param_shapes,
 )
 from .heads import (
-    STATUS_KNOWN, GoldStep, joint_loss, span_head, status_class_of, status_head,
+    STATUS_KNOWN, GoldStep, joint_loss, span_head, span_rows, status_class_of,
+    status_head,
 )
 from .inference import decode_step, repair_timeline, violates_rules
 from .inputs import (
@@ -131,41 +132,41 @@ class TrackerModel:
                            max_len=self.config.max_len)
 
     def forward_steps(self, layouts: Sequence[QueryLayout], params: dict,
-                      rng: np.random.Generator | None = None
+                      rng: np.random.Generator | None = None,
+                      rows: Sequence[int] | None = None
                       ) -> tuple[Tensor, Tensor, Tensor]:
         """Status, start and end logits of one batched pass over the rows
         (layout, step 0..n), with dropout when `rng` is given. The layouts
         must have one length, so that they share positions and time ids.
+        The pass runs in the dtype of `params`, and is taped when they need
+        a gradient (training: one layout on float32 casts of the model's
+        own); otherwise (prediction: a stack of layouts on float32 copies)
+        it records no tape and frees each intermediate once used.
 
-        On parameters that need a gradient (training: one layout on float32
-        casts of the model's own), the pass is taped, runs in the dtype of
-        `params`, and every row gets (rows, 3) status and (rows, T) start
-        and end logits.
-
-        Otherwise (prediction: a stack of layouts on float32 copies) the pass
-        is status first. It records no tape, frees each intermediate once
-        used and runs in the dtype of `params`. The last layer's attention
-        runs for each row's [CLS] query alone, for the status logits of every
-        row; then in full only for the rows whose status argmax is
-        known-location, and only those rows, in row order, get start and end
-        logits, as `decode_step` takes them. Those span logits are the same
-        to the bit as the full pass's; the status logits are within 1e-5 of
-        it, as BLAS rounds the one-row [CLS] product differently.
+        The pass is status first. The last layer's attention runs for each
+        row's [CLS] query alone, for the (rows, 3) status logits of every
+        row; then in full only for the rows to finish, and only those rows,
+        in that order, get (rows, T) start and end logits. The rows to finish
+        are `rows`, flat row indices each given at most once (training: the
+        rows with a gold span), or else those whose status argmax is
+        known-location, in row order, as `decode_step` takes them. Their
+        span logits are the same to the bit as the full pass's; the status
+        logits are within 1e-5 of it, as BLAS rounds the one-row [CLS]
+        product differently.
         """
         tokens = np.array([layout.token_ids for layout in layouts])[:, None]
         inp = TimestampedInput(tokens, time_ids(layouts[0]))
         status = None
 
-        def known_rows(cls: Tensor) -> np.ndarray:
+        def finish(cls: Tensor) -> np.ndarray:
             nonlocal status
             status = status_head(cls, params["head.status"])
+            if rows is not None:
+                return np.asarray(rows, dtype=np.intp)
             return np.flatnonzero(status.data.argmax(-1) == STATUS_KNOWN)
 
-        taped = any(t.requires_grad for t in params.values())
         hidden = encode(embed(inp, params), params, self.config, rng=rng,
-                        select=None if taped else known_rows).hidden
-        if status is None:
-            status = status_head(hidden, params["head.status"])
+                        select=finish).hidden
         return status, *span_head(hidden, params["head.start"], params["head.end"])
 
     # -- training targets ---------------------------------------------------
@@ -191,16 +192,18 @@ class TrackerModel:
         The passes run on float32 casts of the parameters, one `ad.cast`
         tape node each, made once for this call, so `backward()` leaves
         float64 gradients on the float64 parameters themselves. Each
-        entity's steps run as one batched pass on the tape, scored by one
-        loss over its rows.
+        entity's steps run as one batched, status-first pass on the tape,
+        scored by one loss over its rows: every row's status from the [CLS]
+        query alone, as prediction computes it, and span logits only for
+        the rows with a gold span, the only rows the last layer finishes.
         """
         params = {k: ad.cast(t, np.float32) for k, t in self.params.items()}
         losses, passes = [], 0
         for entity in proc.entities:
             layout = self.layout_for(entity, proc)
             golds = self.gold_steps(proc, entity, layout)
-            losses.append(joint_loss(
-                *self.forward_steps([layout], params, rng), golds))
+            losses.append(joint_loss(*self.forward_steps(
+                [layout], params, rng, span_rows(golds)), golds))
             passes += len(golds)
         return ad.mean_of(losses, passes)
 

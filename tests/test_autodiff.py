@@ -175,9 +175,21 @@ class TestAttention:
         np.testing.assert_allclose(out.data, full_out[..., :1, :], rtol=0, atol=atol)
         np.testing.assert_allclose(probs, full_probs[..., :1, :], rtol=0, atol=atol)
 
-    def test_cls_only_needs_a_tape_free_qkv(self, rng):
-        with pytest.raises(ValueError, match="no backward"):
-            ad.attention(leaf(rng, 2, 5, 12), 1, cls_only=True)
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("lead", [(), (2, 3)])
+    def test_cls_only_gradient_matches_finite_differences(self, rng, n_heads,
+                                                          lead):
+        qkv = leaf(rng, *lead, 5, 24)  # q, k and v of width 8 in all
+        w = rng.normal(0, 1, (*lead, 1, 8))
+        out = ad.attention(qkv, n_heads, cls_only=True)[0]
+        assert out.shape == (*lead, 1, 8) and out._parents == (qkv,)
+        check_gradients(lambda: self.weighted_sum(
+            ad.attention(qkv, n_heads, cls_only=True)[0], w), [qkv])
+        self.weighted_sum(ad.attention(qkv, n_heads, cls_only=True)[0],
+                          w).backward()
+        q_cols = np.arange(24).reshape(n_heads, 3, -1)[:, 0].ravel()
+        assert not np.any(qkv.grad[..., 1:, q_cols])  # q past [CLS]
+        assert np.all(np.any(qkv.grad != 0, axis=-1))  # k and v everywhere
 
 
 class TestScoreBuffer:

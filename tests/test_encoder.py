@@ -10,7 +10,9 @@ from proctrack import autodiff as ad
 from proctrack.encoder import (
     EncoderConfig, embed, encode, init_encoder_params, param_count, param_shapes,
 )
-from proctrack.heads import joint_loss, span_head, status_head, GoldStep
+from proctrack.heads import (
+    STATUS_KNOWN, GoldStep, joint_loss, span_head, span_rows, status_head,
+)
 from proctrack.inputs import TimestampedInput, build_query, time_ids, timestamp
 from proctrack.cli import EXIT_CONFIG, main
 from proctrack.fixtures import photosynthesis
@@ -390,12 +392,83 @@ class TestSelect:
         full, _, part = self.pass_and_selection(vocab, 2, [])
         assert part.shape == (0, *full.shape[-2:])
 
-    def test_a_taped_pass_cannot_select(self, vocab):
-        cfg = tiny_config(vocab)
-        params = init_encoder_params(cfg, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="no backward"):
-            encode(embed(make_input(vocab), params), params, cfg,
-                   select=lambda cls: np.arange(1))
+    @staticmethod
+    def nudged_model(n_layers):
+        """A photosynthesis model whose weights, `ts_emb` included, are all
+        nonzero, its statuses a mix of known-location and other rows, and its
+        queries in stacks of one length."""
+        proc = photosynthesis()
+        model = TrackerModel.fresh(vocab_from_procedures([proc]), EncoderConfig(
+            d_model=16, n_heads=2, n_layers=n_layers, d_ff=32, max_len=96), seed=5)
+        rng = np.random.default_rng(1)
+        for t in model.params.values():
+            t.data += rng.normal(0, 0.3, t.data.shape)
+        stacks = {}
+        for entity in proc.entities:
+            layout = model.layout_for(entity, proc)
+            stacks.setdefault(len(layout.tokens), []).append(layout)
+        return model, proc, list(stacks.values())
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_a_taped_pass_finishing_the_same_rows_gives_the_same_bits(
+            self, n_layers):
+        """A taped float32 `forward_steps` told to finish the rows a tape-free
+        pass selected gives that pass's logits to the bit."""
+        model, _, stacks = self.nudged_model(n_layers)
+        copies = {k: ad.Tensor(t.data.astype(np.float32))
+                  for k, t in model.params.items()}
+        casts = {k: ad.cast(t, np.float32) for k, t in model.params.items()}
+        finished = total = 0
+        for layouts in stacks:
+            free = [t.data for t in model.forward_steps(layouts, copies)]
+            rows = np.flatnonzero(free[0].argmax(-1) == STATUS_KNOWN)
+            taped = model.forward_steps(layouts, casts, rows=rows)
+            for got, want in zip(taped, free):
+                assert got.requires_grad and got.data.dtype == np.float32
+                np.testing.assert_array_equal(got.data, want)
+            finished, total = finished + len(rows), total + len(free[0])
+        assert 0 < finished < total
+        assert max(map(len, stacks)) > 1
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_a_taped_select_pass_has_the_full_pass_loss_and_gradients(
+            self, n_layers):
+        """On float64 parameters, the joint loss of status-first passes that
+        finish the gold-span rows, and its gradients, are within 1e-12
+        relative of a full pass's."""
+        model, proc, _ = self.nudged_model(n_layers)
+        params, cfg = model.params, model.config
+
+        def loss(status_first):
+            losses = []
+            for entity in proc.entities:
+                layout = model.layout_for(entity, proc)
+                golds = model.gold_steps(proc, entity, layout)
+                rows = span_rows(golds)
+                if status_first:
+                    logits = model.forward_steps([layout], params, rows=rows)
+                else:
+                    inp = TimestampedInput(np.array(layout.token_ids)[None, None],
+                                           time_ids(layout))
+                    hidden = encode(embed(inp, params), params, cfg).hidden
+                    start, end = span_head(hidden, params["head.start"],
+                                           params["head.end"])
+                    logits = (status_head(hidden, params["head.status"]),
+                              ad.embedding(start, rows), ad.embedding(end, rows))
+                losses.append(joint_loss(*logits, golds))
+            total = ad.mean_of(losses)
+            total.backward()
+            grads = {k: t.grad for k, t in params.items()}
+            for t in params.values():
+                t.grad = None
+            return float(total.data), grads
+
+        got, got_grads = loss(True)
+        want, want_grads = loss(False)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        for name, g in want_grads.items():
+            np.testing.assert_allclose(got_grads[name], g, rtol=0,
+                                       atol=1e-12 * np.abs(g).max(), err_msg=name)
 
 
 def chain_attention(qkv, n_heads):

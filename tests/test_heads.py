@@ -7,7 +7,7 @@ from proctrack import autodiff as ad
 from proctrack.autodiff import ShapeMismatchError, Tensor
 from proctrack.heads import (
     GoldStep, STATUS_GONE, STATUS_KNOWN, STATUS_UNKNOWN, joint_loss, span_head,
-    status_class_of, status_head,
+    span_rows, status_class_of, status_head,
 )
 
 from conftest import check_gradients, leaf
@@ -109,15 +109,24 @@ class TestRows:
             np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
+def span_logits(hidden, golds, w_start, w_end):
+    """Start and end logits of the rows of `hidden` that `span_rows(golds)`
+    picks, as a status-first pass computes them."""
+    rows = np.array(span_rows(golds), dtype=np.intp)
+    return span_head(ad.take_rows(hidden, rows), w_start, w_end)
+
+
 class TestJointLoss:
-    """One step: logits with a leading row axis of one, and one GoldStep."""
+    """One step: status logits with a leading row axis of one, span logits
+    with one row when its gold has a span and none otherwise, and one
+    GoldStep."""
 
     def _one_hot_preds(self, gold):
         status = np.zeros((1, 3))
         status[0, gold.status_class] = 1.0
-        start = np.zeros((1, 6))
-        end = np.zeros((1, 6))
-        if gold.span:
+        start = np.zeros((len(span_rows([gold])), 6))
+        end = np.zeros_like(start)
+        if len(start):
             start[0, gold.span[0]] = 1.0
             end[0, gold.span[1]] = 1.0
         return logits_of(status), logits_of(start), logits_of(end)
@@ -128,8 +137,8 @@ class TestJointLoss:
         assert float(loss.data) == pytest.approx(0.0)
 
     def test_uniform_status_gone_is_ln3(self):
-        loss = joint_loss(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 6))),
-                          Tensor(np.zeros((1, 6))), [GoldStep(status_class=STATUS_GONE)])
+        loss = joint_loss(Tensor(np.zeros((1, 3))), Tensor(np.zeros((0, 6))),
+                          Tensor(np.zeros((0, 6))), [GoldStep(status_class=STATUS_GONE)])
         assert float(loss.data) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_random_case_matches_hand_sum(self, rng):
@@ -142,31 +151,35 @@ class TestJointLoss:
         expected = -math.log(sp[2]) - math.log(st[1]) - math.log(en[3])
         assert float(loss.data) == pytest.approx(expected, abs=1e-9)
 
-    def test_span_terms_skipped_for_gone_and_unknown(self, rng):
+    def status_term_alone(self, rng, gold):
+        """A gold with no span row gives the status cross-entropy alone with
+        no span logits, and refuses a span logit row."""
         status = logits_of(rng.dirichlet(np.ones(3))[None])
-        start = logits_of(rng.dirichlet(np.ones(6))[None])
-        end = logits_of(rng.dirichlet(np.ones(6))[None])
+        assert span_rows([gold]) == []
+        none = Tensor(np.zeros((0, 6)))
+        loss = joint_loss(status, none, none, [gold])
+        assert float(loss.data) == pytest.approx(
+            -math.log(ad.softmax_array(status.data)[0, gold.status_class]),
+            abs=1e-9)
+        one = logits_of(rng.dirichlet(np.ones(6))[None])
+        with pytest.raises(ShapeMismatchError, match="one row per gold span, 0"):
+            joint_loss(status, one, one, [gold])
+
+    def test_span_terms_skipped_for_gone_and_unknown(self, rng):
         for cls in (STATUS_GONE, STATUS_UNKNOWN):
-            loss = joint_loss(status, start, end,
-                              [GoldStep(status_class=cls, span=(0, 1))])
-            assert float(loss.data) == pytest.approx(
-                -math.log(ad.softmax_array(status.data)[0, cls]), abs=1e-9)
+            self.status_term_alone(rng, GoldStep(status_class=cls, span=(0, 1)))
 
     def test_unresolvable_gold_span_skips_span_terms(self, rng):
-        status = logits_of(rng.dirichlet(np.ones(3))[None])
-        start = logits_of(rng.dirichlet(np.ones(6))[None])
-        end = logits_of(rng.dirichlet(np.ones(6))[None])
-        loss = joint_loss(status, start, end,
-                          [GoldStep(status_class=STATUS_KNOWN, span=None)])
-        assert float(loss.data) == pytest.approx(
-            -math.log(ad.softmax_array(status.data)[0, 2]), abs=1e-9)
+        self.status_term_alone(rng, GoldStep(status_class=STATUS_KNOWN, span=None))
 
     def test_loss_nonnegative(self, rng):
         for _ in range(20):
             gold = GoldStep(status_class=int(rng.integers(0, 3)), span=(0, 2))
+            rows = len(span_rows([gold]))
             loss = joint_loss(logits_of(rng.dirichlet(np.ones(3))[None]),
-                              logits_of(rng.dirichlet(np.ones(5))[None]),
-                              logits_of(rng.dirichlet(np.ones(5))[None]), [gold])
+                              logits_of(rng.dirichlet(np.ones(5), size=rows)),
+                              logits_of(rng.dirichlet(np.ones(5), size=rows)),
+                              [gold])
             assert float(loss.data) >= 0.0
 
     def test_span_gradient_only_for_known_gold(self, rng):
@@ -177,7 +190,7 @@ class TestJointLoss:
             for w in (w_status, w_start, w_end):
                 w.grad = None
             loss = joint_loss(status_head(out, w_status),
-                              *span_head(out, w_start, w_end), [gold])
+                              *span_logits(out, [gold], w_start, w_end), [gold])
             loss.backward()
 
         run(GoldStep(status_class=STATUS_GONE))
@@ -193,21 +206,32 @@ class TestBatchedJointLoss:
              GoldStep(STATUS_KNOWN, span=None),  # text not in the paragraph
              GoldStep(STATUS_KNOWN, span=(4, 4))]
 
+    def test_span_rows_are_the_known_rows_with_a_span(self):
+        assert span_rows(self.GOLDS) == [2, 4]
+
     def test_matches_hand_sum_over_rows(self, rng):
         B, T = len(self.GOLDS), 6
-        sp, st, en = (rng.dirichlet(np.ones(n), size=B) for n in (3, T, T))
+        sp = rng.dirichlet(np.ones(3), size=B)
+        st, en = (rng.dirichlet(np.ones(T), size=2) for _ in range(2))
         loss = joint_loss(logits_of(sp), logits_of(st), logits_of(en), self.GOLDS)
         expected = sum(-math.log(sp[i, g.status_class])
                        for i, g in enumerate(self.GOLDS))
-        expected -= math.log(st[2, 1]) + math.log(en[2, 3])
-        expected -= math.log(st[4, 4]) + math.log(en[4, 4])
+        expected -= math.log(st[0, 1]) + math.log(en[0, 3])
+        expected -= math.log(st[1, 4]) + math.log(en[1, 4])
         assert float(loss.data) == pytest.approx(expected, abs=1e-9)
+
+    def test_a_span_logit_row_per_batch_row_is_refused(self, rng):
+        B = len(self.GOLDS)
+        logits = [logits_of(rng.dirichlet(np.ones(n), size=B)) for n in (3, 6, 6)]
+        with pytest.raises(ShapeMismatchError, match="one row per gold span, 2"):
+            joint_loss(*logits, self.GOLDS)
 
     def test_gradient_through_a_batch(self, rng):
         out = hidden_states(rng.normal(0, 1, (len(self.GOLDS), 6, 8)))
         w_status, w_start, w_end = leaf(rng, 8, 3), leaf(rng, 8, 1), leaf(rng, 8, 1)
         check_gradients(lambda: joint_loss(status_head(out, w_status),
-                                           *span_head(out, w_start, w_end),
+                                           *span_logits(out, self.GOLDS,
+                                                        w_start, w_end),
                                            self.GOLDS),
                         [out, w_status, w_start, w_end])
 

@@ -16,7 +16,9 @@ from proctrack.autodiff import SgdConfig, Tensor
 from proctrack.data import DataError, GrammarConfig, Procedure, generate_synthetic
 from proctrack.encoder import EncoderConfig, embed, encode
 from proctrack.fixtures import photosynthesis
-from proctrack.heads import STATUS_KNOWN, joint_loss, span_head, status_head
+from proctrack.heads import (
+    STATUS_KNOWN, joint_loss, span_head, span_rows, status_head,
+)
 from proctrack.inference import decode_step, repair_timeline, violates_rules
 from proctrack.inputs import TimestampedInput, time_ids, timestamp
 from proctrack.model import STACK_SCORES, TrackerModel, vocab_from_procedures
@@ -198,8 +200,9 @@ class TestForward:
 
 
 class TestBatchedLoss:
-    """Training runs each entity's steps as one batch; the oracle runs one
-    pass per (entity, step) and averages the per-pass losses, in float64."""
+    """Training runs each entity's steps as one status-first batch; the
+    oracle runs one full pass per (entity, step) and averages the per-pass
+    losses, in float64."""
 
     @pytest.fixture
     def nudged(self):
@@ -227,7 +230,10 @@ class TestBatchedLoss:
             layout = model.layout_for(entity, proc)
             golds = model.gold_steps(proc, entity, layout)
             for step, gold in enumerate(golds):
-                losses.append(joint_loss(*forward(model, layout, step), [gold]))
+                status, start, end = forward(model, layout, step)
+                n = len(span_rows([gold]))  # the span row, if gold has a span
+                losses.append(joint_loss(status, ad.slice_rows(start, 0, n),
+                                         ad.slice_rows(end, 0, n), [gold]))
         return ad.mean_of(losses)
 
     @staticmethod
@@ -238,8 +244,8 @@ class TestBatchedLoss:
         for entity in proc.entities:
             layout = model.layout_for(entity, proc)
             golds = model.gold_steps(proc, entity, layout)
-            losses.append(joint_loss(
-                *model.forward_steps([layout], model.params), golds))
+            losses.append(joint_loss(*model.forward_steps(
+                [layout], model.params, rows=span_rows(golds)), golds))
             passes += len(golds)
         return ad.mean_of(losses, passes)
 
@@ -264,7 +270,7 @@ class TestBatchedLoss:
         """`procedure_loss` computes in float32. Its loss is within 1e-6
         relative of the float64 oracle's, and each parameter's gradient
         within 1e-5 of that gradient's largest magnitude (the worst seen:
-        1.4e-7 and 4.4e-7 on photosynthesis, 1.1e-7 and 9.4e-7 on the
+        1.4e-7 and 4.6e-7 on photosynthesis, 1.1e-7 and 9.4e-7 on the
         benchmark's 20-procedure training corpus at seed 1)."""
         fresh = TrackerModel.fresh(vocab_from_procedures(procs),
                                    EncoderConfig(max_len=96), seed=1)
@@ -575,16 +581,20 @@ class TestOneForwardPass:
         calls = []
         forward_steps = TrackerModel.forward_steps
 
-        def counted(self, layouts, params, rng=None):
-            calls.append((len(layouts), params))
-            return forward_steps(self, layouts, params, rng)
+        def counted(self, layouts, params, rng=None, rows=None):
+            calls.append((len(layouts), params, rows))
+            return forward_steps(self, layouts, params, rng, rows)
 
         monkeypatch.setattr(TrackerModel, "forward_steps", counted)
         proc = procs[0]
         loss = model.procedure_loss(proc)
-        assert [n for n, _ in calls] == [1] * len(proc.entities)
+        assert [n for n, _, _ in calls] == [1] * len(proc.entities)
+        # each pass finishes its entity's gold-span rows
+        assert [rows for _, _, rows in calls] == [
+            span_rows(model.gold_steps(proc, e, model.layout_for(e, proc)))
+            for e in proc.entities]
         casts = calls[0][1]  # one float32 cast per parameter, for every pass
-        assert all(params is casts for _, params in calls)
+        assert all(params is casts for _, params, _ in calls)
         assert casts.keys() == model.params.keys()
         for name, t in casts.items():
             assert t.data.dtype == np.float32, name
@@ -596,22 +606,83 @@ class TestOneForwardPass:
         for p in model.params.values():
             p.grad = None
 
-    def test_a_taped_entity_pass_has_33_tape_nodes(self, procs):
-        # Per layer 10 (ln1, qkv matmul, attention, out matmul with its bias,
-        # residual add, ln2, matmul with bias, gelu, matmul with bias, residual
-        # add); embed 5, the final layer norm 1, the [CLS] slice and the heads 7.
+    def test_a_taped_entity_pass_has_45_tape_nodes(self, procs):
+        # Embed 5 (three lookups, two adds). Layer 0: 10 (ln1, qkv matmul,
+        # attention, out matmul with its bias, residual add, ln2, matmul with
+        # bias, gelu, matmul with bias, residual add). The last layer's ln1
+        # and qkv matmul 2. The [CLS] query: 13 (the attention from [CLS],
+        # the slice of the layer's input, the 7 nodes after attention, the
+        # final layer norm, and the status head's slice, matmul and reshape).
+        # The finished rows: 15 (two row gathers, attention, the 7 nodes
+        # after it, the final layer norm, and the span head's two matmuls
+        # and two reshapes).
         cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16, max_len=96)
         m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=1)
         proc = procs[0]
-        logits = m.forward_steps([m.layout_for(proc.entities[0], proc)], m.params)
+        for entity in proc.entities:  # the first with a gold span
+            layout = m.layout_for(entity, proc)
+            rows = span_rows(m.gold_steps(proc, entity, layout))
+            if rows:
+                break
+        logits = m.forward_steps([layout], m.params, rows=rows)
         seen, stack = set(), list(logits)
         while stack:
             node = stack.pop()
             if id(node) not in seen and node._backward is not None:
                 seen.add(id(node))
                 stack.extend(node._parents)
-        assert len(seen) == 33
-        assert [t.shape[0] for t in logits] == [proc.n_steps + 1] * 3
+        assert len(seen) == 45
+        assert 0 < len(rows) < proc.n_steps + 1
+        assert [t.shape[0] for t in logits] == [proc.n_steps + 1] + [len(rows)] * 2
+
+
+class TestNoGoldSpan:
+    """An entity with no gold-span row, every step gone or unknown or at a
+    location whose text is not in the paragraph ("root", with "roots" in
+    the text), is scored on its status alone."""
+
+    PROC = Procedure(id="p", sentences=[["roots", "absorb", "water", "."],
+                                        ["the", "water", "flows", "."]],
+                     entities=["water", "co2"],
+                     grid={"water": ["?", "root", "-"], "co2": ["-", "?", "?"]})
+
+    @pytest.fixture
+    def model(self):
+        cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=2, d_ff=32, max_len=96)
+        model = TrackerModel.fresh(vocab_from_procedures([self.PROC]), cfg, seed=5)
+        rng = np.random.default_rng(4)
+        for t in model.params.values():
+            t.data += rng.normal(0, 0.3, t.data.shape)
+        return model
+
+    def test_loss_is_the_status_cross_entropy_alone(self, model):
+        want, passes = 0.0, 0
+        for entity in self.PROC.entities:
+            layout = model.layout_for(entity, self.PROC)
+            golds = model.gold_steps(self.PROC, entity, layout)
+            assert span_rows(golds) == []
+            status = full_pass(model, [layout], views(model.params))[0]
+            want += float(ad.cross_entropy(
+                Tensor(status), [g.status_class for g in golds]).data)
+            passes += len(golds)
+        loss = model.procedure_loss(self.PROC)
+        assert float(loss.data) == pytest.approx(want / passes, rel=1e-6, abs=0)
+        loss.backward()
+        grads = {k: t.grad for k, t in model.params.items()}
+        for t in model.params.values():
+            t.grad = None
+        assert grads["head.start"] is None and grads["head.end"] is None
+        assert all(g is not None and np.any(g != 0) for k, g in grads.items()
+                   if k not in ("head.start", "head.end")), grads.keys()
+
+    def test_training_still_steps(self, model):
+        before = {k: t.data.copy() for k, t in model.params.items()}
+        result = train_model(model, [self.PROC], SgdConfig(learning_rate=0.1),
+                             epochs=1)
+        assert result.steps == 1 and result.unaligned_spans == 1
+        moved = {k for k, t in model.params.items()
+                 if not np.array_equal(t.data, before[k])}
+        assert moved == model.params.keys() - {"head.start", "head.end"}
 
 
 class TestAnswerText:
