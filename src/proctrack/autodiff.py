@@ -144,14 +144,19 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     return _result(out, (a, b) if bias is None else (a, b, bias), bw)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape), copy=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape), copy=True)
+def add(a: Tensor, b: Tensor, *more: Tensor) -> Tensor:
+    """a + b + ..., broadcasting, summed left to right in one node."""
+    terms = (a, b, *more)
+    out = a.data + b.data
+    for t in more:
+        out = out + t.data
 
-    return _result(a.data + b.data, (a, b), bw)
+    def bw(g):
+        for t in terms:
+            if t.requires_grad:
+                t._accumulate(_unbroadcast(g, t.data.shape), copy=True)
+
+    return _result(out, terms, bw)
 
 
 def scale(a: Tensor, c) -> Tensor:

@@ -113,7 +113,7 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict
 
 def embed(inp, params: dict) -> Tensor:
     """Sum of token, position, and time-id embeddings of an
-    `inputs.TimestampedInput`, one row per token.
+    `inputs.TimestampedInput`, one row per token, as one `add` node.
 
     (T,) token ids with one step's (T,) time ids give (T, d_model); (B, T)
     time ids give (B, T, d_model), and (E, 1, T) token ids (E, B, T,
@@ -122,7 +122,7 @@ def embed(inp, params: dict) -> Tensor:
     tok = ad.embedding(params["token_emb"], inp.token_ids)
     pos = ad.embedding(params["pos_emb"], np.arange(inp.timestamp_ids.shape[-1]))
     ts = ad.embedding(params["ts_emb"], inp.timestamp_ids)
-    return ad.add(ad.add(tok, pos), ts)
+    return ad.add(tok, pos, ts)
 
 
 def _dropout(x: Tensor, rate: float, rng) -> Tensor:

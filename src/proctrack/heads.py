@@ -1,9 +1,6 @@
-"""Prediction heads: 3-way status over [CLS] and start/end span distributions.
-
-The heads read the encoder's hidden states, (..., T, d_model), and emit one
-logit row per input, an (entity, step); the loss is a log-softmax NLL on the
-rows, and decoding takes their softmax.
-"""
+"""Prediction heads: 3-way status from each input's [CLS] row, and start/end
+span logits from its hidden states, one logit row per input, an (entity,
+step). The loss is a log-softmax NLL on the rows; decoding takes their softmax."""
 
 from __future__ import annotations
 
@@ -31,14 +28,13 @@ class GoldStep:
     span: tuple[int, int] | None = None  # layout positions, inclusive
 
 
-def status_head(hidden: Tensor, w: Tensor) -> Tensor:
-    """Status logits, (rows, 3), from the [CLS] row of each input."""
-    d = hidden.data.shape[-1]
-    if w.data.shape != (d, 3):
+def status_head(cls: Tensor, w: Tensor) -> Tensor:
+    """Status logits, (rows, 3), from the inputs' (..., 1, d_model) [CLS] rows."""
+    if cls.data.shape[-2:-1] != (1,) or w.data.shape != (cls.data.shape[-1], 3):
         raise ad.ShapeMismatchError(
-            f"status weight must be d_model x 3, got {w.data.shape}"
-        )
-    return ad.reshape(ad.matmul(ad.slice_rows(hidden, 0, 1, axis=-2), w), (-1, 3))
+            f"status head needs (..., 1, d_model) [CLS] rows and a d_model x 3 "
+            f"weight, got {cls.data.shape} and {w.data.shape}")
+    return ad.reshape(ad.matmul(cls, w), (-1, 3))
 
 
 def span_head(hidden: Tensor, w_start: Tensor, w_end: Tensor
@@ -78,9 +74,8 @@ def joint_loss(status: Tensor, start: Tensor, end: Tensor,
             f"span logits {start.data.shape} and {end.data.shape} need one row "
             f"per gold span, {len(rows)}")
     loss = ad.cross_entropy(status, [g.status_class for g in golds])
-    if rows:
-        starts, ends = zip(*(golds[i].span for i in rows))
-        loss = ad.add(loss, ad.cross_entropy(start, starts))
-        loss = ad.add(loss, ad.cross_entropy(end, ends))
-    return loss
+    if not rows:
+        return loss
+    starts, ends = zip(*(golds[i].span for i in rows))
+    return ad.add(loss, ad.cross_entropy(start, starts), ad.cross_entropy(end, ends))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from proctrack import autodiff as ad
 from proctrack.autodiff import Tensor
 
 
@@ -43,6 +44,27 @@ def check_gradients(build_loss, params, h=1e-5, tol=1e-4):
     worst = max(max_rel_error(a, n) for a, n in zip(analytic, numeric))
     assert worst < tol, f"gradient mismatch: max rel error {worst:.3e}"
     return worst
+
+
+def cls_rows(hidden):
+    """The (..., 1, d_model) [CLS] rows of (..., T, d_model) hidden states,
+    the rows `status_head` takes, as the status-first split in
+    `encoder._block` gives them."""
+    return ad.slice_rows(hidden, 0, 1, axis=-2)
+
+
+def tape_ops(*outputs):
+    """How many tape nodes each op makes on the tape behind `outputs`, keyed
+    by the op's name (the function its backward closure belongs to)."""
+    counts, seen, stack = {}, set(), list(outputs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            op = node._backward.__qualname__.split(".")[0]
+            counts[op] = counts.get(op, 0) + 1
+            stack.extend(node._parents)
+    return counts
 
 
 @pytest.fixture

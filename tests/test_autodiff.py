@@ -383,6 +383,52 @@ class TestCrossEntropy:
             ad.cross_entropy(x, [0, -1])
 
 
+class TestAdd:
+    """Three terms summed in one node, at the shapes `embed` sums: token rows
+    (E, 1, T, d), position rows (T, d) and time-id rows (B, T, d)."""
+
+    SHAPES = ((2, 1, 5, 4), (5, 4), (3, 5, 4))
+
+    @staticmethod
+    def loss(total):
+        """A cross-entropy that gives every element of `total` its own
+        gradient."""
+        rows = total.data.size // 4
+        return ad.cross_entropy(ad.reshape(total, (rows, 4)), np.arange(rows) % 4)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("E", [1, 2])
+    def test_three_terms_are_the_nested_binary_adds_to_the_bit(self, rng, dtype, E):
+        """Bit-equal in the forward and in every gradient when E is 1, as in
+        a taped pass, which embeds one layout. With E > 1, the (T, d) term's
+        gradient sums the leading axes E first, where the nested adds sum B
+        first, so it agrees within rounding only."""
+        values = [rng.normal(0, 1, s).astype(dtype)
+                  for s in ((E, 1, 5, 4), *self.SHAPES[1:])]
+
+        def run(one_node):
+            a, b, c = (Tensor(v.copy(), requires_grad=True) for v in values)
+            total = ad.add(a, b, c) if one_node else ad.add(ad.add(a, b), c)
+            self.loss(total).backward()
+            return total, [total.data, a.grad, c.grad, b.grad]
+
+        total, got = run(True)
+        assert len(total._parents) == 3  # one node over the three leaves
+        assert all(p._backward is None for p in total._parents)
+        assert total.shape == (E, 3, 5, 4) and total.data.dtype == dtype
+        want = run(False)[1]
+        for g, w in zip(got[:3], want):
+            np.testing.assert_array_equal(g, w)
+        if E == 1:
+            np.testing.assert_array_equal(got[3], want[3])
+        else:
+            np.testing.assert_allclose(got[3], want[3], rtol=1e-5, atol=0)
+
+    def test_gradient_matches_finite_differences(self, rng):
+        terms = [leaf(rng, *s) for s in self.SHAPES]
+        check_gradients(lambda: self.loss(ad.add(*terms)), terms)
+
+
 class TestOtherOps:
     def test_gelu_gradient(self, rng):
         x = leaf(rng, 4, 3)

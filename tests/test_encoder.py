@@ -19,7 +19,7 @@ from proctrack.fixtures import photosynthesis
 from proctrack.model import TrackerModel, vocab_from_procedures
 from proctrack.tokenizer import build_vocab
 
-from conftest import check_gradients
+from conftest import check_gradients, cls_rows, tape_ops
 
 
 SENTS = [["rain", "falls", "down"], ["water", "pools", "up"], ["pools", "dry"]]
@@ -254,14 +254,8 @@ class TestEncode:
         def tape_nodes(n_heads):
             cfg = tiny_config(vocab, n_heads=n_heads)
             params = init_encoder_params(cfg, np.random.default_rng(0))
-            out = encode(embed(make_input(vocab), params), params, cfg).hidden
-            seen, stack = set(), [out]
-            while stack:
-                node = stack.pop()
-                if id(node) not in seen and node._backward is not None:
-                    seen.add(id(node))
-                    stack.extend(node._parents)
-            return len(seen)
+            return tape_ops(encode(embed(make_input(vocab), params), params,
+                                   cfg).hidden)
 
         assert tape_nodes(1) == tape_nodes(2) == tape_nodes(4)
 
@@ -293,7 +287,7 @@ class TestStepBatch:
             def heads(inp):
                 """The hidden states and logits, one row per input."""
                 hidden = encode(embed(inp, params), params, cfg).hidden
-                status = status_head(hidden, params["head.status"])
+                status = status_head(cls_rows(hidden), params["head.status"])
                 start, end = span_head(hidden, params["head.start"], params["head.end"])
                 rows = hidden.data.reshape(-1, *hidden.shape[-2:])
                 return rows, status.data, start.data, end.data
@@ -453,7 +447,7 @@ class TestSelect:
                     hidden = encode(embed(inp, params), params, cfg).hidden
                     start, end = span_head(hidden, params["head.start"],
                                            params["head.end"])
-                    logits = (status_head(hidden, params["head.status"]),
+                    logits = (status_head(cls_rows(hidden), params["head.status"]),
                               ad.embedding(start, rows), ad.embedding(end, rows))
                 losses.append(joint_loss(*logits, golds))
             total = ad.mean_of(losses)
@@ -500,7 +494,7 @@ class TestFusedAttention:
         for t in params.values():
             t.data += rng.normal(0, 0.3, t.data.shape)
         out = encode(embed(steps, params), params, cfg, collect_attn=True)
-        status = status_head(out.hidden, params["head.status"])
+        status = status_head(cls_rows(out.hidden), params["head.status"])
         start, end = span_head(out.hidden, params["head.start"], params["head.end"])
         return params, out, (status, start, end)
 
@@ -530,20 +524,20 @@ class TestFusedAttention:
                                               err_msg=name)
 
     def test_tape_nodes_of_one_entity_pass(self, vocab):
-        # Per layer: ln1, the qkv matmul, attention (split, heads and merge),
-        # the out matmul with its bias, residual add, ln2, and the feed-forward
-        # matmul with bias, gelu, matmul with bias and residual add make 10;
-        # embed adds 5, the final layer norm 1, the [CLS] slice and the heads 7.
         _, _, logits = self.taped_entity_pass(vocab, EncoderConfig(
             d_model=8, n_heads=2, n_layers=2, d_ff=16, vocab_size=len(vocab),
             max_len=32))
-        seen, stack = set(), list(logits)
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen and node._backward is not None:
-                seen.add(id(node))
-                stack.extend(node._parents)
-        assert len(seen) == 33
+        # embed: three lookups and one add. Per layer: ln1, the qkv matmul,
+        # attention (split, heads and merge), the out matmul with its bias,
+        # residual add, ln2, and the feed-forward matmul with bias, gelu,
+        # matmul with bias and residual add. Then the final layer norm, the
+        # [CLS] slice that `cls_rows` takes, and the heads: a matmul each and
+        # three reshapes.
+        assert tape_ops(*logits) == {
+            "embedding": 3, "add": 1 + 2 * 2, "layer_norm": 2 * 2 + 1,
+            "matmul": 2 * 4 + 3, "attention": 2, "gelu": 2, "slice_rows": 1,
+            "reshape": 3}
+        assert sum(tape_ops(*logits).values()) == 32
 
 
 class TestEndToEndGradient:
@@ -560,7 +554,7 @@ class TestEndToEndGradient:
 
         def loss():
             hidden = encode(embed(inp, params), params, cfg).hidden
-            status = status_head(hidden, params["head.status"])
+            status = status_head(cls_rows(hidden), params["head.status"])
             start, end = span_head(hidden, params["head.start"], params["head.end"])
             # One unbatched step: the heads give one row of each.
             return joint_loss(status, start, end, [gold])

@@ -10,7 +10,7 @@ from proctrack.heads import (
     span_rows, status_class_of, status_head,
 )
 
-from conftest import check_gradients, leaf
+from conftest import check_gradients, cls_rows, leaf
 
 
 def hidden_states(arr):
@@ -26,7 +26,7 @@ def logits_of(probs):
 class TestStatusHead:
     def test_zero_weights_uniform(self, rng):
         out = hidden_states(rng.normal(0, 1, (5, 8)))
-        logits = status_head(out, Tensor(np.zeros((8, 3))))
+        logits = status_head(cls_rows(out), Tensor(np.zeros((8, 3))))
         np.testing.assert_allclose(ad.softmax_array(logits.data), [[1 / 3] * 3],
                                    atol=1e-12)
 
@@ -35,28 +35,36 @@ class TestStatusHead:
         hidden = np.zeros((4, 3))
         hidden[0] = [1.0, 0.0, 0.0]
         w = np.array([[math.log(2), 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 2)
-        logits = status_head(hidden_states(hidden), Tensor(w))
+        logits = status_head(cls_rows(hidden_states(hidden)), Tensor(w))
         np.testing.assert_allclose(ad.softmax_array(logits.data),
                                    [[0.5, 0.25, 0.25]], atol=1e-12)
 
     def test_argmax_shift_invariant(self, rng):
         hidden = rng.normal(0, 1, (5, 8))
         w = rng.normal(0, 1, (8, 3))
-        base = np.argmax(status_head(hidden_states(hidden), Tensor(w)).data)
+        base = np.argmax(status_head(cls_rows(hidden_states(hidden)), Tensor(w)).data)
         # add a constant column: logits all shift by c
         cls = hidden[0]
         shifted = w + np.outer(cls / (cls @ cls), np.full(3, 3.7))
-        assert np.argmax(status_head(hidden_states(hidden), Tensor(shifted)).data) == base
+        assert np.argmax(status_head(cls_rows(hidden_states(hidden)),
+                                     Tensor(shifted)).data) == base
 
     def test_shape_check(self, rng):
+        cls = hidden_states(rng.normal(0, 1, (2, 1, 8)))
+        status_head(cls, Tensor(np.zeros((8, 3))))  # the shapes it takes
         with pytest.raises(ShapeMismatchError):
-            status_head(hidden_states(rng.normal(0, 1, (5, 8))), Tensor(np.zeros((8, 4))))
+            status_head(cls, Tensor(np.zeros((8, 4))))
+        # full (..., T, d) hidden states, T > 1, or no row axis: not [CLS] rows
+        for shape in ((2, 5, 8), (5, 8), (8,)):
+            with pytest.raises(ShapeMismatchError, match=r"\[CLS\] rows"):
+                status_head(hidden_states(rng.normal(0, 1, shape)),
+                            Tensor(np.zeros((8, 3))))
 
     def test_gradient_wrt_weights(self, rng):
         out = hidden_states(rng.normal(0, 1, (5, 8)))
         w = leaf(rng, 8, 3)
         check_gradients(lambda: ad.cross_entropy(
-            status_head(out, w), [1]), [w])
+            status_head(cls_rows(out), w), [1]), [w])
 
 
 class TestSpanHead:
@@ -98,7 +106,7 @@ class TestRows:
         E, B, T = 2, 4, 6
         hidden = rng.normal(0, 1, (E, B, T, 8))
         w_status, w_start, w_end = (rng.normal(0, 1, (8, k)) for k in (3, 1, 1))
-        status = status_head(hidden_states(hidden), Tensor(w_status))
+        status = status_head(cls_rows(hidden_states(hidden)), Tensor(w_status))
         start, end = span_head(hidden_states(hidden), Tensor(w_start), Tensor(w_end))
         assert status.shape == (E * B, 3)
         assert start.shape == end.shape == (E * B, T)
@@ -189,7 +197,7 @@ class TestJointLoss:
         def run(gold):
             for w in (w_status, w_start, w_end):
                 w.grad = None
-            loss = joint_loss(status_head(out, w_status),
+            loss = joint_loss(status_head(cls_rows(out), w_status),
                               *span_logits(out, [gold], w_start, w_end), [gold])
             loss.backward()
 
@@ -229,7 +237,7 @@ class TestBatchedJointLoss:
     def test_gradient_through_a_batch(self, rng):
         out = hidden_states(rng.normal(0, 1, (len(self.GOLDS), 6, 8)))
         w_status, w_start, w_end = leaf(rng, 8, 3), leaf(rng, 8, 1), leaf(rng, 8, 1)
-        check_gradients(lambda: joint_loss(status_head(out, w_status),
+        check_gradients(lambda: joint_loss(status_head(cls_rows(out), w_status),
                                            *span_logits(out, self.GOLDS,
                                                         w_start, w_end),
                                            self.GOLDS),

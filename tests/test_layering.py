@@ -1,7 +1,8 @@
 """The forward pass's stages pass plain arrays: `encoder` reads no `inputs`
 record and `heads` no `encoder` record, so neither imports the module before
-it. The sources are parsed, not imported, so an import inside a function or
-under `TYPE_CHECKING` counts too."""
+it. Only `encoder` knows which rows are [CLS]: `heads` selects no rows. The
+sources are parsed, not imported, so an import inside a function or under
+`TYPE_CHECKING` counts too."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,35 @@ def test_stage_does_not_import_the_stage_before_it(module, earlier):
     imported = proctrack_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
     assert "autodiff" in imported  # the parse sees the module's imports
     assert earlier not in imported, f"{module}.py imports {earlier}"
+
+
+ROW_SELECTING_OPS = {"slice_rows", "take_rows"}
+
+
+def names_used(source: str) -> set[str]:
+    """Every name and attribute that `source` reads, calls or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+@pytest.mark.parametrize("source", [
+    "ad.slice_rows(hidden, 0, 1, axis=-2)",
+    "autodiff.take_rows(hidden, rows)",
+    "from .autodiff import slice_rows as first",
+    "pick = ad.take_rows",
+])
+def test_every_row_selecting_form_is_seen(source):
+    assert names_used(source) & ROW_SELECTING_OPS
+
+
+def test_heads_select_no_rows():
+    used = names_used((SRC / "heads.py").read_text(encoding="utf-8"))
+    assert "matmul" in used  # the parse sees the module's ops
+    assert not used & ROW_SELECTING_OPS, "heads.py selects rows"

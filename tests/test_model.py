@@ -25,6 +25,8 @@ from proctrack.model import STACK_SCORES, TrackerModel, vocab_from_procedures
 from proctrack.tokenizer import SEP, UNK
 from proctrack.train import TrainingDiverged, status_accuracy, train_model
 
+from conftest import cls_rows, tape_ops
+
 
 def forward(model, layout, step):
     """Status, start and end logits, one row each, of one taped pass for one
@@ -32,7 +34,7 @@ def forward(model, layout, step):
     params = model.params
     hidden = encode(embed(timestamp(layout, step), params), params,
                     model.config).hidden
-    return (status_head(hidden, params["head.status"]),
+    return (status_head(cls_rows(hidden), params["head.status"]),
             *span_head(hidden, params["head.start"], params["head.end"]))
 
 
@@ -44,7 +46,7 @@ def full_pass(model, layouts, params):
     inp = TimestampedInput(tokens, time_ids(layouts[0]))
     hidden = encode(embed(inp, params), params, model.config).hidden
     return tuple(t.data for t in (
-        status_head(hidden, params["head.status"]),
+        status_head(cls_rows(hidden), params["head.status"]),
         *span_head(hidden, params["head.start"], params["head.end"])))
 
 
@@ -606,32 +608,35 @@ class TestOneForwardPass:
         for p in model.params.values():
             p.grad = None
 
-    def test_a_taped_entity_pass_has_45_tape_nodes(self, procs):
-        # Embed 5 (three lookups, two adds). Layer 0: 10 (ln1, qkv matmul,
-        # attention, out matmul with its bias, residual add, ln2, matmul with
-        # bias, gelu, matmul with bias, residual add). The last layer's ln1
-        # and qkv matmul 2. The [CLS] query: 13 (the attention from [CLS],
-        # the slice of the layer's input, the 7 nodes after attention, the
-        # final layer norm, and the status head's slice, matmul and reshape).
-        # The finished rows: 15 (two row gathers, attention, the 7 nodes
-        # after it, the final layer norm, and the span head's two matmuls
-        # and two reshapes).
+    def test_a_taped_entity_pass_has_43_tape_nodes(self, procs):
         cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16, max_len=96)
         m = TrackerModel.fresh(vocab_from_procedures(procs), cfg, seed=1)
         proc = procs[0]
         for entity in proc.entities:  # the first with a gold span
             layout = m.layout_for(entity, proc)
-            rows = span_rows(m.gold_steps(proc, entity, layout))
+            golds = m.gold_steps(proc, entity, layout)
+            rows = span_rows(golds)
             if rows:
                 break
         logits = m.forward_steps([layout], m.params, rows=rows)
-        seen, stack = set(), list(logits)
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen and node._backward is not None:
-                seen.add(id(node))
-                stack.extend(node._parents)
-        assert len(seen) == 45
+        # embed: three lookups and one add. Layer 0: ln1, the qkv matmul,
+        # attention and the 7 nodes after it (out matmul with bias, residual
+        # add, ln2, matmul with bias, gelu, matmul with bias, residual add).
+        # The last layer: ln1 and the qkv matmul once, then attention, the 7
+        # nodes and the final layer norm twice, for the [CLS] query and for
+        # the finished rows. The [CLS] query also slices the layer's input,
+        # and the status head is a matmul and a reshape; the finished rows
+        # are two row gathers, and the span head two matmuls and two
+        # reshapes.
+        assert tape_ops(*logits) == {
+            "embedding": 3, "add": 1 + 3 * 2, "layer_norm": 2 + 3 + 2,
+            "matmul": 2 + 3 * 3 + 1 + 2, "attention": 3, "gelu": 3,
+            "slice_rows": 1, "take_rows": 2, "reshape": 1 + 2}
+        assert sum(tape_ops(*logits).values()) == 43
+        # the loss: three cross-entropies summed by one add
+        loss_ops = tape_ops(joint_loss(*logits, golds))
+        assert sum(loss_ops.values()) - 43 == 4
+        assert loss_ops["cross_entropy"] == 3 and loss_ops["add"] == 7 + 1
         assert 0 < len(rows) < proc.n_steps + 1
         assert [t.shape[0] for t in logits] == [proc.n_steps + 1] + [len(rows)] * 2
 
