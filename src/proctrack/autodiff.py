@@ -4,19 +4,19 @@ CPU-only. A Tensor wraps a numpy array, float64 unless it is given a float32
 array, plus an optional gradient; ops keep their operands' dtype, down to a
 0-d loss, and build a tape of backward closures that `backward()` replays in
 reverse topological order, freeing each intermediate's gradient once its
-closure has consumed it. A gradient takes its tensor's dtype, but a leaf's is
-float64. Only leaves, such as parameters, keep gradients; they accumulate
-until an optimizer step clears them, so several losses can be backpropagated
-before a single parameter update. Prediction runs on float32 copies of the
-parameters, and training on float32 casts (`cast`), one per parameter per SGD
-step; the parameters, their gradients, the SGD step and the checkpoints stay
-float64.
+closure has consumed it. A gradient takes its tensor's dtype. Only leaves,
+such as parameters, keep gradients; they accumulate until an optimizer step
+clears them, so several losses can be backpropagated before a single
+parameter update. Prediction runs on float32 copies of the parameters, and
+training on float32 casts (`cast`), one per parameter per SGD step; the
+parameters, their gradients, the SGD step and the checkpoints stay float64.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -54,13 +54,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{tag})"
 
     def _accumulate(self, g, copy=False):
-        # A gradient takes this tensor's dtype, but a leaf's is float64. A
-        # first `g` of that dtype is adopted: ops hand over arrays they have
-        # just allocated, or pass copy=True when g is or views one held
-        # elsewhere.
+        # A gradient takes this tensor's dtype. A first `g` of that dtype is
+        # adopted: ops hand over arrays they have just allocated, or pass
+        # copy=True when g is or views one held elsewhere.
         if self.grad is None:
-            dtype = np.float64 if self._backward is None else self.data.dtype
-            self.grad = (np.array if copy else np.asarray)(g, dtype=dtype)
+            self.grad = (np.array if copy else np.asarray)(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -442,33 +440,17 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(a.data.reshape(shape), (a,), bw)
 
 
-def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """The inputs `rows` of a (..., T, d) tensor with at least one leading
-    axis, as (len(rows), T, d): flat indices over the leading axes in C
-    order, each at most once, as the backward adds each row's gradient back
-    with one scatter. Indices are checked by numpy's indexing alone."""
-    *lead, T, d = a.data.shape
-
+def slice_rows(a: Tensor, index) -> Tensor:
+    """`a.data[index]`, for a basic slice such as `np.s_[..., :1, :]` or a
+    tuple of index arrays that names each element at most once, as the
+    backward adds the gradient back with one scatter."""
     def bw(g):
         if a.requires_grad:
             if a.grad is None:
                 a._accumulate(np.zeros_like(a.data))
-            a.grad[np.unravel_index(rows, lead)] += g
+            a.grad[index] += g
 
-    return _result(a.data.reshape(-1, T, d)[rows], (a,), bw)
-
-
-def slice_rows(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
-    """a[start:stop] along `axis`."""
-    idx = (slice(None),) * (axis % a.data.ndim) + (slice(start, stop),)
-
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a._accumulate(np.zeros_like(a.data))
-            a.grad[idx] += g
-
-    return _result(a.data[idx], (a,), bw)
+    return _result(a.data[index], (a,), bw)
 
 
 def mean_of(tensors, count: int | None = None) -> Tensor:
@@ -533,7 +515,9 @@ def save_checkpoint(params: dict, path, **fields) -> None:
     """Write `params` as one JSON header line, then each tensor's
     little-endian float64 bytes in C order, packed back to back in `params`
     order. The header holds the format, its version, the `fields`, the byte
-    count after the line and a {name, shape, offset} record per tensor."""
+    count after the line and a {name, shape, offset} record per tensor. The
+    bytes reach the disk before it returns, so that a rename after it cannot
+    outlive them in an OS crash."""
     arrays = [np.asarray(p.data, dtype="<f8", order="C") for p in params.values()]
     records, offset = [], 0
     for name, arr in zip(params, arrays):
@@ -545,6 +529,8 @@ def save_checkpoint(params: dict, path, **fields) -> None:
         f.write(json.dumps(header).encode("ascii") + b"\n")
         for arr in arrays:
             f.write(arr)
+        f.flush()
+        os.fsync(f.fileno())
 
 
 def load_checkpoint(path) -> dict:

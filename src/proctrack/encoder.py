@@ -157,9 +157,10 @@ def _block(x: Tensor, params: dict, p: str, config: EncoderConfig, rng,
                     params[p + "attn.qkv"])
     if select is not None:
         cls, _ = ad.attention(qkv, config.n_heads, cls_only=True)
-        rows = select(_final_norm(_finish(ad.slice_rows(x, 0, 1, axis=-2), cls,
+        rows = select(_final_norm(_finish(ad.slice_rows(x, np.s_[..., :1, :]), cls,
                                           params, p, config, rng), params))
-        x, qkv = ad.take_rows(x, rows), ad.take_rows(qkv, rows)
+        idx = np.unravel_index(rows, x.data.shape[:-2])
+        x, qkv = ad.slice_rows(x, idx), ad.slice_rows(qkv, idx)
     merged, probs = ad.attention(qkv, config.n_heads)
     if attn_probs is not None:
         attn_probs.append(probs.copy())

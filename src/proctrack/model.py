@@ -147,12 +147,12 @@ class TrackerModel:
         row's [CLS] query alone, for the (rows, 3) status logits of every
         row; then in full only for the rows to finish, and only those rows,
         in that order, get (rows, T) start and end logits. The rows to finish
-        are `rows`, flat row indices each given at most once (training: the
-        rows with a gold span), or else those whose status argmax is
-        known-location, in row order, as `decode_step` takes them. Their
-        span logits are the same to the bit as the full pass's; the status
-        logits are within 1e-5 of it, as BLAS rounds the one-row [CLS]
-        product differently.
+        are `rows` (training: the rows with a gold span), flat row indices
+        each given at most once, where a negative one raises ValueError, or
+        else those whose status argmax is known-location, in row order, as
+        `decode_step` takes them. Their span logits are the same to the bit as the full
+        pass's; the status logits are within 1e-5 of it, as BLAS rounds the
+        one-row [CLS] product differently.
         """
         tokens = np.array([layout.token_ids for layout in layouts])[:, None]
         inp = TimestampedInput(tokens, time_ids(layouts[0]))

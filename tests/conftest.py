@@ -50,7 +50,7 @@ def cls_rows(hidden):
     """The (..., 1, d_model) [CLS] rows of (..., T, d_model) hidden states,
     the rows `status_head` takes, as the status-first split in
     `encoder._block` gives them."""
-    return ad.slice_rows(hidden, 0, 1, axis=-2)
+    return ad.slice_rows(hidden, np.s_[..., :1, :])
 
 
 def tape_ops(*outputs):

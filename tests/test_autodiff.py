@@ -462,7 +462,7 @@ class TestOtherOps:
 
         def loss():
             merged = ad.concat([a, b], axis=1)
-            top = ad.slice_rows(merged, 0, 2)
+            top = ad.slice_rows(merged, np.s_[:2])
             return ad.reshape(ad.matmul(ad.matmul(Tensor(np.ones((1, 2))), top),
                                         Tensor(np.ones((4, 1)))), ())
 
@@ -470,9 +470,34 @@ class TestOtherOps:
 
     def test_slice_rows_along_an_inner_axis(self, rng):
         a = leaf(rng, 2, 5, 3)
-        top = ad.slice_rows(a, 1, 3, axis=-2)
+        top = ad.slice_rows(a, np.s_[:, 1:3])
         np.testing.assert_array_equal(top.data, a.data[:, 1:3])
-        check_gradients(lambda: total(ad.slice_rows(a, 1, 3, axis=-2)), [a])
+        check_gradients(lambda: total(ad.slice_rows(a, np.s_[:, 1:3])), [a])
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 3, 5, 4)])
+    def test_slice_rows_takes_the_cls_rows_of_any_rank(self, rng, shape):
+        a = leaf(rng, *shape)
+        cls = ad.slice_rows(a, np.s_[..., :1, :])
+        np.testing.assert_array_equal(cls.data, a.data[..., :1, :])
+        assert cls.shape == (*shape[:-2], 1, shape[-1])
+        check_gradients(lambda: total(ad.slice_rows(a, np.s_[..., :1, :])), [a])
+
+    def test_slice_rows_gathers_flat_rows_over_two_leading_axes(self, rng):
+        """Index arrays from flat row indices over (E, B) give the rows of
+        the (E·B, T, d) reshape, and the backward fills those rows alone."""
+        E, B, T, d = 2, 3, 4, 5
+        a = leaf(rng, E, B, T, d)
+        rows = np.array([4, 0, 3], dtype=np.intp)
+        idx = np.unravel_index(rows, (E, B))
+        picked = ad.slice_rows(a, idx)
+        np.testing.assert_array_equal(picked.data, a.data.reshape(-1, T, d)[rows])
+        total(picked).backward()
+        grad = a.grad.reshape(-1, T, d)
+        np.testing.assert_array_equal(grad[rows], np.ones((len(rows), T, d)))
+        assert not np.delete(grad, rows, axis=0).any()
+        a.grad = None
+        w = rng.normal(0, 1, (len(rows), T, d))
+        check_gradients(lambda: total(ad.scale(ad.slice_rows(a, idx), w)), [a])
 
     def test_transpose_axes_gradient(self, rng):
         x = leaf(rng, 2, 3, 4)
@@ -508,8 +533,8 @@ class TestOtherOps:
                 other.grad += 1.0
             np.testing.assert_array_equal(x.grad, want)
 
-    def test_float32_graph_gives_float64_leaf_gradients(self, rng):
-        """A taped float32 graph leaves float64 gradients on its leaves; gelu's
+    def test_float32_graph_gives_float32_leaf_gradients(self, rng):
+        """A taped float32 graph leaves float32 gradients on its leaves; gelu's
         in-place backward gives the bits of the expression written out."""
         values = rng.normal(0, 3, (2, 3, 6)).astype(np.float32)
         table = rng.normal(0, 1, (5, 6)).astype(np.float32)
@@ -519,7 +544,7 @@ class TestOtherOps:
             emb = Tensor(table.copy(), requires_grad=True)
             h = ad.add(op(x), ad.embedding(emb, [1, 4, 1]))
             ad.cross_entropy(h, np.zeros((2, 3), dtype=int)).backward()
-            assert x.grad.dtype == emb.grad.dtype == np.float64
+            assert x.grad.dtype == emb.grad.dtype == np.float32
             grads.append((x.grad, emb.grad))
         for got, want in zip(*grads):
             np.testing.assert_array_equal(got, want)
@@ -536,7 +561,7 @@ class TestOtherOps:
             assert type(t.data) is np.ndarray and t.data.shape == ()
             assert t.data.dtype == np.float32
         mean.backward()
-        assert logits.grad.dtype == np.float64
+        assert logits.grad.dtype == np.float32
 
     def test_cast_hands_the_gradient_back_in_the_leaf_dtype(self, rng):
         w = leaf(rng, 3, 2)

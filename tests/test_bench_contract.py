@@ -14,9 +14,9 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "proctrack"
 # Tape ops the model calls that the tracer does not wrap yet, so their time is
 # charged to the span that calls them. Once the tracer wraps one, drop it here.
-# `take_rows`, the status-first row gather of the last layer, came after the
-# tracer's list of ops was last changed.
-UNTRACED_OPS = {"attention", "cast", "take_rows"}
+# The status-first gathers of the last layer are `slice_rows` calls, which it
+# wraps.
+UNTRACED_OPS = {"attention", "cast"}
 
 
 def parse(module: str) -> ast.Module:

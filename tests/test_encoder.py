@@ -474,7 +474,7 @@ def chain_attention(qkv, n_heads):
     L, dh = len(lead), d3 // (3 * n_heads)
     heads = ad.transpose(ad.reshape(qkv, (*lead, T, n_heads, 3, dh)),
                          (L + 2, *range(L), L + 1, L, L + 3))
-    q, k, v = (ad.slice_rows(heads, i, i + 1) for i in range(3))
+    q, k, v = (ad.slice_rows(heads, np.s_[i:i + 1]) for i in range(3))
     probs = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh)),
                        axis=-1)
     out = ad.reshape(ad.matmul(probs, v), (*lead, n_heads, T, dh))

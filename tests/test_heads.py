@@ -121,7 +121,8 @@ def span_logits(hidden, golds, w_start, w_end):
     """Start and end logits of the rows of `hidden` that `span_rows(golds)`
     picks, as a status-first pass computes them."""
     rows = np.array(span_rows(golds), dtype=np.intp)
-    return span_head(ad.take_rows(hidden, rows), w_start, w_end)
+    idx = np.unravel_index(rows, hidden.shape[:-2])
+    return span_head(ad.slice_rows(hidden, idx), w_start, w_end)
 
 
 class TestJointLoss:

@@ -234,8 +234,8 @@ class TestBatchedLoss:
             for step, gold in enumerate(golds):
                 status, start, end = forward(model, layout, step)
                 n = len(span_rows([gold]))  # the span row, if gold has a span
-                losses.append(joint_loss(status, ad.slice_rows(start, 0, n),
-                                         ad.slice_rows(end, 0, n), [gold]))
+                losses.append(joint_loss(status, ad.slice_rows(start, np.s_[:n]),
+                                         ad.slice_rows(end, np.s_[:n]), [gold]))
         return ad.mean_of(losses)
 
     @staticmethod
@@ -574,6 +574,14 @@ class TestStatusFirst:
             assert sorted(calls) == ["attn.qkv", "ln1.gain"]
         assert decoded > 0
 
+    def test_a_negative_row_is_rejected(self, model, procs):
+        """`rows` are flat indices over the pass's rows, so -1 names none,
+        on a tape-free pass as on a taped one."""
+        layout = model.layout_for(procs[0].entities[0], procs[0])
+        for params in (float32_params(model), model.params):
+            with pytest.raises(ValueError):
+                model.forward_steps([layout], params, rows=[-1])
+
 
 class TestOneForwardPass:
     """Training and prediction share `forward_steps`."""
@@ -631,7 +639,7 @@ class TestOneForwardPass:
         assert tape_ops(*logits) == {
             "embedding": 3, "add": 1 + 3 * 2, "layer_norm": 2 + 3 + 2,
             "matmul": 2 + 3 * 3 + 1 + 2, "attention": 3, "gelu": 3,
-            "slice_rows": 1, "take_rows": 2, "reshape": 1 + 2}
+            "slice_rows": 1 + 2, "reshape": 1 + 2}
         assert sum(tape_ops(*logits).values()) == 43
         # the loss: three cross-entropies summed by one add
         loss_ops = tape_ops(joint_loss(*logits, golds))
@@ -785,6 +793,27 @@ class TestPersistence:
         loaded = TrackerModel.load(ckpt)
         for name, p in model.params.items():
             assert np.array_equal(loaded.params[name].data, p.data)
+
+    def test_the_temporary_file_is_synced_before_its_rename(self, model, tmp_path,
+                                                            monkeypatch):
+        ckpt = tmp_path / "ckpt"
+        tmp = str(ckpt / "params.bin.tmp")
+        fsync, replace, calls = os.fsync, os.replace, []
+
+        def synced(fd):  # records the bytes the file holds when it is synced
+            assert os.path.samestat(os.fstat(fd), os.stat(tmp))
+            calls.append(("fsync", os.fstat(fd).st_size))
+            fsync(fd)
+
+        def renamed(src, dst):
+            calls.append(("replace", src == tmp))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", synced)
+        monkeypatch.setattr(os, "replace", renamed)
+        model.save(ckpt)
+        size = (ckpt / "params.bin").stat().st_size
+        assert calls == [("fsync", size), ("replace", True)]
 
     def test_interrupted_save_cannot_mix_two_checkpoints(self, tmp_path,
                                                          monkeypatch):
