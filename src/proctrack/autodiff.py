@@ -10,6 +10,8 @@ clears them, so several losses can be backpropagated before a single
 parameter update. Prediction runs on float32 copies of the parameters, and
 training on float32 casts (`cast`), one per parameter per SGD step; the
 parameters, their gradients, the SGD step and the checkpoints stay float64.
+So every parameter value stays within float32's range and is not NaN:
+`read_checkpoint` and `sgd_step`, where values enter, refuse any other.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class ShapeMismatchError(ValueError):
@@ -30,7 +33,14 @@ class ShapeMismatchError(ValueError):
 
 
 class NonFiniteGradientError(RuntimeError):
-    pass
+    """An SGD step would leave a parameter value NaN or beyond float32's
+    range, from a non-finite gradient, an overflowing update or a value the
+    parameter already held."""
+
+
+def _outside_float32(x: np.ndarray) -> bool:
+    """Whether `x` holds NaN, infinity or a magnitude above FLOAT32_MAX."""
+    return not np.abs(x).max(initial=0.0) <= FLOAT32_MAX  # NaN compares False
 
 
 class Tensor:
@@ -490,19 +500,20 @@ def sgd_step(params: dict, config: SgdConfig, step_count: int) -> None:
     """One SGD update: p -= lr(step) * p.grad for every parameter, in place,
     then zero grads.
 
-    Parameters with no accumulated gradient are left untouched. Every new
-    value is computed before any is assigned, so a non-finite gradient or
-    new value leaves all parameters and gradients as they were.
+    Parameters with no accumulated gradient are left untouched. Every
+    would-be value, the update or else the current one, is checked before
+    any is assigned, so a step that would leave one beyond float32's range
+    or NaN raises NonFiniteGradientError and changes nothing.
     """
     stepped = {name: p for name, p in params.items() if p.grad is not None}
     lr = config.effective_lr(step_count)
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
         updated = {name: p.data - lr * p.grad for name, p in stepped.items()}
-    for name, value in updated.items():
-        if not np.all(np.isfinite(value)):
+    for name, p in params.items():
+        if _outside_float32(updated.get(name, p.data)):
             raise NonFiniteGradientError(
-                f"non-finite gradient or update in parameter {name!r} at "
-                f"learning rate {lr!r}")
+                f"parameter {name!r} would hold a value beyond float32's "
+                f"range, or NaN, at learning rate {lr!r}")
     for name, p in stepped.items():
         p.data[...] = updated[name]
         p.grad = None
@@ -546,7 +557,7 @@ def read_checkpoint(path) -> tuple[dict, dict]:
     record without a string name, a shape of non-negative ints or an int
     offset, a repeated name, offsets that are not each tensor's bytes
     packed back to back, a byte count that is not the file's, or a value
-    that is NaN or infinity."""
+    beyond float32's range, or NaN."""
     with open(path, "rb") as f:
         head, body = f.readline(), f.read()
     try:
@@ -594,7 +605,8 @@ def read_checkpoint(path) -> tuple[dict, dict]:
                              f"bytes, its offsets give {end - start}")
         arr = np.frombuffer(body, dtype="<f8", count=count,
                             offset=start).reshape(shape).astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: {name}: data holds NaN or infinity")
+        if _outside_float32(arr):
+            raise ValueError(f"{path}: {name}: holds a value beyond float32's "
+                             f"range, or NaN")
         params[name] = Tensor(arr, requires_grad=True, name=name)
     return header, params

@@ -31,16 +31,6 @@ from .tokenizer import Vocab, build_vocab
 # ran 0.79x as fast. An entity is never split (0.63-0.95x as fast). Under
 # status-first prediction, lifting the cap ran 0.93-0.96x as fast.
 STACK_SCORES = 2 ** 16
-FLOAT32_MAX = float(np.finfo(np.float32).max)
-
-
-def beyond_float32(params: dict) -> str | None:
-    """The name of the first tensor holding NaN, infinity or a value beyond
-    float32's range, which prediction runs in, or None if none does."""
-    for name, t in params.items():
-        if not np.all(np.abs(t.data) <= FLOAT32_MAX):  # NaN compares False
-            return name
-    return None
 
 
 def vocab_from_procedures(procs: list[Procedure]) -> Vocab:
@@ -84,10 +74,10 @@ class TrackerModel:
 
     @classmethod
     def load(cls, directory) -> "TrackerModel":
-        """Load a checkpoint; DataError if its header's vocabulary or config
-        is malformed, its tensors are not the names and shapes that config
-        implies, or a value lies outside float32's range, which prediction
-        runs in."""
+        """Load a checkpoint; DataError if `ad.read_checkpoint` rejects it
+        (a value beyond float32's range among its checks), if its header's
+        vocabulary or config is malformed, or if its tensors are not the
+        names and shapes that config implies."""
         path = os.path.join(directory, "params.bin")
         if (not os.path.exists(path)
                 and os.path.exists(os.path.join(directory, "params.json"))):
@@ -119,10 +109,6 @@ class TrackerModel:
                                         f"expected {implied.get(k, 'nothing')}"
                                         for k in sorted(found.keys() | implied.keys())
                                         if found.get(k) != implied.get(k)))
-        name = beyond_float32(params)
-        if name is not None:
-            raise DataError(f"{path}: {name}: holds a value beyond float32's "
-                            f"range, which prediction runs in")
         return cls(vocab=vocab, config=config, params=params)
 
     # -- forward ------------------------------------------------------------
@@ -147,13 +133,17 @@ class TrackerModel:
         row's [CLS] query alone, for the (rows, 3) status logits of every
         row; then in full only for the rows to finish, and only those rows,
         in that order, get (rows, T) start and end logits. The rows to finish
-        are `rows` (training: the rows with a gold span), flat row indices
-        each given at most once, where a negative one raises ValueError, or
-        else those whose status argmax is known-location, in row order, as
-        `decode_step` takes them. Their span logits are the same to the bit as the full
+        are `rows` (training: the rows with a gold span), flat row indices,
+        where a negative or repeated one raises ValueError, or else those
+        whose status argmax is known-location, in row order, as `decode_step`
+        takes them. Their span logits are the same to the bit as the full
         pass's; the status logits are within 1e-5 of it, as BLAS rounds the
         one-row [CLS] product differently.
         """
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.intp)
+            if np.unique(rows).size != rows.size:
+                raise ValueError(f"rows names a row twice: {rows.tolist()}")
         tokens = np.array([layout.token_ids for layout in layouts])[:, None]
         inp = TimestampedInput(tokens, time_ids(layouts[0]))
         status = None
@@ -162,7 +152,7 @@ class TrackerModel:
             nonlocal status
             status = status_head(cls, params["head.status"])
             if rows is not None:
-                return np.asarray(rows, dtype=np.intp)
+                return rows
             return np.flatnonzero(status.data.argmax(-1) == STATUS_KNOWN)
 
         hidden = encode(embed(inp, params), params, self.config, rng=rng,

@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .autodiff import NonFiniteGradientError, SgdConfig
 from .data import Procedure
 from .heads import status_class_of
-from .model import TrackerModel, beyond_float32
+from .model import TrackerModel
 
 log = logging.getLogger(__name__)
 
@@ -49,9 +49,10 @@ def train_model(model: TrackerModel, procs: list[Procedure], sgd: SgdConfig,
                 eval_every: int = 0,
                 stop_fn=None) -> TrainResult:
     """Sequential over procedures; gradients are averaged within a procedure
-    and applied as a single SGD step. Aborts on a non-finite loss or update,
-    or on parameters that `TrackerModel.load` would reject, keeping the last
-    good checkpoint on disk.
+    and applied as a single SGD step. Aborts on a non-finite loss, or at the
+    step that `sgd_step` refuses, as it would leave a parameter beyond
+    float32's range or NaN, so no checkpoint that `TrackerModel.load` rejects
+    is saved; the last good checkpoint stays on disk.
 
     `freeze_timestamps` zeroes the time-id table and excludes it from updates
     (the step-blind ablation). `stop_fn(model, epoch)` may end training early.
@@ -95,12 +96,6 @@ def train_model(model: TrackerModel, procs: list[Procedure], sgd: SgdConfig,
         log.info("epoch %d: loss %.4f, %s, %d gold spans not in the paragraph",
                  epoch, mean_loss, detail, result.unaligned_spans)
         if checkpoint_dir:
-            name = beyond_float32(model.params)
-            if name is not None:
-                raise TrainingDiverged(
-                    f"{name} holds a value beyond float32's range after epoch "
-                    f"{epoch}, so predict could not load it; last checkpoint "
-                    f"retained")
             model.save(checkpoint_dir)
         if stop_fn is not None and stop_fn(model, epoch):
             log.info("early stop at epoch %d", epoch)

@@ -662,17 +662,51 @@ class TestSgd:
 
     def test_nonfinite_new_value_applies_no_update(self):
         """A finite gradient at a huge learning rate overflows in the last
-        parameter: no parameter moves and every gradient stays."""
+        parameter, after one that would step in range: no parameter moves
+        and every gradient stays."""
         a = Tensor([1.0], requires_grad=True)
-        a.grad = np.array([1.0])
+        a.grad = np.array([1e-300])
         b = Tensor([2.0, 3.0], requires_grad=True)
         b.grad = np.array([0.5, -1e10])
         with pytest.raises(NonFiniteGradientError, match="'b'"):
             sgd_step({"a": a, "b": b}, SgdConfig(learning_rate=1e300), 0)
         np.testing.assert_array_equal(a.data, [1.0])
-        np.testing.assert_array_equal(a.grad, [1.0])
+        np.testing.assert_array_equal(a.grad, [1e-300])
         np.testing.assert_array_equal(b.data, [2.0, 3.0])
         np.testing.assert_array_equal(b.grad, [0.5, -1e10])
+
+    def test_finite_new_value_beyond_float32_applies_no_update(self):
+        """-1e300 is finite, but float32 cannot hold it."""
+        a = Tensor([1.0], requires_grad=True)
+        a.grad = np.array([1.0])
+        b = Tensor([2.0], requires_grad=True)
+        b.grad = np.array([0.5])
+        with pytest.raises(NonFiniteGradientError,
+                           match=r"'a'.*beyond float32's range"):
+            sgd_step({"a": a, "b": b}, SgdConfig(learning_rate=1e300), 0)
+        np.testing.assert_array_equal(a.data, [1.0])
+        np.testing.assert_array_equal(a.grad, [1.0])
+        np.testing.assert_array_equal(b.data, [2.0])
+        np.testing.assert_array_equal(b.grad, [0.5])
+
+    def test_value_beyond_float32_without_gradient_applies_no_update(self):
+        """A parameter that no loss reached is checked at its current value."""
+        a = Tensor([1.0], requires_grad=True)
+        a.grad = np.array([1.0])
+        b = Tensor([0.0, 1e39], requires_grad=True)
+        with pytest.raises(NonFiniteGradientError, match="'b'"):
+            sgd_step({"a": a, "b": b}, SgdConfig(learning_rate=0.1), 0)
+        np.testing.assert_array_equal(a.data, [1.0])
+        np.testing.assert_array_equal(a.grad, [1.0])
+        np.testing.assert_array_equal(b.data, [0.0, 1e39])
+        assert b.grad is None
+
+    def test_float32_max_with_zero_gradient_steps(self):
+        p = Tensor([ad.FLOAT32_MAX, -ad.FLOAT32_MAX], requires_grad=True)
+        p.grad = np.zeros(2)
+        sgd_step({"p": p}, SgdConfig(learning_rate=0.1), 0)
+        np.testing.assert_array_equal(p.data, [ad.FLOAT32_MAX, -ad.FLOAT32_MAX])
+        assert p.grad is None
 
     def test_update_is_in_place_with_the_written_out_bits(self):
         rng = np.random.default_rng(3)
@@ -733,6 +767,15 @@ class TestTensorDtype:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("value", [1e39, -np.inf, np.nan])
+    def test_value_beyond_float32_rejected_naming_its_tensor(self, tmp_path,
+                                                             value):
+        path = tmp_path / "params.bin"
+        save_checkpoint({"a": Tensor([1.0]), "b.c": Tensor([[0.0, value]])}, path)
+        with pytest.raises(ValueError, match=r"b\.c: holds a value beyond "
+                                             r"float32's range, or NaN"):
+            load_checkpoint(path)
+
     def test_round_trip_bit_exact(self, rng, tmp_path):
         params = {"a": leaf(rng, 3, 4), "b.c": leaf(rng, 7)}
         path = tmp_path / "ckpt.json"

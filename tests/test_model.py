@@ -582,6 +582,16 @@ class TestStatusFirst:
             with pytest.raises(ValueError):
                 model.forward_steps([layout], params, rows=[-1])
 
+    def test_a_repeated_row_is_rejected(self, model, procs):
+        """A taped pass would give a repeated row one gradient, not two."""
+        layout = model.layout_for(procs[0].entities[0], procs[0])
+        for params in (float32_params(model), model.params):
+            with pytest.raises(ValueError, match="twice"):
+                model.forward_steps([layout], params, rows=[1, 1])
+            status, start, end = model.forward_steps([layout], params, rows=[])
+            assert len(status.data) == procs[0].n_steps + 1
+            assert len(start.data) == len(end.data) == 0
+
 
 class TestOneForwardPass:
     """Training and prediction share `forward_steps`."""
@@ -887,8 +897,8 @@ class TestPersistence:
     def test_values_must_fit_float32(self, model, tmp_path):
         """float32's largest value loads; the next float64 above it does not."""
         ppath = tmp_path / "ckpt" / "params.bin"
-        for value, ok in ((model_module.FLOAT32_MAX, True),
-                          (-np.nextafter(model_module.FLOAT32_MAX, np.inf), False)):
+        for value, ok in ((ad.FLOAT32_MAX, True),
+                          (-np.nextafter(ad.FLOAT32_MAX, np.inf), False)):
             model.save(tmp_path / "ckpt")
             header, params = ad.read_checkpoint(ppath)
             params["head.end"].data[2, 0] = value
@@ -1005,10 +1015,10 @@ class TestTraining:
         restored = TrackerModel.load(ckpt)
         assert all(np.all(np.isfinite(p.data)) for p in restored.params.values())
 
-    # At lr 1e30 the weights after the first step are ~7e29, so the next
-    # procedure's float32 activations overflow before the epoch's check.
+    # At lr 1e30 the weights after the first step are ~7e29, within float32's
+    # range, so the next procedure's float32 activations overflow instead.
     @pytest.mark.parametrize("lr, poison, stop", [
-        (0.01, 1e39, r"beyond float32's range after epoch 0"),
+        (0.01, 1e39, r"'pos_emb' would hold a value beyond float32's range"),
         (1e30, None, r"non-finite loss at epoch 0"),
     ], ids=["finite-beyond-float32", "lr-1e30"])
     def test_no_checkpoint_that_load_rejects_is_saved(self, procs, tmp_path,
