@@ -33,9 +33,9 @@ class ShapeMismatchError(ValueError):
 
 
 class NonFiniteGradientError(RuntimeError):
-    """An SGD step would leave a parameter value NaN or beyond float32's
-    range, from a non-finite gradient, an overflowing update or a value the
-    parameter already held."""
+    """Training diverged: a loss is not finite, or an SGD step would leave a
+    parameter value NaN or beyond float32's range, from a non-finite
+    gradient, an overflowing update or a value the parameter already held."""
 
 
 def _outside_float32(x: np.ndarray) -> bool:
@@ -44,14 +44,13 @@ def _outside_float32(x: np.ndarray) -> bool:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         self.data = (data if isinstance(data, np.ndarray) and data.dtype == np.float32
                      else np.asarray(data, dtype=np.float64))
         self.requires_grad = requires_grad
         self.grad = None
-        self.name = name
         self._parents = ()
         self._backward = None
 
@@ -60,8 +59,7 @@ class Tensor:
         return self.data.shape
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
+        return f"Tensor(shape={self.data.shape})"
 
     def _accumulate(self, g, copy=False):
         # A gradient takes this tensor's dtype. A first `g` of that dtype is
@@ -342,8 +340,8 @@ def cross_entropy(logits: Tensor, gold) -> Tensor:
     return _result((log_z - shifted[rows, cols]).sum(), (logits,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """gain · (x - mean) / sqrt(var + eps) + bias over the last axis.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """gain · (x - mean) / sqrt(var + 1e-5) + bias over the last axis.
 
     A mean is the sum over the axis divided by its length, as `np.mean`
     computes it, and the centred input is scaled in place into xhat, so the
@@ -362,7 +360,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = x.data - mu
     var = np.square(xhat).sum(axis=-1, keepdims=True)
     var /= d
-    istd = 1.0 / np.sqrt(var + eps)
+    istd = 1.0 / np.sqrt(var + 1e-5)
     xhat *= istd
     np.multiply(xhat, gain.data, out=out)
     out += bias.data
@@ -463,10 +461,9 @@ def slice_rows(a: Tensor, index) -> Tensor:
     return _result(a.data[index], (a,), bw)
 
 
-def mean_of(tensors, count: int | None = None) -> Tensor:
-    """Sum of a list of scalar tensors over `count` (by default, over how
-    many there are), as one tape node."""
-    c = 1.0 / (len(tensors) if count is None else count)
+def mean_of(tensors, count: int) -> Tensor:
+    """Sum of a list of scalar tensors over `count`, as one tape node."""
+    c = 1.0 / count
 
     def bw(g):
         for t in tensors:
@@ -526,9 +523,10 @@ def save_checkpoint(params: dict, path, **fields) -> None:
     """Write `params` as one JSON header line, then each tensor's
     little-endian float64 bytes in C order, packed back to back in `params`
     order. The header holds the format, its version, the `fields`, the byte
-    count after the line and a {name, shape, offset} record per tensor. The
-    bytes reach the disk before it returns, so that a rename after it cannot
-    outlive them in an OS crash."""
+    count after the line and a {name, shape, offset} record per tensor. It
+    writes `path` + ".tmp", syncs it and renames it over `path`, so a failed
+    save (which removes the temporary file) or an OS crash leaves the old
+    file whole."""
     arrays = [np.asarray(p.data, dtype="<f8", order="C") for p in params.values()]
     records, offset = [], 0
     for name, arr in zip(params, arrays):
@@ -536,12 +534,18 @@ def save_checkpoint(params: dict, path, **fields) -> None:
         offset += arr.nbytes
     header = {"format": _CHECKPOINT_FORMAT, "version": _CHECKPOINT_VERSION,
               **fields, "bytes": offset, "tensors": records}
-    with open(path, "wb") as f:
-        f.write(json.dumps(header).encode("ascii") + b"\n")
-        for arr in arrays:
-            f.write(arr)
-        f.flush()
-        os.fsync(f.fileno())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(header).encode("ascii") + b"\n")
+            for arr in arrays:
+                f.write(arr)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> dict:
@@ -608,5 +612,5 @@ def read_checkpoint(path) -> tuple[dict, dict]:
         if _outside_float32(arr):
             raise ValueError(f"{path}: {name}: holds a value beyond float32's "
                              f"range, or NaN")
-        params[name] = Tensor(arr, requires_grad=True, name=name)
+        params[name] = Tensor(arr, requires_grad=True)
     return header, params

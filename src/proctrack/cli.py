@@ -24,7 +24,7 @@ from .evaluation import (
 )
 from .model import TrackerModel, vocab_from_procedures
 from .state_table import build_table, read_tsv, timelines_from_table, write_tsv
-from .train import TrainingDiverged, train_model
+from .train import train_model
 
 log = logging.getLogger("proctrack")
 
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
-    except (TrainingDiverged, NonFiniteGradientError, FloatingPointError) as exc:
+    except (NonFiniteGradientError, FloatingPointError) as exc:
         log.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # DataError among them

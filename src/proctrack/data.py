@@ -337,6 +337,7 @@ ENTITY_POOL = ("water", "sand", "salt", "vapor", "dough", "seed",
                "smoke", "juice", "paste", "ash", "mud", "resin")
 LOCATION_POOL = ("soil", "oven", "bowl", "river", "field", "tank",
                  "cloud", "pot", "tray", "mill")
+COMBINE_PROB, DESTROY_PROB = 0.25, 0.2
 
 
 @dataclass
@@ -346,9 +347,6 @@ class GrammarConfig:
     min_steps: int = 3
     max_steps: int = 5
     entity_pool: tuple = ENTITY_POOL
-    location_pool: tuple = LOCATION_POOL
-    combine_prob: float = 0.25
-    destroy_prob: float = 0.2
 
     def __post_init__(self):
         for kind in ("steps", "entities"):
@@ -390,10 +388,10 @@ def generate_synthetic(seed: int, n_procedures: int,
                           if state[e] == "-" and e not in created and e not in destroyed]
             sentence = None
             r = rng.random()
-            if len(alive) >= 2 and spare and r < g.combine_prob:
+            if len(alive) >= 2 and spare and r < COMBINE_PROB:
                 x, y = rng.sample(alive, 2)
                 z = spare.pop()
-                loc = rng.choice(g.location_pool)
+                loc = rng.choice(LOCATION_POOL)
                 sentence = ["the", x, "and", "the", y, "combine",
                             "into", z, "at", "the", loc, "."]
                 state[x] = state[y] = "-"
@@ -402,20 +400,20 @@ def generate_synthetic(seed: int, n_procedures: int,
                 grid[z] = ["-"] * len(grid[entities[0]])
                 state[z] = loc
                 created.add(z)
-            elif alive and r < g.combine_prob + g.destroy_prob:
+            elif alive and r < COMBINE_PROB + DESTROY_PROB:
                 x = rng.choice(alive)
                 sentence = ["the", x, "is", "destroyed", "."]
                 state[x] = "-"
                 destroyed.add(x)
-            elif dead_fresh and r < g.combine_prob + g.destroy_prob + 0.2:
+            elif dead_fresh and r < COMBINE_PROB + DESTROY_PROB + 0.2:
                 x = rng.choice(dead_fresh)
-                loc = rng.choice(g.location_pool)
+                loc = rng.choice(LOCATION_POOL)
                 sentence = ["a", x, "appears", "at", "the", loc, "."]
                 state[x] = loc
                 created.add(x)
             elif alive:
                 x = rng.choice(alive)
-                loc = rng.choice([l for l in g.location_pool if l != state[x]])
+                loc = rng.choice([l for l in LOCATION_POOL if l != state[x]])
                 sentence = ["the", x, "moves", "to", "the", loc, "."]
                 state[x] = loc
             else:

@@ -11,7 +11,7 @@ leading axes, (..., T, d_model), through the same code.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +50,6 @@ class EncoderConfig:
 @dataclass
 class EncoderOutput:
     hidden: Tensor  # (..., T, d_model), or (rows, T, d_model) with `select`
-    # One (..., H, T, T) array per layer, when collected.
-    attn_probs: list = field(default_factory=list)
 
 
 def _shape_groups(config: EncoderConfig) -> tuple[dict, dict, dict]:
@@ -107,7 +105,7 @@ def init_encoder_params(config: EncoderConfig, rng: np.random.Generator) -> dict
                                     for _ in range(3 * config.n_heads)], axis=1)
         else:
             value = rng.normal(0.0, 0.02, shape)
-        params[name] = Tensor(value, requires_grad=True, name=name)
+        params[name] = Tensor(value, requires_grad=True)
     return params
 
 
@@ -149,10 +147,9 @@ def _finish(x: Tensor, merged: Tensor, params: dict, p: str,
 
 
 def _block(x: Tensor, params: dict, p: str, config: EncoderConfig, rng,
-           attn_probs: list | None = None, select=None) -> Tensor:
+           select=None) -> Tensor:
     """One pre-norm residual layer, its tensors named `p` + "ln1.gain" and so
-    on, finishing only the inputs `select` picks (see `encode`). Appends a
-    copy of its attention probabilities to `attn_probs` when given."""
+    on, finishing only the inputs `select` picks (see `encode`)."""
     qkv = ad.matmul(ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"]),
                     params[p + "attn.qkv"])
     if select is not None:
@@ -161,14 +158,12 @@ def _block(x: Tensor, params: dict, p: str, config: EncoderConfig, rng,
                                           params, p, config, rng), params))
         idx = np.unravel_index(rows, x.data.shape[:-2])
         x, qkv = ad.slice_rows(x, idx), ad.slice_rows(qkv, idx)
-    merged, probs = ad.attention(qkv, config.n_heads)
-    if attn_probs is not None:
-        attn_probs.append(probs.copy())
+    merged, _ = ad.attention(qkv, config.n_heads)
     return _finish(x, merged, params, p, config, rng)
 
 
 def encode(embedded: Tensor, params: dict, config: EncoderConfig,
-           rng: np.random.Generator | None = None, collect_attn: bool = False,
+           rng: np.random.Generator | None = None,
            select: Callable[[Tensor], np.ndarray] | None = None) -> EncoderOutput:
     """The encoder's output for `embedded`, with dropout when `rng` is given.
 
@@ -183,16 +178,13 @@ def encode(embedded: Tensor, params: dict, config: EncoderConfig,
     `hidden` is their (rows, T, d_model). Those rows are the same to the bit
     as in the full pass, because each matrix product keeps its per-input
     shape; the [CLS] rows are within rounding of it (see
-    `autodiff.attention`). With `collect_attn`, the last layer's array then
-    holds the finished inputs only.
+    `autodiff.attention`).
     """
     T = embedded.data.shape[-2]
     if T > config.max_len:
         raise ValueError(f"sequence length {T} exceeds max length {config.max_len}")
-    attn_probs = []
-    collect = attn_probs if collect_attn else None
     x = embedded
     for l in range(config.n_layers):
-        x = _block(x, params, f"layer{l}.", config, rng, collect,
+        x = _block(x, params, f"layer{l}.", config, rng,
                    select if l == config.n_layers - 1 else None)
-    return EncoderOutput(hidden=_final_norm(x, params), attn_probs=attn_probs)
+    return EncoderOutput(hidden=_final_norm(x, params))

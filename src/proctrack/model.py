@@ -58,19 +58,12 @@ class TrackerModel:
     # -- persistence --------------------------------------------------------
 
     def save(self, directory) -> None:
-        """Write `params.bin`, its header holding the config and vocabulary, to
-        a temporary file in `directory` that then replaces the old one, so a
-        failed save leaves the previous checkpoint whole."""
+        """Write `params.bin` in `directory`, its header holding the config and
+        vocabulary, with `ad.save_checkpoint`, so a failed save leaves the
+        previous checkpoint whole."""
         os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, "params.bin")
-        tmp = path + ".tmp"
-        try:
-            ad.save_checkpoint(self.params, tmp, config=asdict(self.config),
-                               vocab=self.vocab.token_to_id)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        ad.save_checkpoint(self.params, os.path.join(directory, "params.bin"),
+                           config=asdict(self.config), vocab=self.vocab.token_to_id)
 
     @classmethod
     def load(cls, directory) -> "TrackerModel":

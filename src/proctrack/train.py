@@ -17,15 +17,10 @@ from .model import TrackerModel
 log = logging.getLogger(__name__)
 
 
-class TrainingDiverged(RuntimeError):
-    pass
-
-
 @dataclass
 class TrainResult:
     epoch_losses: list = field(default_factory=list)
     steps: int = 0
-    dev_status_accuracy: list = field(default_factory=list)
     # Gold known-location steps left out of the span loss because their
     # text is not in the paragraph, counted once over the corpus.
     unaligned_spans: int = 0
@@ -49,13 +44,14 @@ def train_model(model: TrackerModel, procs: list[Procedure], sgd: SgdConfig,
                 eval_every: int = 0,
                 stop_fn=None) -> TrainResult:
     """Sequential over procedures; gradients are averaged within a procedure
-    and applied as a single SGD step. Aborts on a non-finite loss, or at the
-    step that `sgd_step` refuses, as it would leave a parameter beyond
-    float32's range or NaN, so no checkpoint that `TrackerModel.load` rejects
-    is saved; the last good checkpoint stays on disk.
+    and applied as a single SGD step. Raises NonFiniteGradientError on a
+    non-finite loss, or from `sgd_step` at the step it refuses, as it would
+    leave a parameter beyond float32's range or NaN, so no checkpoint that
+    `TrackerModel.load` rejects is saved; the last good one stays on disk.
 
-    `freeze_timestamps` zeroes the time-id table and excludes it from updates
-    (the step-blind ablation). `stop_fn(model, epoch)` may end training early.
+    `freeze_timestamps` zeroes the time-id table and drops its gradient
+    before each step (the step-blind ablation), leaving `requires_grad` as
+    it was. `stop_fn(model, epoch)` may end training early.
     """
     if not procs:
         raise ValueError("no procedures to train on")
@@ -63,7 +59,6 @@ def train_model(model: TrackerModel, procs: list[Procedure], sgd: SgdConfig,
         raise ValueError(f"eval_every must be >= 0, got {eval_every}")
     if freeze_timestamps:
         model.params["ts_emb"].data[:] = 0.0
-        model.params["ts_emb"].requires_grad = False
     rng = np.random.default_rng(seed)
     result = TrainResult(unaligned_spans=sum(
         not p.occurrences[v] for p in procs for e in p.entities
@@ -74,23 +69,19 @@ def train_model(model: TrackerModel, procs: list[Procedure], sgd: SgdConfig,
             loss = model.procedure_loss(proc, rng=rng)
             value = float(loss.data)
             if not math.isfinite(value):
-                raise TrainingDiverged(
+                raise NonFiniteGradientError(
                     f"non-finite loss at epoch {epoch}, procedure {proc.id!r}; "
-                    f"last checkpoint retained"
-                )
+                    f"last checkpoint retained")
             loss.backward()
-            try:
-                ad.sgd_step(model.params, sgd, result.steps)
-            except NonFiniteGradientError as exc:
-                raise TrainingDiverged(str(exc)) from exc
+            if freeze_timestamps:
+                model.params["ts_emb"].grad = None
+            ad.sgd_step(model.params, sgd, result.steps)
             result.steps += 1
             epoch_losses.append(value)
         mean_loss = sum(epoch_losses) / len(epoch_losses)
         result.epoch_losses.append(mean_loss)
         if dev_procs and eval_every and (epoch + 1) % eval_every == 0:
-            acc = status_accuracy(model, dev_procs)
-            result.dev_status_accuracy.append((epoch, acc))
-            detail = f"dev status acc {acc:.3f}"
+            detail = f"dev status acc {status_accuracy(model, dev_procs):.3f}"
         else:
             detail = f"lr {sgd.effective_lr(result.steps):.2e}"
         log.info("epoch %d: loss %.4f, %s, %d gold spans not in the paragraph",

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -508,7 +509,7 @@ class TestOtherOps:
 
     def test_mean_of_is_one_node(self, rng):
         xs = [Tensor(v, requires_grad=True) for v in rng.normal(0, 1, 3)]
-        m = ad.mean_of(xs)
+        m = ad.mean_of(xs, len(xs))
         assert m._parents == tuple(xs)
         assert float(m.data) == pytest.approx(np.mean([x.data for x in xs]))
         m.backward()
@@ -788,3 +789,23 @@ class TestCheckpoint:
         save_checkpoint(loaded, tmp_path / "ckpt2.json")
         assert (tmp_path / "ckpt.json").read_bytes() == \
             (tmp_path / "ckpt2.json").read_bytes()
+
+    def test_failed_save_leaves_the_old_file_whole(self, rng, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "params.bin"
+        save_checkpoint({"a": leaf(rng, 3, 4)}, path)
+        before = path.read_bytes()
+
+        class DiskFull(io.FileIO):
+            """A file that takes 100 bytes and then fails."""
+
+            def write(self, data):
+                super().write(bytes(data)[:100])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(ad, "open", DiskFull, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint({"a": leaf(rng, 3, 4)}, path)
+        monkeypatch.undo()
+        assert [f.name for f in tmp_path.iterdir()] == ["params.bin"]
+        assert path.read_bytes() == before

@@ -177,22 +177,6 @@ def straight_line_forward(inp, params, cfg):
 
 
 class TestEncode:
-    def test_attention_rows_sum_to_one(self, vocab):
-        """One (..., H, T, T) array per layer, for one query and for a stack
-        of every step of two."""
-        cfg = tiny_config(vocab, n_heads=2, n_layers=2, d_model=16)
-        params = init_encoder_params(cfg, np.random.default_rng(3))
-        layout = build_query("water", SENTS, vocab)
-        T, B = len(layout.tokens), layout.n_sentences + 1
-        stack = TimestampedInput(np.array([layout.token_ids] * 2)[:, None],
-                                 time_ids(layout))
-        for inp, lead in ((make_input(vocab), ()), (stack, (2, B))):
-            out = encode(embed(inp, params), params, cfg, collect_attn=True)
-            assert len(out.attn_probs) == cfg.n_layers
-            for probs in out.attn_probs:
-                assert probs.shape == (*lead, cfg.n_heads, T, T)
-                np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
-
     def test_dropout_applies_exactly_when_an_rng_is_given(self, vocab):
         cfg = tiny_config(vocab, n_heads=2, n_layers=1, d_model=16, dropout=0.5)
         params = init_encoder_params(cfg, np.random.default_rng(3))
@@ -303,21 +287,6 @@ class TestStepBatch:
 
 class TestScoreBuffer:
     """Tape-free passes share one attention score buffer per thread."""
-
-    def test_collected_probabilities_outlive_a_later_pass(self, vocab):
-        cfg = tiny_config(vocab, n_heads=2, n_layers=2, d_model=16)
-        params = {k: ad.Tensor(t.data) for k, t in  # tape-free
-                  init_encoder_params(cfg, np.random.default_rng(3)).items()}
-        params["ts_emb"].data[:] = np.random.default_rng(4).normal(0, 1, (4, 16))
-        out = encode(embed(make_input(vocab, 1), params), params, cfg,
-                     collect_attn=True)
-        kept = [probs.copy() for probs in out.attn_probs]
-        later = encode(embed(make_input(vocab, 2), params), params, cfg,
-                       collect_attn=True)
-        assert not all(np.array_equal(a, b)
-                       for a, b in zip(kept, later.attn_probs))
-        for probs, copy in zip(out.attn_probs, kept):
-            np.testing.assert_array_equal(probs, copy)
 
     def test_threads_predicting_at_once_match_one_thread(self):
         proc = photosynthesis()
@@ -450,7 +419,7 @@ class TestSelect:
                     logits = (status_head(cls_rows(hidden), params["head.status"]),
                               ad.embedding(start, rows), ad.embedding(end, rows))
                 losses.append(joint_loss(*logits, golds))
-            total = ad.mean_of(losses)
+            total = ad.mean_of(losses, len(losses))
             total.backward()
             grads = {k: t.grad for k, t in params.items()}
             for t in params.values():
@@ -493,7 +462,7 @@ class TestFusedAttention:
         params = init_encoder_params(cfg, rng)
         for t in params.values():
             t.data += rng.normal(0, 0.3, t.data.shape)
-        out = encode(embed(steps, params), params, cfg, collect_attn=True)
+        out = encode(embed(steps, params), params, cfg)
         status = status_head(cls_rows(out.hidden), params["head.status"])
         start, end = span_head(out.hidden, params["head.start"], params["head.end"])
         return params, out, (status, start, end)
@@ -503,9 +472,9 @@ class TestFusedAttention:
         assert np.all(params["ts_emb"].data != 0.0)
         loss = ad.mean_of([ad.cross_entropy(logits[0], np.arange(4) % 3),
                            ad.cross_entropy(logits[1], np.arange(4) + 4),
-                           ad.cross_entropy(logits[2], np.arange(4) + 5)])
+                           ad.cross_entropy(logits[2], np.arange(4) + 5)], 3)
         loss.backward()
-        return ([out.hidden.data, *out.attn_probs, *(t.data for t in logits),
+        return ([out.hidden.data, *(t.data for t in logits),
                  loss.data], {k: t.grad for k, t in params.items()})
 
     def test_equals_the_unfused_chain_exactly(self, vocab, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from proctrack.autodiff import ShapeMismatchError, softmax_array
 from proctrack.heads import STATUS_GONE, STATUS_KNOWN, STATUS_UNKNOWN
@@ -61,9 +62,7 @@ def entity_logits(draw):
                       st.floats(-4.0, 4.0))
 
     def block(width):
-        x = np.array(draw(st.lists(st.lists(value, min_size=width,
-                                            max_size=width),
-                                   min_size=rows, max_size=rows)))
+        x = draw(hnp.arrays(float, (rows, width), elements=value))
         x[~np.isfinite(x).any(-1), 0] = 0.0  # a finite model: some mass per row
         return x
 
