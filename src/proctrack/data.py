@@ -83,7 +83,7 @@ def _normalize(value: str) -> str:
     return value if value else "-"
 
 
-def validate_procedure(proc: Procedure, path: str = "") -> None:
+def validate_procedure(proc: Procedure, path: str) -> None:
     n = proc.n_steps
     if n == 0:
         raise DataError(f"{path}.sentences: procedure has no sentences")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -25,10 +25,10 @@ from .inputs import (
 )
 from .tokenizer import Vocab, build_vocab
 
-# The most attention scores, entities x (n+1) steps x T², in one stacked
-# prediction pass: a predict-short procedure (57,600 at most) fits one pass,
-# while one predict-long entity (88,935 or more) runs alone, as stacking those
-# ran 0.79x as fast. An entity is never split (0.63-0.95x as fast). Under
+# The most attention scores, entities x (n+1) steps x T², in one stacked pass,
+# taped or not: a predict-short procedure (57,600 at most) fits one pass, while
+# one predict-long entity (88,935 or more) runs alone, as stacking those ran
+# 0.79x as fast. An entity is never split (0.63-0.95x as fast). Under
 # status-first prediction, lifting the cap ran 0.93-0.96x as fast.
 STACK_SCORES = 2 ** 16
 
@@ -47,7 +47,7 @@ def vocab_from_procedures(procs: list[Procedure]) -> Vocab:
 class TrackerModel:
     vocab: Vocab
     config: EncoderConfig
-    params: dict = field(default_factory=dict)
+    params: dict
 
     @classmethod
     def fresh(cls, vocab: Vocab, config: EncoderConfig, seed: int) -> "TrackerModel":
@@ -110,6 +110,19 @@ class TrackerModel:
         return build_query(entity, proc.sentences, self.vocab,
                            max_len=self.config.max_len)
 
+    def stacks(self, proc: Procedure):
+        """(entities, layouts) of each pass over `proc`, training's and
+        prediction's alike: its entities by query length, in entity order,
+        cut into stacks of at most STACK_SCORES scores or of one entity."""
+        groups = {}
+        for entity in proc.entities:
+            layout = self.layout_for(entity, proc)
+            groups.setdefault(len(layout.tokens), []).append((entity, layout))
+        for T, group in groups.items():
+            size = max(1, STACK_SCORES // ((proc.n_steps + 1) * T * T))
+            for i in range(0, len(group), size):
+                yield tuple(zip(*group[i:i + size]))
+
     def forward_steps(self, layouts: Sequence[QueryLayout], params: dict,
                       rng: np.random.Generator | None = None,
                       rows: Sequence[int] | None = None
@@ -118,9 +131,9 @@ class TrackerModel:
         (layout, step 0..n), with dropout when `rng` is given. The layouts
         must have one length, so that they share positions and time ids.
         The pass runs in the dtype of `params`, and is taped when they need
-        a gradient (training: one layout on float32 casts of the model's
-        own); otherwise (prediction: a stack of layouts on float32 copies)
-        it records no tape and frees each intermediate once used.
+        a gradient (training: float32 casts of the model's own); otherwise
+        (prediction: float32 copies) it records no tape and frees each
+        intermediate once used. Both pass the layouts of a `stacks` entry.
 
         The pass is status first. The last layer's attention runs for each
         row's [CLS] query alone, for the (rows, 3) status logits of every
@@ -174,53 +187,42 @@ class TrackerModel:
 
         The passes run on float32 casts of the parameters, one `ad.cast`
         tape node each, made once for this call, so `backward()` leaves
-        float64 gradients on the float64 parameters themselves. Each
-        entity's steps run as one batched, status-first pass on the tape,
-        scored by one loss over its rows: every row's status from the [CLS]
+        float64 gradients on the float64 parameters themselves. Each entry of
+        `stacks(proc)` runs as one batched, status-first pass on the tape,
+        scored by one loss over its rows: each row's status from the [CLS]
         query alone, as prediction computes it, and span logits only for
-        the rows with a gold span, the only rows the last layer finishes.
-        """
+        the gold-span rows, the only rows the last layer finishes."""
         params = {k: ad.cast(t, np.float32) for k, t in self.params.items()}
-        losses, passes = [], 0
-        for entity in proc.entities:
-            layout = self.layout_for(entity, proc)
-            golds = self.gold_steps(proc, entity, layout)
+        losses = []
+        for entities, layouts in self.stacks(proc):
+            golds = [g for entity, layout in zip(entities, layouts)
+                     for g in self.gold_steps(proc, entity, layout)]
             losses.append(joint_loss(*self.forward_steps(
-                [layout], params, rng, span_rows(golds)), golds))
-            passes += len(golds)
-        return ad.mean_of(losses, passes)
+                layouts, params, rng, span_rows(golds)), golds))
+        return ad.mean_of(losses, len(proc.entities) * (proc.n_steps + 1))
 
     # -- prediction ---------------------------------------------------------
 
     def predict_procedure(self, proc: Procedure, np_filter: bool = True,
                           repair: bool = True):
-        """Timelines for all entities, from float32 passes on copies of the
-        parameters made for this call, each pass a stack of entities whose
-        queries have one length, up to STACK_SCORES. Returns (timelines, stats)."""
+        """Timelines for all entities, one float32 pass per `stacks(proc)` entry
+        on copies of the parameters made for this call. Returns (timelines, stats)."""
         params = {k: Tensor(t.data.astype(np.float32))
                   for k, t in self.params.items()}
-        groups = {}
-        for entity in proc.entities:
-            layout = self.layout_for(entity, proc)
-            groups.setdefault(len(layout.tokens), []).append((entity, layout))
         timelines = dict.fromkeys(proc.entities)
         flagged = violations = 0
         rows = proc.n_steps + 1
         words = proc.paragraph
         candidates = proc.candidate_spans if np_filter else None
-        for T, group in groups.items():
-            positions = group[0][1].paragraph_pos  # shared by the group
-            size = max(1, STACK_SCORES // (rows * T * T))
-            for i in range(0, len(group), size):
-                entities, layouts = zip(*group[i:i + size])
-                states, fl = decode_step(
-                    *(t.data for t in self.forward_steps(layouts, params)),
-                    candidates, positions)
-                flagged += fl
-                raw = [v if isinstance(v, str) else " ".join(words[v[0]:v[1] + 1])
-                       for v in states]
-                for j, entity in enumerate(entities):
-                    steps = raw[j * rows:(j + 1) * rows]
-                    violations += violates_rules(steps)
-                    timelines[entity] = repair_timeline(steps) if repair else steps
+        for entities, layouts in self.stacks(proc):
+            states, fl = decode_step(
+                *(t.data for t in self.forward_steps(layouts, params)),
+                candidates, layouts[0].paragraph_pos)  # shared by the stack
+            flagged += fl
+            raw = [v if isinstance(v, str) else " ".join(words[v[0]:v[1] + 1])
+                   for v in states]
+            for j, entity in enumerate(entities):
+                steps = raw[j * rows:(j + 1) * rows]
+                violations += violates_rules(steps)
+                timelines[entity] = repair_timeline(steps) if repair else steps
         return timelines, {"flagged": flagged, "rule_violations": violations}

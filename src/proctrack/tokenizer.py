@@ -47,7 +47,8 @@ class Vocab:
         return self.token_to_id.get(token, RESERVED[UNK])
 
     def encode_all(self, tokens) -> list[int]:
-        return [self.encode(t) for t in tokens]
+        get, unk = self.token_to_id.get, RESERVED[UNK]
+        return [get(t, unk) for t in tokens]
 
 
 def build_vocab(corpus) -> Vocab:

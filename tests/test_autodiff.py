@@ -401,9 +401,9 @@ class TestAdd:
     @pytest.mark.parametrize("E", [1, 2])
     def test_three_terms_are_the_nested_binary_adds_to_the_bit(self, rng, dtype, E):
         """Bit-equal in the forward and in every gradient when E is 1, as in
-        a taped pass, which embeds one layout. With E > 1, the (T, d) term's
-        gradient sums the leading axes E first, where the nested adds sum B
-        first, so it agrees within rounding only."""
+        a pass of one layout. With E > 1, as in a stack of several, the (T, d)
+        term's gradient sums the leading axes E first, where the nested adds
+        sum B first, so it agrees within rounding only."""
         values = [rng.normal(0, 1, s).astype(dtype)
                   for s in ((E, 1, 5, 4), *self.SHAPES[1:])]
 

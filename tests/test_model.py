@@ -6,9 +6,12 @@ import math
 import os
 import pkgutil
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proctrack
 from proctrack import autodiff as ad
@@ -23,7 +26,7 @@ from proctrack.heads import (
 from proctrack.inference import decode_step, repair_timeline, violates_rules
 from proctrack.inputs import TimestampedInput, time_ids, timestamp
 from proctrack.model import STACK_SCORES, TrackerModel, vocab_from_procedures
-from proctrack.tokenizer import SEP, UNK
+from proctrack.tokenizer import SEP, UNK, build_vocab
 from proctrack.train import status_accuracy, train_model
 
 from conftest import cls_rows, tape_ops
@@ -203,9 +206,17 @@ class TestForward:
 
 
 class TestBatchedLoss:
-    """Training runs each entity's steps as one status-first batch; the
+    """Training runs each of `stacks(proc)` as one status-first batch; the
     oracle runs one full pass per (entity, step) and averages the per-pass
     losses, in float64."""
+
+    # "carbon dioxide" queries a token longer than "water": two stacks.
+    MIXED = Procedure(
+        id="mixed", sentences=[["water", "and", "carbon", "dioxide", "enter",
+                                "the", "leaf", "."], ["the", "leaf", "makes",
+                                                      "sugar", "."]],
+        entities=["water", "carbon dioxide"],
+        grid={"water": ["?", "leaf", "-"], "carbon dioxide": ["-", "?", "leaf"]})
 
     @pytest.fixture
     def nudged(self):
@@ -241,20 +252,21 @@ class TestBatchedLoss:
 
     @staticmethod
     def batched_loss(model, proc):
-        """`procedure_loss` as it runs, one batched pass per entity, but on
+        """`procedure_loss` as it runs, one batched pass per stack, but on
         the float64 parameters themselves."""
-        losses, passes = [], 0
-        for entity in proc.entities:
-            layout = model.layout_for(entity, proc)
-            golds = model.gold_steps(proc, entity, layout)
+        losses = []
+        for entities, layouts in model.stacks(proc):
+            golds = [g for entity, layout in zip(entities, layouts)
+                     for g in model.gold_steps(proc, entity, layout)]
             losses.append(joint_loss(*model.forward_steps(
-                [layout], model.params, rows=span_rows(golds)), golds))
-            passes += len(golds)
-        return ad.mean_of(losses, passes)
+                layouts, model.params, rows=span_rows(golds)), golds))
+        return ad.mean_of(losses, len(proc.entities) * (proc.n_steps + 1))
 
     def test_matches_per_pass_oracle(self, nudged):
         proc = photosynthesis()  # all three statuses; water's "root" unaligned
         assert np.any(nudged.params["ts_emb"].data != 0)
+        # one taped stack of all five entities
+        assert [len(e) for e, _ in nudged.stacks(proc)] == [len(proc.entities)]
         assert {g.status_class for e in proc.entities for g in nudged.gold_steps(
             proc, e, nudged.layout_for(e, proc))} == {0, 1, 2}
         batched, got = self.loss_and_grads(
@@ -273,11 +285,14 @@ class TestBatchedLoss:
         """`procedure_loss` computes in float32. Its loss is within 1e-6
         relative of the float64 oracle's, and each parameter's gradient
         within 1e-5 of that gradient's largest magnitude (the worst seen:
-        1.4e-7 and 4.6e-7 on photosynthesis, 1.1e-7 and 9.4e-7 on the
-        benchmark's 20-procedure training corpus at seed 1)."""
+        8.3e-8 and 1.0e-6 on photosynthesis, 1.6e-9 and 1.3e-6 on MIXED,
+        1.4e-7 and 2.2e-6 on the benchmark's 20-procedure training corpus at
+        seed 1)."""
         fresh = TrackerModel.fresh(vocab_from_procedures(procs),
                                    EncoderConfig(max_len=96), seed=1)
-        for model, corpus in ((nudged, [photosynthesis()]), (fresh, procs)):
+        assert len(list(nudged.stacks(self.MIXED))) == 2
+        for model, corpus in ((nudged, [photosynthesis(), self.MIXED]),
+                              (fresh, procs)):
             for proc in corpus:
                 loss, got = self.loss_and_grads(
                     model, lambda: model.procedure_loss(proc))
@@ -485,6 +500,43 @@ class TestStackedPrediction:
             assert len(calls) - before == len(stacks(model, proc))
 
 
+class TestStacks:
+    """`stacks` is the one grouping of a procedure's entities into passes,
+    in training and prediction alike."""
+
+    MODEL = TrackerModel(build_vocab([]), EncoderConfig(max_len=96), {})
+
+    @given(entities=st.lists(
+               st.lists(st.sampled_from(["co2", "water", "the", "leaf"]),
+                        min_size=1, max_size=4).map(" ".join),
+               min_size=1, max_size=8, unique=True),
+           n_steps=st.integers(1, 6), cap=st.integers(1, 20000))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_each_entity_once_in_order_of_one_length_within_the_cap(
+            self, entities, n_steps, cap):
+        proc = Procedure(id="p", sentences=[["it", "moves", "."]] * n_steps,
+                         entities=entities,
+                         grid={e: ["?"] * (n_steps + 1) for e in entities})
+        rows = n_steps + 1
+        with mock.patch.object(model_module, "STACK_SCORES", cap):
+            got = list(self.MODEL.stacks(proc))
+        by_length = {}
+        for names, layouts in got:
+            assert len(names) == len(layouts) > 0
+            # each entity whole, its own query in its stack
+            assert list(layouts) == [self.MODEL.layout_for(e, proc) for e in names]
+            (T,) = {len(layout.tokens) for layout in layouts}
+            assert len(names) == 1 or len(names) * rows * T * T <= cap
+            by_length.setdefault(T, []).append(names)
+        assert sorted(e for names, _ in got for e in names) == sorted(entities)
+        for T, runs in by_length.items():
+            assert [e for names in runs for e in names] == [
+                e for e in entities
+                if len(self.MODEL.layout_for(e, proc).tokens) == T]
+            # every stack but a length's last is full
+            assert all((len(names) + 1) * rows * T * T > cap for names in runs[:-1])
+
+
 class TestStatusFirst:
     """A tape-free `forward_steps` gives every row's status, then runs the
     last layer in full, and the span head, only for the rows whose status
@@ -597,35 +649,43 @@ class TestStatusFirst:
 class TestOneForwardPass:
     """Training and prediction share `forward_steps`."""
 
-    def test_procedure_loss_runs_one_forward_steps_call_per_entity(
+    def test_procedure_loss_runs_one_forward_steps_call_per_stack(
             self, model, procs, monkeypatch):
         calls = []
         forward_steps = TrackerModel.forward_steps
 
         def counted(self, layouts, params, rng=None, rows=None):
-            calls.append((len(layouts), params, rows))
+            calls.append((layouts, params, rows))
             return forward_steps(self, layouts, params, rng, rows)
 
         monkeypatch.setattr(TrackerModel, "forward_steps", counted)
-        proc = procs[0]
-        loss = model.procedure_loss(proc)
-        assert [n for n, _, _ in calls] == [1] * len(proc.entities)
-        # each pass finishes its entity's gold-span rows
-        assert [rows for _, _, rows in calls] == [
-            span_rows(model.gold_steps(proc, e, model.layout_for(e, proc)))
-            for e in proc.entities]
-        casts = calls[0][1]  # one float32 cast per parameter, for every pass
-        assert all(params is casts for _, params, _ in calls)
-        assert casts.keys() == model.params.keys()
-        for name, t in casts.items():
-            assert t.data.dtype == np.float32, name
-            assert t._parents == (model.params[name],), name
-            np.testing.assert_array_equal(t.data, model.params[name].data.astype(
-                np.float32), err_msg=name)
-        loss.backward()
-        assert all(p.grad is not None for p in model.params.values())
-        for p in model.params.values():
-            p.grad = None
+        sizes = []
+        for proc in procs + [TestBatchedLoss.MIXED]:
+            calls.clear()
+            loss = model.procedure_loss(proc)
+            stacked = list(model.stacks(proc))
+            sizes.append([len(entities) for entities, _ in stacked])
+            assert [layouts for layouts, _, _ in calls] == [
+                layouts for _, layouts in stacked]
+            # each pass finishes the gold-span rows of its entities' joined golds
+            assert [rows for _, _, rows in calls] == [
+                span_rows([g for e, layout in zip(entities, layouts)
+                           for g in model.gold_steps(proc, e, layout)])
+                for entities, layouts in stacked]
+            casts = calls[0][1]  # one float32 cast per parameter, for every pass
+            assert all(params is casts for _, params, _ in calls)
+            assert casts.keys() == model.params.keys()
+            for name, t in casts.items():
+                assert t.data.dtype == np.float32, name
+                assert t._parents == (model.params[name],), name
+                np.testing.assert_array_equal(t.data, model.params[name].data.astype(
+                    np.float32), err_msg=name)
+            loss.backward()
+            assert all(p.grad is not None for p in model.params.values())
+            for p in model.params.values():
+                p.grad = None
+        # stacks of several entities, and a procedure of two stacks
+        assert max(map(max, sizes)) > 1 and sizes[-1] == [1, 1]
 
     def test_a_taped_entity_pass_has_43_tape_nodes(self, procs):
         cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16, max_len=96)
