@@ -37,7 +37,7 @@ class ConfigError(ValueError):
     pass
 
 
-def load_run_config(path=None, **overrides) -> dict:
+def load_run_config(path, **overrides) -> dict:
     """The run config in the JSON file at `path` (defaults for all it omits,
     or for all with no path), with the `overrides` that are not None."""
     cfg = {}

@@ -147,7 +147,7 @@ def _finish(x: Tensor, merged: Tensor, params: dict, p: str,
 
 
 def _block(x: Tensor, params: dict, p: str, config: EncoderConfig, rng,
-           select=None) -> Tensor:
+           select) -> Tensor:
     """One pre-norm residual layer, its tensors named `p` + "ln1.gain" and so
     on, finishing only the inputs `select` picks (see `encode`)."""
     qkv = ad.matmul(ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"]),
@@ -180,9 +180,6 @@ def encode(embedded: Tensor, params: dict, config: EncoderConfig,
     shape; the [CLS] rows are within rounding of it (see
     `autodiff.attention`).
     """
-    T = embedded.data.shape[-2]
-    if T > config.max_len:
-        raise ValueError(f"sequence length {T} exceeds max length {config.max_len}")
     x = embedded
     for l in range(config.n_layers):
         x = _block(x, params, f"layer{l}.", config, rng,

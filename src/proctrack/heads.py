@@ -25,7 +25,7 @@ def status_class_of(value: str) -> int:
 @dataclass
 class GoldStep:
     status_class: int
-    span: tuple[int, int] | None = None  # layout positions, inclusive
+    span: tuple[int, int] | None  # layout positions, inclusive
 
 
 def status_head(cls: Tensor, w: Tensor) -> Tensor:

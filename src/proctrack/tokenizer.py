@@ -43,9 +43,6 @@ class Vocab:
     def __len__(self):
         return len(self.token_to_id)
 
-    def encode(self, token: str) -> int:
-        return self.token_to_id.get(token, RESERVED[UNK])
-
     def encode_all(self, tokens) -> list[int]:
         get, unk = self.token_to_id.get, RESERVED[UNK]
         return [get(t, unk) for t in tokens]

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as bench/run.py runs, so that a test's time follows its
+# work and not the host's load. Set before numpy is first imported; the
+# subprocesses that tests start inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

@@ -21,6 +21,7 @@ from proctrack.data import (
 )
 from proctrack.encoder import EncoderConfig
 from proctrack.fixtures import photosynthesis
+from proctrack.inputs import build_query
 from proctrack.model import TrackerModel, vocab_from_procedures
 from proctrack.state_table import build_table, read_tsv, write_tsv
 
@@ -340,6 +341,37 @@ class TestPipeline:
             assert main(["generate-data", "--seed", "7", "--n", "2",
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_query_longer_than_max_len_is_data_error_naming_the_entity(
+            self, workspace, caplog, capsys, command):
+        """`build_query` is the CLI's length rule: a model whose `max_len`
+        is one short of a corpus query exits 3, naming the first entity in
+        corpus order whose query is too long, before writing a checkpoint
+        or a TSV."""
+        tmp_path, cfg, data = workspace
+        procs = load_procedures(data)
+        vocab = vocab_from_procedures(procs)
+        lengths = [(len(build_query(e, p.sentences, vocab).tokens), e)
+                   for p in procs for e in p.entities]
+        longest = max(n for n, _ in lengths)
+        entity = next(e for n, e in lengths if n == longest)
+        encoder = {**TINY_CONFIG["encoder"], "max_len": longest - 1}
+        ckpt, pred = tmp_path / "ckpt", tmp_path / "pred.tsv"
+        if command == "train":
+            cfg.write_text(json.dumps({**TINY_CONFIG, "encoder": encoder}))
+            argv = ["train", "--data", str(data), "--config", str(cfg),
+                    "--out", str(ckpt)]
+        else:
+            TrackerModel.fresh(vocab, EncoderConfig(**encoder), seed=0).save(ckpt)
+            argv = ["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--out", str(pred)]
+        assert main(argv) == EXIT_DATA
+        error = one_error_line(caplog)
+        assert f"entity {entity!r} has {longest} tokens" in error, error
+        assert "Traceback" not in capsys.readouterr().err
+        assert (ckpt / "params.bin").exists() == (command == "predict")
+        assert not pred.exists()
 
     def test_train_predict_evaluate(self, workspace):
         tmp_path, cfg, data = workspace

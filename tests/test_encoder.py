@@ -108,6 +108,20 @@ class TestParamShapes:
 
 
 class TestEmbed:
+    def test_input_longer_than_the_position_table_raises(self, vocab):
+        """The `pos_emb` lookup is the length rule for a direct caller: an
+        input one token longer than the table raises, one that fills it
+        embeds."""
+        inp = make_input(vocab)
+        T = len(inp.token_ids)
+        short = init_encoder_params(tiny_config(vocab, max_len=T - 1),
+                                    np.random.default_rng(0))
+        with pytest.raises(IndexError, match=f"table with {T - 1} rows"):
+            embed(inp, short)
+        full = init_encoder_params(tiny_config(vocab, max_len=T),
+                                   np.random.default_rng(0))
+        assert embed(inp, full).data.shape == (T, 8)
+
     def test_zero_timestamp_table_step_independent(self, vocab):
         cfg = tiny_config(vocab)
         params = init_encoder_params(cfg, np.random.default_rng(0))
@@ -209,12 +223,6 @@ class TestEncode:
         i, j = 6, 7  # the two identical paragraph tokens
         assert layout.tokens[i] == layout.tokens[j] == "pools"
         np.testing.assert_allclose(out[i], out[j], atol=1e-9)
-
-    def test_max_len_enforced(self, vocab):
-        cfg = tiny_config(vocab, max_len=4)
-        params = init_encoder_params(cfg, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="max length"):
-            encode(ad.Tensor(np.zeros((10, 8))), params, cfg)
 
     def test_step_sensitivity_with_nonzero_table(self, vocab):
         cfg = tiny_config(vocab)

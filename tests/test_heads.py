@@ -146,8 +146,9 @@ class TestJointLoss:
         assert float(loss.data) == pytest.approx(0.0)
 
     def test_uniform_status_gone_is_ln3(self):
+        gold = GoldStep(status_class=STATUS_GONE, span=None)
         loss = joint_loss(Tensor(np.zeros((1, 3))), Tensor(np.zeros((0, 6))),
-                          Tensor(np.zeros((0, 6))), [GoldStep(status_class=STATUS_GONE)])
+                          Tensor(np.zeros((0, 6))), [gold])
         assert float(loss.data) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_random_case_matches_hand_sum(self, rng):
@@ -202,7 +203,7 @@ class TestJointLoss:
                               *span_logits(out, [gold], w_start, w_end), [gold])
             loss.backward()
 
-        run(GoldStep(status_class=STATUS_GONE))
+        run(GoldStep(status_class=STATUS_GONE, span=None))
         assert w_start.grad is None and w_end.grad is None
         run(GoldStep(status_class=STATUS_KNOWN, span=(2, 3)))
         assert np.any(w_start.grad != 0) and np.any(w_end.grad != 0)
@@ -210,7 +211,7 @@ class TestJointLoss:
 
 class TestBatchedJointLoss:
     GOLDS = [GoldStep(STATUS_GONE, span=(0, 1)),  # a span on a non-known row
-             GoldStep(STATUS_UNKNOWN),
+             GoldStep(STATUS_UNKNOWN, span=None),
              GoldStep(STATUS_KNOWN, span=(1, 3)),
              GoldStep(STATUS_KNOWN, span=None),  # text not in the paragraph
              GoldStep(STATUS_KNOWN, span=(4, 4))]

@@ -26,7 +26,7 @@ from proctrack.heads import (
 from proctrack.inference import decode_step, repair_timeline, violates_rules
 from proctrack.inputs import TimestampedInput, time_ids, timestamp
 from proctrack.model import STACK_SCORES, TrackerModel, vocab_from_procedures
-from proctrack.tokenizer import SEP, UNK, build_vocab
+from proctrack.tokenizer import RESERVED, SEP, UNK, build_vocab
 from proctrack.train import status_accuracy, train_model
 
 from conftest import cls_rows, tape_ops
@@ -123,7 +123,7 @@ class TestVocabFromProcedures:
         m = TrackerModel.fresh(vocab_from_procedures([proc]), cfg, seed=1)
         for e in entities:
             layout = m.layout_for(e, proc)
-            assert m.vocab.encode(UNK) not in layout.token_ids, layout.tokens
+            assert RESERVED[UNK] not in layout.token_ids, layout.tokens
 
 
 class TestForward:

@@ -36,21 +36,20 @@ class TestTokenize:
 class TestVocab:
     def test_first_seen_order(self):
         v = build_vocab([["a", "b", "a"]])
-        assert v.encode("a") == 4
-        assert v.encode("b") == 5
+        assert v.encode_all(["a", "b"]) == [4, 5]
 
     def test_empty_corpus_only_reserved(self):
         v = build_vocab([])
         assert len(v) == 4
-        assert all(v.encode(tok) == i for tok, i in RESERVED.items())
+        assert v.encode_all(RESERVED) == list(RESERVED.values())
 
     def test_unknown_maps_to_unk(self):
         v = build_vocab([["a"]])
-        assert v.encode("zzz") == v.encode(UNK) == 1
+        assert v.encode_all(["zzz", UNK, "a", "yy"]) == [1, 1, 4, 1]
 
     def test_reserved_ids(self):
         v = build_vocab([["x"]])
-        assert v.encode(PAD) == 0 and v.encode(CLS) == 2 and v.encode(SEP) == 3
+        assert v.encode_all([PAD, CLS, SEP]) == [0, 2, 3]
 
     def test_round_trip_save_load(self, tmp_path):
         """A checkpoint's header keeps each token, non-ASCII ones too, with
@@ -82,4 +81,4 @@ class TestVocab:
 
     def test_stable_across_runs(self):
         corpus = [["b", "a"], ["c", "a"]]
-        assert [build_vocab(corpus).encode(t) for t in "abc"] == [5, 4, 6]
+        assert build_vocab(corpus).encode_all("abc") == [5, 4, 6]
