@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextvars
 import os
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -29,7 +31,8 @@ from .tokenizer import Vocab, build_vocab
 # taped or not: a predict-short procedure (57,600 at most) fits one pass, while
 # one predict-long entity (88,935 or more) runs alone, as stacking those ran
 # 0.79x as fast. An entity is never split (0.63-0.95x as fast). Under
-# status-first prediction, lifting the cap ran 0.93-0.96x as fast.
+# status-first prediction, lifting the cap ran 0.93-0.96x as fast. The cap
+# also sets how many passes a prediction call has to spread over the CPUs.
 STACK_SCORES = 2 ** 16
 
 
@@ -206,18 +209,37 @@ class TrackerModel:
     def predict_procedure(self, proc: Procedure, np_filter: bool = True,
                           repair: bool = True):
         """Timelines for all entities, one float32 pass per `stacks(proc)` entry
-        on copies of the parameters made for this call. Returns (timelines, stats)."""
+        on copies of the parameters made for this call. Returns (timelines, stats).
+
+        The passes are independent, so `in_threads` runs them at the same time
+        on up to one thread per CPU this process may use, in shares of about
+        equal attention scores, E·T² per stack: the calling thread runs the
+        first share and a per-call pool the rest, each in a copy of the
+        caller's context, so that `np.errstate` holds there too. Every pass
+        has ended when the call returns or raises, and a pass's exception is
+        raised here. The outputs are decoded in stack order, so the result is
+        the same to the bit whatever the thread count. A procedure of one
+        stack, as every predict-short one is, skips `in_threads` and runs its
+        pass on the calling thread; one CPU starts no thread either."""
         params = {k: Tensor(t.data.astype(np.float32))
                   for k, t in self.params.items()}
+        stacks = list(self.stacks(proc))
+
+        def forward(stack):
+            return [t.data for t in self.forward_steps(stack[1], params)]
+
+        logits = (in_threads(forward, stacks,
+                             [len(ls) * len(ls[0].tokens) ** 2 for _, ls in stacks],
+                             len(os.sched_getaffinity(0)))
+                  if len(stacks) > 1 else map(forward, stacks))
         timelines = dict.fromkeys(proc.entities)
         flagged = violations = 0
         rows = proc.n_steps + 1
         words = proc.paragraph
         candidates = proc.candidate_spans if np_filter else None
-        for entities, layouts in self.stacks(proc):
-            states, fl = decode_step(
-                *(t.data for t in self.forward_steps(layouts, params)),
-                candidates, layouts[0].paragraph_pos)  # shared by the stack
+        for (entities, layouts), outputs in zip(stacks, logits):
+            states, fl = decode_step(*outputs, candidates,
+                                     layouts[0].paragraph_pos)  # shared by the stack
             flagged += fl
             raw = [v if isinstance(v, str) else " ".join(words[v[0]:v[1] + 1])
                    for v in states]
@@ -226,3 +248,36 @@ class TrackerModel:
                 violations += violates_rules(steps)
                 timelines[entity] = repair_timeline(steps) if repair else steps
         return timelines, {"flagged": flagged, "rule_violations": violations}
+
+
+def shares(weights: Sequence[float], n: int) -> list[list[int]]:
+    """The indices of `weights` cut into at most `n` shares, in order, of
+    about equal total weight: each index joins the share in which the
+    midpoint of its weight falls. No share is empty."""
+    total, done, out = sum(weights), 0, {}
+    for i, weight in enumerate(weights):
+        out.setdefault((done + weight / 2) * n // total, []).append(i)
+        done += weight
+    return list(out.values())
+
+
+def in_threads(fn, items: Sequence, weights: Sequence[float], n: int) -> list:
+    """[fn(item) for item in items] on up to `n` threads: `shares(weights, n)`
+    cuts the items; this thread runs the first share and a pool made for
+    this call the others, each in a copy of this thread's `contextvars`
+    context. Returns, or raises the first error in share order, once every
+    call has ended."""
+    first, *rest = shares(weights, n)
+
+    def run(share):
+        return [fn(items[i]) for i in share]
+
+    if not rest:
+        return run(first)
+    with ThreadPoolExecutor(len(rest)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run, share)
+                   for share in rest]
+        out = run(first)
+        for future in futures:
+            out += future.result()
+    return out

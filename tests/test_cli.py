@@ -17,7 +17,8 @@ from proctrack.cli import (
     load_run_config, main,
 )
 from proctrack.data import (
-    GrammarConfig, generate_synthetic, load_procedures, save_procedures,
+    GrammarConfig, Procedure, generate_synthetic, load_procedures,
+    save_procedures,
 )
 from proctrack.encoder import EncoderConfig
 from proctrack.fixtures import photosynthesis
@@ -371,6 +372,32 @@ class TestPipeline:
         assert f"entity {entity!r} has {longest} tokens" in error, error
         assert "Traceback" not in capsys.readouterr().err
         assert (ckpt / "params.bin").exists() == (command == "predict")
+        assert not pred.exists()
+
+    def test_an_overflow_in_one_stack_is_numeric_failure(self, tmp_path,
+                                                         monkeypatch, caplog,
+                                                         capsys):
+        """A pass that overflows on a worker thread exits 4, as one on the
+        calling thread does: "carbon" occurs only in the query of "carbon
+        dioxide", the second of the procedure's two stacks, which a second
+        CPU runs."""
+        entities = ["water", "carbon dioxide", "sugar"]
+        proc = Procedure(id="p", sentences=[["water", "and", "gas", "enter",
+                                             "the", "leaf", "."]],
+                         entities=entities, grid={e: ["?", "leaf"] for e in entities})
+        data, ckpt, pred = (tmp_path / "data.json", tmp_path / "ckpt",
+                            tmp_path / "pred.tsv")
+        save_procedures([proc], data)
+        model = TrackerModel.fresh(vocab_from_procedures([proc]),
+                                   EncoderConfig(**TINY_CONFIG["encoder"]), seed=0)
+        assert len(list(model.stacks(proc))) == 2
+        model.params["token_emb"].data[model.vocab.token_to_id["carbon"]] = 3e38
+        model.save(ckpt)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(pred)]) == EXIT_NUMERIC
+        assert one_error_line(caplog).startswith("numeric failure: ")
+        assert "Traceback" not in capsys.readouterr().err
         assert not pred.exists()
 
     def test_train_predict_evaluate(self, workspace):

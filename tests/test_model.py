@@ -5,7 +5,9 @@ import json
 import math
 import os
 import pkgutil
-from dataclasses import asdict
+import sys
+import threading
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -500,6 +502,127 @@ class TestStackedPrediction:
             assert len(calls) - before == len(stacks(model, proc))
 
 
+def see_cpus(monkeypatch, n):
+    """Let the process see `n` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def record_encode_threads(monkeypatch):
+    """(thread, whether its input holds a value over 1e38) of each `encode`
+    call, one per stack, as the calls run."""
+    calls = []
+    encode = model_module.encode
+
+    def recorded(x, *args, **kwargs):
+        calls.append((threading.current_thread(), bool((abs(x.data) > 1e38).any())))
+        return encode(x, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "encode", recorded)
+    return calls
+
+
+class TestThreadedPrediction:
+    """`predict_procedure` runs a procedure's stacks on up to one thread per
+    CPU: the caller runs the first share of them, a per-call pool the rest."""
+
+    OVER_THE_CAP = generate_synthetic(3, 1, GrammarConfig(
+        min_entities=3, max_entities=3, min_steps=14, max_steps=14))[0]
+    # "zinc" and "carbon" each occur in one stack's queries alone: (water,
+    # sugar, zinc) is the caller's share, (carbon dioxide,) a worker's.
+    TWO_STACKS = Procedure(
+        id="p", sentences=[["water", "and", "gas", "enter", "the", "leaf", "."],
+                           ["the", "leaf", "makes", "sugar", "."]],
+        entities=["water", "carbon dioxide", "sugar", "zinc"],
+        grid={e: ["?", "leaf", "leaf"]
+              for e in ["water", "carbon dioxide", "sugar", "zinc"]})
+
+    @given(weights=st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=12),
+           n=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_shares_are_ordered_runs_of_about_equal_weight(self, weights, n):
+        got = model_module.shares(weights, n)
+        assert 0 < len(got) <= n and len(got[0]) > 0
+        assert [i for share in got for i in share] == list(range(len(weights)))
+        for share in got:  # its n-th of the weight, give or take one index
+            assert sum(weights[i] for i in share) <= sum(weights) / n + max(weights)
+
+    @pytest.mark.parametrize("np_filter", [True, False])
+    @pytest.mark.parametrize("repair", [True, False])
+    def test_threads_give_the_one_thread_result_to_the_bit(
+            self, monkeypatch, np_filter, repair):
+        """Up to three threads, switching the GIL often, as one thread."""
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for proc in (TestStackedPrediction.PROC, self.OVER_THE_CAP):
+                model = TestStackedPrediction.bench_like([proc], max_len=128,
+                                                         seed=7)
+                see_cpus(monkeypatch, 1)
+                oracle = model.predict_procedure(proc, np_filter=np_filter,
+                                                 repair=repair)
+                see_cpus(monkeypatch, 3)
+                calls = record_encode_threads(monkeypatch)
+                assert model.predict_procedure(proc, np_filter=np_filter,
+                                               repair=repair) == oracle
+                assert len({thread for thread, _ in calls}) > 1
+                monkeypatch.undo()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_stack_or_one_cpu_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("predict_procedure started a thread pool")
+
+        monkeypatch.setattr(model_module, "ThreadPoolExecutor", refuse)
+        one_stack = replace(self.TWO_STACKS, entities=["water", "sugar", "zinc"])
+        model = TrackerModel.fresh(vocab_from_procedures([self.TWO_STACKS]),
+                                   EncoderConfig(max_len=96), seed=5)
+        calls = record_encode_threads(monkeypatch)
+        for proc, n_cpus, n_stacks in ((one_stack, 4, 1), (self.TWO_STACKS, 1, 2)):
+            see_cpus(monkeypatch, n_cpus)
+            assert len(list(model.stacks(proc))) == n_stacks
+            model.predict_procedure(proc)
+        assert {thread for thread, _ in calls} == {threading.current_thread()}
+
+    def test_a_pass_failing_on_a_worker_raises_here_and_leaves_no_thread(
+            self, monkeypatch):
+        caller, workers = threading.current_thread(), []
+        encode = model_module.encode
+
+        class Failed(Exception):
+            pass
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                workers.append(threading.current_thread())
+                raise Failed
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "encode", failing)
+        see_cpus(monkeypatch, 2)
+        model = TrackerModel.fresh(vocab_from_procedures([self.TWO_STACKS]),
+                                   EncoderConfig(max_len=96), seed=5)
+        with pytest.raises(Failed):
+            model.predict_procedure(self.TWO_STACKS)
+        assert workers and not any(thread.is_alive() for thread in workers)
+
+    @pytest.mark.parametrize("token, on_worker", [("zinc", False),
+                                                  ("carbon", True)])
+    def test_an_overflow_in_one_stack_raises_under_errstate(self, monkeypatch,
+                                                            token, on_worker):
+        """numpy's error state is a context variable, which a pool thread
+        does not inherit: the worker's share runs in the caller's context."""
+        model = TrackerModel.fresh(vocab_from_procedures([self.TWO_STACKS]),
+                                   EncoderConfig(max_len=96), seed=5)
+        model.params["token_emb"].data[model.vocab.token_to_id[token]] = 3e38
+        see_cpus(monkeypatch, 2)
+        calls = record_encode_threads(monkeypatch)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            model.predict_procedure(self.TWO_STACKS)
+        (poisoned,) = [thread for thread, huge in calls if huge]
+        assert (poisoned is not threading.current_thread()) == on_worker
+
+
 class TestStacks:
     """`stacks` is the one grouping of a procedure's entities into passes,
     in training and prediction alike."""
@@ -584,20 +707,23 @@ class TestStatusFirst:
                                                         n_layers):
         model = self.bench_like(n_layers)
         params = float32_params(model)
-        rows = []
+        rows = {}
         span_head = model_module.span_head
 
         def counted(hidden, *weights):
-            rows.append(len(hidden.data.reshape(-1, *hidden.shape[-2:])))
+            # the stacks may run on several threads, in any order, but each
+            # has a query length of its own
+            rows[hidden.shape[-2]] = len(hidden.data.reshape(-1, *hidden.shape[-2:]))
             return span_head(hidden, *weights)
 
         monkeypatch.setattr(model_module, "span_head", counted)
         model.predict_procedure(self.PROC)
-        groups = stacks(model, self.PROC)
-        known = [len(known_rows(full_pass(model, layouts, params)[0]))
-                 for layouts in groups]
+        known = {len(layouts[0].tokens):
+                 len(known_rows(full_pass(model, layouts, params)[0]))
+                 for layouts in stacks(model, self.PROC)}
+        assert len(known) == 2
         assert rows == known
-        assert sum(known) < len(self.PROC.entities) * (self.PROC.n_steps + 1)
+        assert sum(known.values()) < len(self.PROC.entities) * (self.PROC.n_steps + 1)
 
 
     @pytest.mark.parametrize("n_layers", [1, 2])
