@@ -34,6 +34,12 @@ from .tokenizer import Vocab, build_vocab
 # status-first prediction, lifting the cap ran 0.93-0.96x as fast. The cap
 # also sets how many passes a prediction call has to spread over the CPUs.
 STACK_SCORES = 2 ** 16
+# The fewest scores in each of a procedure's stacks for prediction to run them
+# on several threads. A smaller pass holds the GIL for most of its ops: on 2
+# CPUs, procedures whose stacks held 40,000-74,000 scores ran 0.78-1.02x as
+# fast on two threads as on one (median 0.84x, 17 procedures), and 80,000-
+# 221,000 ran 0.87-1.49x (median 1.15x, 37). Every predict-long entity is over.
+THREAD_SCORES = 80_000
 
 
 def vocab_from_procedures(procs: list[Procedure]) -> Vocab:
@@ -212,15 +218,14 @@ class TrackerModel:
         on copies of the parameters made for this call. Returns (timelines, stats).
 
         The passes are independent, so `in_threads` runs them at the same time
-        on up to one thread per CPU this process may use, in shares of about
-        equal attention scores, E·T² per stack: the calling thread runs the
-        first share and a per-call pool the rest, each in a copy of the
-        caller's context, so that `np.errstate` holds there too. Every pass
-        has ended when the call returns or raises, and a pass's exception is
-        raised here. The outputs are decoded in stack order, so the result is
-        the same to the bit whatever the thread count. A procedure of one
-        stack, as every predict-short one is, skips `in_threads` and runs its
-        pass on the calling thread; one CPU starts no thread either."""
+        on up to one thread per CPU this process may use: a per-call pool
+        takes stacks from the front, in copies of the caller's context so that
+        `np.errstate` holds there too, and the calling thread takes them from
+        the back. Every pass has ended when the call returns or raises, and a
+        pass's exception is raised here. The outputs are decoded in stack
+        order, so the result is the same to the bit whatever the thread count.
+        A procedure with a stack of THREAD_SCORES scores or fewer, with one
+        stack, or in a process of one CPU, starts no thread."""
         params = {k: Tensor(t.data.astype(np.float32))
                   for k, t in self.params.items()}
         stacks = list(self.stacks(proc))
@@ -228,10 +233,10 @@ class TrackerModel:
         def forward(stack):
             return [t.data for t in self.forward_steps(stack[1], params)]
 
-        logits = (in_threads(forward, stacks,
-                             [len(ls) * len(ls[0].tokens) ** 2 for _, ls in stacks],
-                             len(os.sched_getaffinity(0)))
-                  if len(stacks) > 1 else map(forward, stacks))
+        scores = [(proc.n_steps + 1) * len(ls) * len(ls[0].tokens) ** 2
+                  for _, ls in stacks]
+        logits = in_threads(forward, stacks,
+                            cpus() if min(scores) > THREAD_SCORES else 1)
         timelines = dict.fromkeys(proc.entities)
         flagged = violations = 0
         rows = proc.n_steps + 1
@@ -250,34 +255,27 @@ class TrackerModel:
         return timelines, {"flagged": flagged, "rule_violations": violations}
 
 
-def shares(weights: Sequence[float], n: int) -> list[list[int]]:
-    """The indices of `weights` cut into at most `n` shares, in order, of
-    about equal total weight: each index joins the share in which the
-    midpoint of its weight falls. No share is empty."""
-    total, done, out = sum(weights), 0, {}
-    for i, weight in enumerate(weights):
-        out.setdefault((done + weight / 2) * n // total, []).append(i)
-        done += weight
-    return list(out.values())
+def cpus() -> int:
+    """The CPUs this process may use, or the machine's where the OS cannot
+    tell a process's own (`os.sched_getaffinity` is Linux-only)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def in_threads(fn, items: Sequence, weights: Sequence[float], n: int) -> list:
-    """[fn(item) for item in items] on up to `n` threads: `shares(weights, n)`
-    cuts the items; this thread runs the first share and a pool made for
-    this call the others, each in a copy of this thread's `contextvars`
-    context. Returns, or raises the first error in share order, once every
-    call has ended."""
-    first, *rest = shares(weights, n)
-
-    def run(share):
-        return [fn(items[i]) for i in share]
-
-    if not rest:
-        return run(first)
-    with ThreadPoolExecutor(len(rest)) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, run, share)
-                   for share in rest]
-        out = run(first)
-        for future in futures:
-            out += future.result()
-    return out
+def in_threads(fn, items: Sequence, n: int) -> list:
+    """[fn(item) for item in items] on up to `n` threads. A pool made for this
+    call takes the items from the front, each in a copy of this thread's
+    `contextvars` context, while this thread takes them from the back until
+    the two meet. Fewer than two items or threads start no pool. Returns, or
+    raises a call's error, once every call has ended."""
+    n = min(n, len(items))
+    if n < 2:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(n - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, fn, item)
+                   for item in items]
+        mine = {i: fn(items[i]) for i in reversed(range(len(items)))
+                if futures[i].cancel()}
+        return [mine[i] if i in mine else f.result()
+                for i, f in enumerate(futures)]

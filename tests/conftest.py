@@ -1,4 +1,5 @@
 import os
+import threading
 
 # One BLAS thread, as bench/run.py runs, so that a test's time follows its
 # work and not the host's load. Set before numpy is first imported; the
@@ -73,6 +74,31 @@ def tape_ops(*outputs):
             counts[op] = counts.get(op, 0) + 1
             stack.extend(node._parents)
     return counts
+
+
+def see_cpus(monkeypatch, n):
+    """Let the process see `n` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def stacks_side_by_side(monkeypatch, n):
+    """Let prediction thread stacks of any size, and hold each of its
+    `encode` calls until `n` have begun, so that a procedure of `n` stacks on
+    `n` CPUs runs one stack on each thread: the pool's threads take the first
+    stacks and the calling thread the last. Returns, per call as it begins,
+    its thread and whether its input holds a value over 1e38."""
+    from proctrack import model
+
+    monkeypatch.setattr(model, "THREAD_SCORES", 0)
+    calls, barrier, encode = [], threading.Barrier(n, timeout=10), model.encode
+
+    def together(x, *args, **kwargs):
+        calls.append((threading.current_thread(), bool((abs(x.data) > 1e38).any())))
+        barrier.wait()
+        return encode(x, *args, **kwargs)
+
+    monkeypatch.setattr(model, "encode", together)
+    return calls
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from proctrack.fixtures import photosynthesis
 from proctrack.inputs import build_query
 from proctrack.model import TrackerModel, vocab_from_procedures
 from proctrack.state_table import build_table, read_tsv, write_tsv
+
+from conftest import see_cpus, stacks_side_by_side
 
 
 TINY_CONFIG = {
@@ -378,9 +381,8 @@ class TestPipeline:
                                                          monkeypatch, caplog,
                                                          capsys):
         """A pass that overflows on a worker thread exits 4, as one on the
-        calling thread does: "carbon" occurs only in the query of "carbon
-        dioxide", the second of the procedure's two stacks, which a second
-        CPU runs."""
+        calling thread does: "sugar" occurs only in the queries of (water,
+        sugar), the first of the procedure's two stacks, which the pool runs."""
         entities = ["water", "carbon dioxide", "sugar"]
         proc = Procedure(id="p", sentences=[["water", "and", "gas", "enter",
                                              "the", "leaf", "."]],
@@ -391,11 +393,14 @@ class TestPipeline:
         model = TrackerModel.fresh(vocab_from_procedures([proc]),
                                    EncoderConfig(**TINY_CONFIG["encoder"]), seed=0)
         assert len(list(model.stacks(proc))) == 2
-        model.params["token_emb"].data[model.vocab.token_to_id["carbon"]] = 3e38
+        model.params["token_emb"].data[model.vocab.token_to_id["sugar"]] = 3e38
         model.save(ckpt)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        see_cpus(monkeypatch, 2)
+        calls = stacks_side_by_side(monkeypatch, 2)
         assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
                      "--out", str(pred)]) == EXIT_NUMERIC
+        assert [huge for thread, huge in calls
+                if thread is not threading.current_thread()] == [True]
         assert one_error_line(caplog).startswith("numeric failure: ")
         assert "Traceback" not in capsys.readouterr().err
         assert not pred.exists()

@@ -31,7 +31,7 @@ from proctrack.model import STACK_SCORES, TrackerModel, vocab_from_procedures
 from proctrack.tokenizer import RESERVED, SEP, UNK, build_vocab
 from proctrack.train import status_accuracy, train_model
 
-from conftest import cls_rows, tape_ops
+from conftest import cls_rows, see_cpus, stacks_side_by_side, tape_ops
 
 
 def forward(model, layout, step):
@@ -502,33 +502,14 @@ class TestStackedPrediction:
             assert len(calls) - before == len(stacks(model, proc))
 
 
-def see_cpus(monkeypatch, n):
-    """Let the process see `n` CPUs, whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def record_encode_threads(monkeypatch):
-    """(thread, whether its input holds a value over 1e38) of each `encode`
-    call, one per stack, as the calls run."""
-    calls = []
-    encode = model_module.encode
-
-    def recorded(x, *args, **kwargs):
-        calls.append((threading.current_thread(), bool((abs(x.data) > 1e38).any())))
-        return encode(x, *args, **kwargs)
-
-    monkeypatch.setattr(model_module, "encode", recorded)
-    return calls
-
-
 class TestThreadedPrediction:
     """`predict_procedure` runs a procedure's stacks on up to one thread per
-    CPU: the caller runs the first share of them, a per-call pool the rest."""
+    CPU: a per-call pool takes them from the front, the caller from the back."""
 
     OVER_THE_CAP = generate_synthetic(3, 1, GrammarConfig(
         min_entities=3, max_entities=3, min_steps=14, max_steps=14))[0]
     # "zinc" and "carbon" each occur in one stack's queries alone: (water,
-    # sugar, zinc) is the caller's share, (carbon dioxide,) a worker's.
+    # sugar, zinc) is the first stack, (carbon dioxide,) the last.
     TWO_STACKS = Procedure(
         id="p", sentences=[["water", "and", "gas", "enter", "the", "leaf", "."],
                            ["the", "leaf", "makes", "sugar", "."]],
@@ -536,53 +517,75 @@ class TestThreadedPrediction:
         grid={e: ["?", "leaf", "leaf"]
               for e in ["water", "carbon dioxide", "sugar", "zinc"]})
 
-    @given(weights=st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=12),
-           n=st.integers(1, 8))
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_shares_are_ordered_runs_of_about_equal_weight(self, weights, n):
-        got = model_module.shares(weights, n)
-        assert 0 < len(got) <= n and len(got[0]) > 0
-        assert [i for share in got for i in share] == list(range(len(weights)))
-        for share in got:  # its n-th of the weight, give or take one index
-            assert sum(weights[i] for i in share) <= sum(weights) / n + max(weights)
+    def two_stack_model(self):
+        return TrackerModel.fresh(vocab_from_procedures([self.TWO_STACKS]),
+                                  EncoderConfig(max_len=96), seed=5)
 
     @pytest.mark.parametrize("np_filter", [True, False])
     @pytest.mark.parametrize("repair", [True, False])
     def test_threads_give_the_one_thread_result_to_the_bit(
             self, monkeypatch, np_filter, repair):
-        """Up to three threads, switching the GIL often, as one thread."""
+        """One thread per stack, switching the GIL often, as one thread."""
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-5)
             for proc in (TestStackedPrediction.PROC, self.OVER_THE_CAP):
                 model = TestStackedPrediction.bench_like([proc], max_len=128,
                                                          seed=7)
+                n = len(list(model.stacks(proc)))
                 see_cpus(monkeypatch, 1)
                 oracle = model.predict_procedure(proc, np_filter=np_filter,
                                                  repair=repair)
-                see_cpus(monkeypatch, 3)
-                calls = record_encode_threads(monkeypatch)
+                see_cpus(monkeypatch, n)
+                calls = stacks_side_by_side(monkeypatch, n)
                 assert model.predict_procedure(proc, np_filter=np_filter,
                                                repair=repair) == oracle
-                assert len({thread for thread, _ in calls}) > 1
+                assert len({thread for thread, _ in calls}) == n > 1
                 monkeypatch.undo()
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpu_count, threads", [(2, 2), (None, 1)])
+    def test_cpus_without_sched_getaffinity_are_the_machines(
+            self, monkeypatch, cpu_count, threads):
+        """Where the OS has no `sched_getaffinity`, as on macOS and Windows,
+        prediction threads over `os.cpu_count()`, or one CPU if unknown."""
+        model = self.two_stack_model()
+        oracle = model.predict_procedure(self.TWO_STACKS)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        calls = stacks_side_by_side(monkeypatch, threads)
+        assert model.predict_procedure(self.TWO_STACKS) == oracle
+        assert len({thread for thread, _ in calls}) == threads
 
     def test_one_stack_or_one_cpu_starts_no_thread(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("predict_procedure started a thread pool")
 
         monkeypatch.setattr(model_module, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(model_module, "THREAD_SCORES", 0)
         one_stack = replace(self.TWO_STACKS, entities=["water", "sugar", "zinc"])
-        model = TrackerModel.fresh(vocab_from_procedures([self.TWO_STACKS]),
-                                   EncoderConfig(max_len=96), seed=5)
-        calls = record_encode_threads(monkeypatch)
+        model = self.two_stack_model()
         for proc, n_cpus, n_stacks in ((one_stack, 4, 1), (self.TWO_STACKS, 1, 2)):
             see_cpus(monkeypatch, n_cpus)
             assert len(list(model.stacks(proc))) == n_stacks
             model.predict_procedure(proc)
-        assert {thread for thread, _ in calls} == {threading.current_thread()}
+
+    def test_only_stacks_over_thread_scores_run_on_threads(self, monkeypatch):
+        """A procedure's stacks run on threads only when each holds more than
+        THREAD_SCORES attention scores, (n+1)·E·T²."""
+        model, proc = self.two_stack_model(), self.TWO_STACKS
+        smallest = min((proc.n_steps + 1) * len(layouts) * len(layouts[0].tokens) ** 2
+                       for _, layouts in model.stacks(proc))
+        pools, pool = [], model_module.ThreadPoolExecutor
+        monkeypatch.setattr(model_module, "ThreadPoolExecutor",
+                            lambda n: pools.append(n) or pool(n))
+        see_cpus(monkeypatch, 4)
+        for limit, started in ((smallest, []), (smallest - 1, [1])):
+            monkeypatch.setattr(model_module, "THREAD_SCORES", limit)
+            pools.clear()
+            model.predict_procedure(proc)
+            assert pools == started
 
     def test_a_pass_failing_on_a_worker_raises_here_and_leaves_no_thread(
             self, monkeypatch):
@@ -600,23 +603,21 @@ class TestThreadedPrediction:
 
         monkeypatch.setattr(model_module, "encode", failing)
         see_cpus(monkeypatch, 2)
-        model = TrackerModel.fresh(vocab_from_procedures([self.TWO_STACKS]),
-                                   EncoderConfig(max_len=96), seed=5)
+        stacks_side_by_side(monkeypatch, 2)
         with pytest.raises(Failed):
-            model.predict_procedure(self.TWO_STACKS)
+            self.two_stack_model().predict_procedure(self.TWO_STACKS)
         assert workers and not any(thread.is_alive() for thread in workers)
 
-    @pytest.mark.parametrize("token, on_worker", [("zinc", False),
-                                                  ("carbon", True)])
+    @pytest.mark.parametrize("token, on_worker", [("zinc", True),
+                                                  ("carbon", False)])
     def test_an_overflow_in_one_stack_raises_under_errstate(self, monkeypatch,
                                                             token, on_worker):
         """numpy's error state is a context variable, which a pool thread
-        does not inherit: the worker's share runs in the caller's context."""
-        model = TrackerModel.fresh(vocab_from_procedures([self.TWO_STACKS]),
-                                   EncoderConfig(max_len=96), seed=5)
+        does not inherit: the pool runs each stack in the caller's context."""
+        model = self.two_stack_model()
         model.params["token_emb"].data[model.vocab.token_to_id[token]] = 3e38
         see_cpus(monkeypatch, 2)
-        calls = record_encode_threads(monkeypatch)
+        calls = stacks_side_by_side(monkeypatch, 2)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             model.predict_procedure(self.TWO_STACKS)
         (poisoned,) = [thread for thread, huge in calls if huge]
