@@ -30,7 +30,10 @@ log = logging.getLogger("proctrack")
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
-_CONFIG_KEYS = {"encoder", "sgd", "epochs", "seed"}
+# Each run-config key with the value a config that leaves it out gets. An
+# "sgd" object gets the values here for the keys that it leaves out.
+_DEFAULTS = {"encoder": {}, "epochs": 50, "seed": 0, "sgd": {
+    "learning_rate": 3e-4, "decay_factor": 0.5, "decay_every": 50}}
 
 
 class ConfigError(ValueError):
@@ -52,19 +55,21 @@ def load_run_config(path, **overrides) -> dict:
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: expected a JSON object")
     cfg.update((k, v) for k, v in overrides.items() if v is not None)
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if isinstance(cfg.get("encoder"), dict) and "vocab_size" in cfg["encoder"]:
+    cfg = {**_DEFAULTS, **cfg}
+    for key in ("encoder", "sgd"):
+        if not isinstance(cfg[key], dict):
+            raise ConfigError(f"{key} must be an object, got {cfg[key]!r:.40}")
+    if "vocab_size" in cfg["encoder"]:
         raise ConfigError("encoder.vocab_size is set by the training corpus")
     try:
-        encoder = EncoderConfig(**cfg.get("encoder", {}))
-        sgd = SgdConfig(**cfg.get("sgd", {"learning_rate": 3e-4,
-                                          "decay_factor": 0.5,
-                                          "decay_every": 50}))
+        encoder = EncoderConfig(**cfg["encoder"])
+        sgd = SgdConfig(**{**_DEFAULTS["sgd"], **cfg["sgd"]})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    epochs, seed = cfg.get("epochs", 50), cfg.get("seed", 0)
+    epochs, seed = cfg["epochs"], cfg["seed"]
     if type(epochs) is not int or type(seed) is not int or epochs < 1:
         raise ConfigError(f"epochs must be a positive integer and seed an "
                           f"integer, got {epochs!r}, {seed!r}")
@@ -72,8 +77,7 @@ def load_run_config(path, **overrides) -> dict:
 
 
 def gold_tables(procs):
-    return {p.id: build_table({e: p.timeline(e) for e in p.entities}, p.n_steps)
-            for p in procs}
+    return {p.id: build_table(p.grid, p.n_steps) for p in procs}
 
 
 def cmd_generate_data(args) -> int:
@@ -184,9 +188,7 @@ def cmd_evaluate(args) -> int:
         print(f"{'overall':>12} {report.precision:8.3f} {report.recall:8.3f} "
               f"{report.f1:8.3f}", file=sys.stderr)
     else:  # npn
-        gold_tl = {p.id: {e: p.timeline(e) for e in p.entities}
-                   for p in gold_procs}
-        acc = location_change_accuracy(pred_tl, gold_tl)
+        acc = location_change_accuracy(pred_tl, {p.id: p.grid for p in gold_procs})
         report = MetricsReport(location_change_accuracy=acc)
         print(f"location-change accuracy: {acc:.3f}", file=sys.stderr)
 
@@ -206,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate-data", help="write a synthetic corpus")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--min-steps", type=int, default=3)
-    p.add_argument("--max-steps", type=int, default=5)
+    p.add_argument("--min-steps", type=int, default=GrammarConfig.min_steps)
+    p.add_argument("--max-steps", type=int, default=GrammarConfig.max_steps)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_generate_data)
 

@@ -1,9 +1,10 @@
 """Decode per-step states and repair timelines against the consistency rules.
 
 A timeline is a list of location values over steps 0..n, each "-" (does not
-exist), "?" (exists, location unknown), or lowercase location text. The two
-rules: an entity is created at most once, destroyed at most once, and never
-created after a completed destruction.
+exist), "?" (exists, location unknown), or lowercase location text. The rules,
+on the events that `state_table.derive_action` gives: an entity is created at
+most once, destroyed at most once, and never created after a completed
+destruction.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 
 from .autodiff import ShapeMismatchError, softmax_array
 from .heads import STATUS_GONE, STATUS_KNOWN
+from .state_table import ACTION_CREATE, ACTION_DESTROY, derive_action
 
 
 def decode_step(status: np.ndarray, start: np.ndarray, end: np.ndarray,
@@ -63,30 +65,17 @@ def decode_step(status: np.ndarray, start: np.ndarray, end: np.ndarray,
     return values, flagged
 
 
-def _exists(value: str) -> bool:
-    return value != "-"
-
-
 def repair_timeline(states: list[str]) -> list[str]:
-    """Greedy forward repair: a step whose transition would break a rule is
-    overwritten by carrying the previous step's state forward."""
-    if not states:
-        return []
-    out = [states[0]]
-    created = destroyed = 0
+    """Greedy forward repair: a step whose `derive_action` event would break
+    a rule is overwritten by carrying the previous step's state forward."""
+    out, created, destroyed = list(states[:1]), False, False
     for value in states[1:]:
-        prev = out[-1]
-        was, now = _exists(prev), _exists(value)
-        if not was and now:  # creation
-            if created >= 1 or destroyed >= 1:
-                out.append(prev)
-                continue
-            created += 1
-        elif was and not now:  # destruction
-            if destroyed >= 1:
-                out.append(prev)
-                continue
-            destroyed += 1
+        action = derive_action(out[-1], value)
+        if (action == ACTION_CREATE and (created or destroyed)
+                or action == ACTION_DESTROY and destroyed):
+            value = out[-1]
+        created |= action == ACTION_CREATE
+        destroyed |= action == ACTION_DESTROY
         out.append(value)
     return out
 

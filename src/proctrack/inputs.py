@@ -24,7 +24,6 @@ class QueryLayout:
     token_ids: tuple[int, ...]
     sentence_index: tuple[int, ...]  # 0 = question region, 1..n = sentences
     paragraph_pos: tuple[int, ...]  # layout position of paragraph word i
-    n_sentences: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +66,6 @@ def build_query(entity: str, sentences: list[list[str]], vocab: Vocab,
         token_ids=tuple(vocab.encode_all(tokens)),
         sentence_index=tuple(sent_idx),
         paragraph_pos=tuple(para_pos),
-        n_sentences=len(sentences),
     )
 
 
@@ -75,7 +73,7 @@ def time_ids(layout: QueryLayout) -> np.ndarray:
     """The (n+1, T) time ids of `layout` by the rule above, one row per step
     0..n, built once for all steps."""
     sentence = np.array(layout.sentence_index)
-    step = np.arange(layout.n_sentences + 1)[:, None]
+    step = np.arange(sentence[-1] + 1)[:, None]
     ids = np.where(sentence < step, TS_PAST, TS_FUTURE)
     ids[(sentence == step) | (step == 0)] = TS_CURRENT
     ids[:, sentence == 0] = TS_QUESTION
@@ -84,7 +82,7 @@ def time_ids(layout: QueryLayout) -> np.ndarray:
 
 def timestamp(layout: QueryLayout, step: int) -> TimestampedInput:
     """`layout` stamped for one step: row `step` of `time_ids(layout)`."""
-    n = layout.n_sentences
+    n = layout.sentence_index[-1]
     if not 0 <= step <= n:
         raise ValueError(f"step {step} out of range 0..{n}")
     return TimestampedInput(layout.token_ids, time_ids(layout)[step])

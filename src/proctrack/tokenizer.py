@@ -49,13 +49,10 @@ class Vocab:
 
 
 def build_vocab(corpus) -> Vocab:
-    """Assign ids in first-seen order after the reserved ids.
-
-    `corpus` is an iterable of token lists (or of plain tokens).
-    """
+    """Assign ids to the tokens of `corpus`, an iterable of token lists, in
+    first-seen order after the reserved ids."""
     mapping = dict(RESERVED)
-    for item in corpus:
-        tokens = [item] if isinstance(item, str) else item
+    for tokens in corpus:
         for tok in tokens:
             if tok not in mapping:
                 mapping[tok] = len(mapping)

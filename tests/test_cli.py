@@ -71,16 +71,30 @@ class TestRunConfig:
         assert cfg["sgd"].effective_lr(120) == pytest.approx(3e-4 * 0.25)
         assert load_run_config(None) == cfg  # `train` without --config
 
+    def test_partial_sgd_object_keeps_the_other_defaults(self, tmp_path):
+        """Writing out the default learning rate leaves the decay on."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sgd": {"learning_rate": 3e-4}}))
+        assert load_run_config(path) == load_run_config(None)
+        path.write_text(json.dumps({"sgd": {"decay_every": 7}}))
+        sgd = load_run_config(path)["sgd"]
+        assert (sgd.learning_rate, sgd.decay_factor, sgd.decay_every) == (
+            3e-4, 0.5, 7)
+
     def test_non_integer_epochs_or_seed_is_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         for bad in ({"epochs": "x"}, {"epochs": 2.5}, {"seed": "0"},
                     {"seed": True}, {"epochs": 0}, {"epochs": -1}, [],
+                    {"sgd": []}, {"sgd": 0.1}, {"sgd": None},
                     "{not json", {"encoder": {"vocab_size": 5}}):
             path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
             assert main(["train", "--data", "x.json", "--out",
                          str(tmp_path / "o"), "--config", str(path)]) == EXIT_CONFIG
         # The corpus sets the vocabulary size; the message names the key.
         with pytest.raises(ConfigError, match="encoder.vocab_size"):
+            load_run_config(path)
+        path.write_text(json.dumps({"sgd": [0.1]}))
+        with pytest.raises(ConfigError, match=r"sgd must be an object, got \[0.1\]"):
             load_run_config(path)
 
     @pytest.mark.parametrize("lr", ["Infinity", "-Infinity", "NaN"])
@@ -345,6 +359,14 @@ class TestPipeline:
             assert main(["generate-data", "--seed", "7", "--n", "2",
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_generate_without_step_flags_uses_the_grammar_defaults(
+            self, tmp_path):
+        cli, api = tmp_path / "cli.json", tmp_path / "api.json"
+        assert main(["generate-data", "--seed", "7", "--n", "4",
+                     "--out", str(cli)]) == 0
+        save_procedures(generate_synthetic(7, 4), api)
+        assert cli.read_bytes() == api.read_bytes()
 
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_query_longer_than_max_len_is_data_error_naming_the_entity(

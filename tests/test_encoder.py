@@ -285,7 +285,7 @@ class TestStepBatch:
                 return rows, status.data, start.data, end.data
 
             batched = heads(steps)
-            n_steps = layout.n_sentences + 1
+            n_steps = layout.sentence_index[-1] + 1
             assert batched[0].shape == (n_steps, len(layout.tokens), cfg.d_model)
             for s in range(n_steps):
                 for got, alone in zip(batched, heads(timestamp(layout, s))):

@@ -242,6 +242,40 @@ class TestRepairTimeline:
             assert repair_timeline([first, "-", "soil", "-"])[0] == first
 
 
+def counter_repair(states):
+    """The greedy repair written out with its own existence tests and event
+    counters, as `repair_timeline` was before it read `derive_action`."""
+    if not states:
+        return []
+    out = [states[0]]
+    created = destroyed = 0
+    for value in states[1:]:
+        prev = out[-1]
+        was, now = prev != "-", value != "-"
+        if not was and now:  # creation
+            if created >= 1 or destroyed >= 1:
+                out.append(prev)
+                continue
+            created += 1
+        elif was and not now:  # destruction
+            if destroyed >= 1:
+                out.append(prev)
+                continue
+            destroyed += 1
+        out.append(value)
+    return out
+
+
+def test_repair_matches_the_counter_repair_on_every_small_timeline():
+    """All 21,845 timelines of length 0..7 over "-", "?" and two locations."""
+    for n in range(8):
+        for states in itertools.product(["-", "?", "a", "b"], repeat=n):
+            states = list(states)
+            expected = counter_repair(states)
+            assert repair_timeline(states) == expected, states
+            assert violates_rules(states) == (expected != states), states
+
+
 class TestViolatesRules:
     @given(st.lists(st.sampled_from(TIMELINE_VALUES), min_size=1, max_size=8))
     @settings(max_examples=300, deadline=None)
