@@ -5,7 +5,6 @@ step). The loss is a log-softmax NLL on the rows; decoding takes their softmax."
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -20,12 +19,6 @@ def status_class_of(value: str) -> int:
     if value == "?":
         return STATUS_UNKNOWN
     return STATUS_KNOWN
-
-
-@dataclass
-class GoldStep:
-    status_class: int
-    span: tuple[int, int] | None  # layout positions, inclusive
 
 
 def status_head(cls: Tensor, w: Tensor) -> Tensor:
@@ -51,31 +44,21 @@ def span_head(hidden: Tensor, w_start: Tensor, w_end: Tensor
     return start, end
 
 
-def span_rows(golds: Sequence[GoldStep]) -> list[int]:
-    """The rows whose gold is a known location with a span, in row order:
-    the only rows a loss scores spans on. Gold steps whose location text
-    could not be aligned to the paragraph have gold.span = None and are left
-    out (callers flag them)."""
-    return [i for i, g in enumerate(golds)
-            if g.status_class == STATUS_KNOWN and g.span is not None]
+def joint_loss(status: Tensor, start: Tensor, end: Tensor, classes: Sequence[int],
+               spans: Sequence[tuple[int, int]]) -> Tensor:
+    """Status cross-entropy, plus start+end cross-entropy for each gold span.
 
-
-def joint_loss(status: Tensor, start: Tensor, end: Tensor,
-               golds: Sequence[GoldStep]) -> Tensor:
-    """Status cross-entropy, plus start+end cross-entropy where gold has a span.
-
-    Scores (B, 3) status logits against one GoldStep per row, and (S, T)
-    start/end logits against the S rows of `span_rows(golds)`, one logit row
-    each, in that order; the terms are summed over the rows.
+    Scores (B, 3) status logits against one status class per row, and (S, T)
+    start/end logits against the S gold spans, (start, end) positions
+    inclusive, one logit row each, in that order; the terms are summed over
+    the rows.
     """
-    rows = span_rows(golds)
-    if start.data.shape[0] != len(rows) or end.data.shape[0] != len(rows):
+    if start.data.shape[0] != len(spans) or end.data.shape[0] != len(spans):
         raise ad.ShapeMismatchError(
             f"span logits {start.data.shape} and {end.data.shape} need one row "
-            f"per gold span, {len(rows)}")
-    loss = ad.cross_entropy(status, [g.status_class for g in golds])
-    if not rows:
+            f"per gold span, {len(spans)}")
+    loss = ad.cross_entropy(status, classes)
+    if not spans:
         return loss
-    starts, ends = zip(*(golds[i].span for i in rows))
+    starts, ends = zip(*spans)
     return ad.add(loss, ad.cross_entropy(start, starts), ad.cross_entropy(end, ends))
-

@@ -16,10 +16,7 @@ from .data import DataError, Procedure
 from .encoder import (
     EncoderConfig, embed, encode, init_encoder_params, param_count, param_shapes,
 )
-from .heads import (
-    STATUS_KNOWN, GoldStep, joint_loss, span_head, span_rows, status_class_of,
-    status_head,
-)
+from .heads import STATUS_KNOWN, joint_loss, span_head, status_class_of, status_head
 from .inference import decode_step, repair_timeline, violates_rules
 from .inputs import (
     QueryLayout, TimestampedInput, build_query, question_tokens, time_ids,
@@ -50,6 +47,24 @@ def vocab_from_procedures(procs: list[Procedure]) -> Vocab:
             corpus.append(question_tokens(e))
         corpus.extend(p.sentences)
     return build_vocab(corpus)
+
+
+def targets(proc: Procedure, entities: Sequence[str], layout: QueryLayout
+            ) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """Training targets of a stack's rows (entity, step 0..n), in row order:
+    each row's status class; the rows whose location text occurs in the
+    paragraph; and for each of those, its first occurrence at the positions
+    of `layout`, which the stack's layouts share, inclusive. A known location
+    whose text never occurs there is a row with no span."""
+    pos = layout.paragraph_pos
+    classes, rows, spans = [], [], []
+    for row, value in enumerate(v for e in entities for v in proc.grid[e]):
+        classes.append(status_class_of(value))
+        found = proc.occurrences.get(value)
+        if found:
+            rows.append(row)
+            spans.append((pos[found[0][0]], pos[found[0][1]]))
+    return classes, rows, spans
 
 
 @dataclass
@@ -148,7 +163,7 @@ class TrackerModel:
         row's [CLS] query alone, for the (rows, 3) status logits of every
         row; then in full only for the rows to finish, and only those rows,
         in that order, get (rows, T) start and end logits. The rows to finish
-        are `rows` (training: the rows with a gold span), flat row indices,
+        are `rows` (training: the span rows of `targets`), flat row indices,
         where a negative or repeated one raises ValueError, or else those
         whose status argmax is known-location, in row order, as `decode_step`
         takes them. Their span logits are the same to the bit as the full
@@ -174,21 +189,6 @@ class TrackerModel:
                         select=finish).hidden
         return status, *span_head(hidden, params["head.start"], params["head.end"])
 
-    # -- training targets ---------------------------------------------------
-
-    def gold_steps(self, proc: Procedure, entity: str,
-                   layout: QueryLayout) -> list[GoldStep]:
-        """GoldStep per step 0..n. A known location's span is its first
-        occurrence in the paragraph, at layout positions, or None when its
-        text never occurs there."""
-        pos = layout.paragraph_pos
-        steps = []
-        for value in proc.grid[entity]:
-            spans = proc.occurrences.get(value)
-            span = (pos[spans[0][0]], pos[spans[0][1]]) if spans else None
-            steps.append(GoldStep(status_class=status_class_of(value), span=span))
-        return steps
-
     def procedure_loss(self, proc: Procedure,
                        rng: np.random.Generator | None = None) -> Tensor:
         """Mean joint loss over every (entity, step 0..n) pair, with dropout
@@ -198,16 +198,16 @@ class TrackerModel:
         tape node each, made once for this call, so `backward()` leaves
         float64 gradients on the float64 parameters themselves. Each entry of
         `stacks(proc)` runs as one batched, status-first pass on the tape,
-        scored by one loss over its rows: each row's status from the [CLS]
-        query alone, as prediction computes it, and span logits only for
-        the gold-span rows, the only rows the last layer finishes."""
+        scored by one loss over its rows against the stack's `targets`, built
+        once: each row's status from the [CLS] query alone, as prediction
+        computes it, and span logits only for the span rows, the only rows
+        the last layer finishes."""
         params = {k: ad.cast(t, np.float32) for k, t in self.params.items()}
         losses = []
         for entities, layouts in self.stacks(proc):
-            golds = [g for entity, layout in zip(entities, layouts)
-                     for g in self.gold_steps(proc, entity, layout)]
+            classes, rows, spans = targets(proc, entities, layouts[0])
             losses.append(joint_loss(*self.forward_steps(
-                layouts, params, rng, span_rows(golds)), golds))
+                layouts, params, rng, rows), classes, spans))
         return ad.mean_of(losses, len(proc.entities) * (proc.n_steps + 1))
 
     # -- prediction ---------------------------------------------------------
@@ -236,7 +236,7 @@ class TrackerModel:
         scores = [(proc.n_steps + 1) * len(ls) * len(ls[0].tokens) ** 2
                   for _, ls in stacks]
         logits = in_threads(forward, stacks,
-                            cpus() if min(scores) > THREAD_SCORES else 1)
+                            cpus() if min(scores, default=0) > THREAD_SCORES else 1)
         timelines = dict.fromkeys(proc.entities)
         flagged = violations = 0
         rows = proc.n_steps + 1

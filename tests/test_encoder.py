@@ -11,12 +11,12 @@ from proctrack.encoder import (
     EncoderConfig, embed, encode, init_encoder_params, param_count, param_shapes,
 )
 from proctrack.heads import (
-    STATUS_KNOWN, GoldStep, joint_loss, span_head, span_rows, status_head,
+    STATUS_KNOWN, joint_loss, span_head, status_head,
 )
 from proctrack.inputs import TimestampedInput, build_query, time_ids, timestamp
 from proctrack.cli import EXIT_CONFIG, main
 from proctrack.fixtures import photosynthesis
-from proctrack.model import TrackerModel, vocab_from_procedures
+from proctrack.model import TrackerModel, targets, vocab_from_procedures
 from proctrack.tokenizer import build_vocab
 
 from conftest import check_gradients, cls_rows, tape_ops
@@ -414,8 +414,7 @@ class TestSelect:
             losses = []
             for entity in proc.entities:
                 layout = model.layout_for(entity, proc)
-                golds = model.gold_steps(proc, entity, layout)
-                rows = span_rows(golds)
+                classes, rows, spans = targets(proc, [entity], layout)
                 if status_first:
                     logits = model.forward_steps([layout], params, rows=rows)
                 else:
@@ -426,7 +425,7 @@ class TestSelect:
                                            params["head.end"])
                     logits = (status_head(cls_rows(hidden), params["head.status"]),
                               ad.embedding(start, rows), ad.embedding(end, rows))
-                losses.append(joint_loss(*logits, golds))
+                losses.append(joint_loss(*logits, classes, spans))
             total = ad.mean_of(losses, len(losses))
             total.backward()
             grads = {k: t.grad for k, t in params.items()}
@@ -527,14 +526,13 @@ class TestEndToEndGradient:
         # differences resolve at this tolerance.
         params["layer0.attn.qkv"].data[:] = rng.normal(0, 0.3, (8, 24))
         inp = make_input(vocab, 2)
-        gold = GoldStep(status_class=2, span=(7, 8))
 
         def loss():
             hidden = encode(embed(inp, params), params, cfg).hidden
             status = status_head(cls_rows(hidden), params["head.status"])
             start, end = span_head(hidden, params["head.start"], params["head.end"])
             # One unbatched step: the heads give one row of each.
-            return joint_loss(status, start, end, [gold])
+            return joint_loss(status, start, end, [STATUS_KNOWN], [(7, 8)])
 
         checked = [params[k] for k in
                    ["ts_emb", "token_emb", "layer0.attn.qkv", "layer0.ff.w1",

@@ -6,8 +6,8 @@ import pytest
 from proctrack import autodiff as ad
 from proctrack.autodiff import ShapeMismatchError, Tensor
 from proctrack.heads import (
-    GoldStep, STATUS_GONE, STATUS_KNOWN, STATUS_UNKNOWN, joint_loss, span_head,
-    span_rows, status_class_of, status_head,
+    STATUS_GONE, STATUS_KNOWN, STATUS_UNKNOWN, joint_loss, span_head,
+    status_class_of, status_head,
 )
 
 from conftest import check_gradients, cls_rows, leaf
@@ -117,132 +117,126 @@ class TestRows:
             np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
-def span_logits(hidden, golds, w_start, w_end):
-    """Start and end logits of the rows of `hidden` that `span_rows(golds)`
-    picks, as a status-first pass computes them."""
-    rows = np.array(span_rows(golds), dtype=np.intp)
+def span_logits(hidden, rows, w_start, w_end):
+    """Start and end logits of the `rows` of `hidden`, as a status-first pass
+    computes them."""
+    rows = np.array(rows, dtype=np.intp)
     idx = np.unravel_index(rows, hidden.shape[:-2])
     return span_head(ad.slice_rows(hidden, idx), w_start, w_end)
 
 
 class TestJointLoss:
     """One step: status logits with a leading row axis of one, span logits
-    with one row when its gold has a span and none otherwise, and one
-    GoldStep."""
+    with one row when the step has a gold span and none otherwise, its status
+    class and its gold spans, one or none."""
 
-    def _one_hot_preds(self, gold):
+    def _one_hot_preds(self, status_class, spans):
         status = np.zeros((1, 3))
-        status[0, gold.status_class] = 1.0
-        start = np.zeros((len(span_rows([gold])), 6))
+        status[0, status_class] = 1.0
+        start = np.zeros((len(spans), 6))
         end = np.zeros_like(start)
-        if len(start):
-            start[0, gold.span[0]] = 1.0
-            end[0, gold.span[1]] = 1.0
+        for row, (s, e) in enumerate(spans):
+            start[row, s] = 1.0
+            end[row, e] = 1.0
         return logits_of(status), logits_of(start), logits_of(end)
 
     def test_perfect_prediction_zero(self):
-        gold = GoldStep(status_class=STATUS_KNOWN, span=(2, 4))
-        loss = joint_loss(*self._one_hot_preds(gold), [gold])
+        spans = [(2, 4)]
+        loss = joint_loss(*self._one_hot_preds(STATUS_KNOWN, spans),
+                          [STATUS_KNOWN], spans)
         assert float(loss.data) == pytest.approx(0.0)
 
     def test_uniform_status_gone_is_ln3(self):
-        gold = GoldStep(status_class=STATUS_GONE, span=None)
         loss = joint_loss(Tensor(np.zeros((1, 3))), Tensor(np.zeros((0, 6))),
-                          Tensor(np.zeros((0, 6))), [gold])
+                          Tensor(np.zeros((0, 6))), [STATUS_GONE], [])
         assert float(loss.data) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_random_case_matches_hand_sum(self, rng):
         sp = rng.dirichlet(np.ones(3))
         st = rng.dirichlet(np.ones(6))
         en = rng.dirichlet(np.ones(6))
-        gold = GoldStep(status_class=STATUS_KNOWN, span=(1, 3))
         loss = joint_loss(logits_of(sp[None]), logits_of(st[None]),
-                          logits_of(en[None]), [gold])
+                          logits_of(en[None]), [STATUS_KNOWN], [(1, 3)])
         expected = -math.log(sp[2]) - math.log(st[1]) - math.log(en[3])
         assert float(loss.data) == pytest.approx(expected, abs=1e-9)
 
-    def status_term_alone(self, rng, gold):
-        """A gold with no span row gives the status cross-entropy alone with
+    def status_term_alone(self, rng, status_class):
+        """A step with no gold span gives the status cross-entropy alone with
         no span logits, and refuses a span logit row."""
         status = logits_of(rng.dirichlet(np.ones(3))[None])
-        assert span_rows([gold]) == []
         none = Tensor(np.zeros((0, 6)))
-        loss = joint_loss(status, none, none, [gold])
+        loss = joint_loss(status, none, none, [status_class], [])
         assert float(loss.data) == pytest.approx(
-            -math.log(ad.softmax_array(status.data)[0, gold.status_class]),
-            abs=1e-9)
+            -math.log(ad.softmax_array(status.data)[0, status_class]), abs=1e-9)
         one = logits_of(rng.dirichlet(np.ones(6))[None])
         with pytest.raises(ShapeMismatchError, match="one row per gold span, 0"):
-            joint_loss(status, one, one, [gold])
+            joint_loss(status, one, one, [status_class], [])
 
     def test_span_terms_skipped_for_gone_and_unknown(self, rng):
         for cls in (STATUS_GONE, STATUS_UNKNOWN):
-            self.status_term_alone(rng, GoldStep(status_class=cls, span=(0, 1)))
+            self.status_term_alone(rng, cls)
 
     def test_unresolvable_gold_span_skips_span_terms(self, rng):
-        self.status_term_alone(rng, GoldStep(status_class=STATUS_KNOWN, span=None))
+        self.status_term_alone(rng, STATUS_KNOWN)
 
     def test_loss_nonnegative(self, rng):
         for _ in range(20):
-            gold = GoldStep(status_class=int(rng.integers(0, 3)), span=(0, 2))
-            rows = len(span_rows([gold]))
+            cls = int(rng.integers(0, 3))
+            spans = [(0, 2)] if cls == STATUS_KNOWN else []
             loss = joint_loss(logits_of(rng.dirichlet(np.ones(3))[None]),
-                              logits_of(rng.dirichlet(np.ones(5), size=rows)),
-                              logits_of(rng.dirichlet(np.ones(5), size=rows)),
-                              [gold])
+                              logits_of(rng.dirichlet(np.ones(5), size=len(spans))),
+                              logits_of(rng.dirichlet(np.ones(5), size=len(spans))),
+                              [cls], spans)
             assert float(loss.data) >= 0.0
 
     def test_span_gradient_only_for_known_gold(self, rng):
         out = hidden_states(rng.normal(0, 1, (1, 6, 8)))
         w_status, w_start, w_end = leaf(rng, 8, 3), leaf(rng, 8, 1), leaf(rng, 8, 1)
 
-        def run(gold):
+        def run(status_class, spans):
             for w in (w_status, w_start, w_end):
                 w.grad = None
             loss = joint_loss(status_head(cls_rows(out), w_status),
-                              *span_logits(out, [gold], w_start, w_end), [gold])
+                              *span_logits(out, range(len(spans)), w_start, w_end),
+                              [status_class], spans)
             loss.backward()
 
-        run(GoldStep(status_class=STATUS_GONE, span=None))
+        run(STATUS_GONE, [])
         assert w_start.grad is None and w_end.grad is None
-        run(GoldStep(status_class=STATUS_KNOWN, span=(2, 3)))
+        run(STATUS_KNOWN, [(2, 3)])
         assert np.any(w_start.grad != 0) and np.any(w_end.grad != 0)
 
 
 class TestBatchedJointLoss:
-    GOLDS = [GoldStep(STATUS_GONE, span=(0, 1)),  # a span on a non-known row
-             GoldStep(STATUS_UNKNOWN, span=None),
-             GoldStep(STATUS_KNOWN, span=(1, 3)),
-             GoldStep(STATUS_KNOWN, span=None),  # text not in the paragraph
-             GoldStep(STATUS_KNOWN, span=(4, 4))]
-
-    def test_span_rows_are_the_known_rows_with_a_span(self):
-        assert span_rows(self.GOLDS) == [2, 4]
+    # Row 3 is known, but its text is not in the paragraph: it has no span.
+    CLASSES = [STATUS_GONE, STATUS_UNKNOWN, STATUS_KNOWN, STATUS_KNOWN,
+               STATUS_KNOWN]
+    ROWS, SPANS = [2, 4], [(1, 3), (4, 4)]
 
     def test_matches_hand_sum_over_rows(self, rng):
-        B, T = len(self.GOLDS), 6
+        B, T = len(self.CLASSES), 6
         sp = rng.dirichlet(np.ones(3), size=B)
         st, en = (rng.dirichlet(np.ones(T), size=2) for _ in range(2))
-        loss = joint_loss(logits_of(sp), logits_of(st), logits_of(en), self.GOLDS)
-        expected = sum(-math.log(sp[i, g.status_class])
-                       for i, g in enumerate(self.GOLDS))
+        loss = joint_loss(logits_of(sp), logits_of(st), logits_of(en),
+                          self.CLASSES, self.SPANS)
+        expected = sum(-math.log(sp[i, c]) for i, c in enumerate(self.CLASSES))
         expected -= math.log(st[0, 1]) + math.log(en[0, 3])
         expected -= math.log(st[1, 4]) + math.log(en[1, 4])
         assert float(loss.data) == pytest.approx(expected, abs=1e-9)
 
     def test_a_span_logit_row_per_batch_row_is_refused(self, rng):
-        B = len(self.GOLDS)
+        B = len(self.CLASSES)
         logits = [logits_of(rng.dirichlet(np.ones(n), size=B)) for n in (3, 6, 6)]
         with pytest.raises(ShapeMismatchError, match="one row per gold span, 2"):
-            joint_loss(*logits, self.GOLDS)
+            joint_loss(*logits, self.CLASSES, self.SPANS)
 
     def test_gradient_through_a_batch(self, rng):
-        out = hidden_states(rng.normal(0, 1, (len(self.GOLDS), 6, 8)))
+        out = hidden_states(rng.normal(0, 1, (len(self.CLASSES), 6, 8)))
         w_status, w_start, w_end = leaf(rng, 8, 3), leaf(rng, 8, 1), leaf(rng, 8, 1)
         check_gradients(lambda: joint_loss(status_head(cls_rows(out), w_status),
-                                           *span_logits(out, self.GOLDS,
+                                           *span_logits(out, self.ROWS,
                                                         w_start, w_end),
-                                           self.GOLDS),
+                                           self.CLASSES, self.SPANS),
                         [out, w_status, w_start, w_end])
 
 

@@ -23,11 +23,13 @@ from proctrack.data import DataError, GrammarConfig, Procedure, generate_synthet
 from proctrack.encoder import EncoderConfig, embed, encode
 from proctrack.fixtures import photosynthesis
 from proctrack.heads import (
-    STATUS_KNOWN, joint_loss, span_head, span_rows, status_head,
+    STATUS_KNOWN, joint_loss, span_head, status_class_of, status_head,
 )
 from proctrack.inference import decode_step, repair_timeline, violates_rules
 from proctrack.inputs import TimestampedInput, time_ids, timestamp
-from proctrack.model import STACK_SCORES, TrackerModel, vocab_from_procedures
+from proctrack.model import (
+    STACK_SCORES, TrackerModel, targets, vocab_from_procedures,
+)
 from proctrack.tokenizer import RESERVED, SEP, UNK, build_vocab
 from proctrack.train import status_accuracy, train_model
 
@@ -98,9 +100,10 @@ def edit_header(ckpt, edit):
     path.write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
-def unaligned(golds):
-    """Known-location steps whose text is not in the paragraph."""
-    return sum(g.status_class == STATUS_KNOWN and g.span is None for g in golds)
+def unaligned(classes, rows):
+    """Known-location steps whose text is not in the paragraph: the known rows
+    of `targets` less its span rows."""
+    return classes.count(STATUS_KNOWN) - len(rows)
 
 
 @pytest.fixture(scope="module")
@@ -138,16 +141,16 @@ class TestForward:
         assert start.sum() == pytest.approx(1.0, abs=1e-9)
         assert start.shape == (1, len(layout.tokens))
 
-    def test_gold_steps_alignment(self, model):
+    def test_targets_alignment(self, model):
         proc = photosynthesis()
         layout = model.layout_for("water", proc)
-        golds = model.gold_steps(proc, "water", layout)
-        assert len(golds) == proc.n_steps + 1
+        classes, rows, spans = targets(proc, ["water"], layout)
+        assert len(classes) == proc.n_steps + 1
         # state 0 "soil" resolves; state 1 "root" does not (text says "roots")
-        assert golds[0].status_class == STATUS_KNOWN and golds[0].span is not None
-        assert golds[1].span is None
-        assert unaligned(golds) == 1
-        s, e = golds[0].span
+        assert classes[0] == STATUS_KNOWN and rows[0] == 0
+        assert 1 not in rows
+        assert unaligned(classes, rows) == 1
+        s, e = spans[0]
         assert layout.tokens[s:e + 1] == ("soil",)
 
     def test_step_batch_is_tape_free_and_matches_single_steps(self, model, procs):
@@ -244,12 +247,15 @@ class TestBatchedLoss:
         losses = []
         for entity in proc.entities:
             layout = model.layout_for(entity, proc)
-            golds = model.gold_steps(proc, entity, layout)
-            for step, gold in enumerate(golds):
+            classes, rows, spans = targets(proc, [entity], layout)
+            span_of = dict(zip(rows, spans))
+            for step, status_class in enumerate(classes):
                 status, start, end = forward(model, layout, step)
-                n = len(span_rows([gold]))  # the span row, if gold has a span
+                span = [span_of[step]] if step in span_of else []
+                n = len(span)  # the span row, if the step has a span
                 losses.append(joint_loss(status, ad.slice_rows(start, np.s_[:n]),
-                                         ad.slice_rows(end, np.s_[:n]), [gold]))
+                                         ad.slice_rows(end, np.s_[:n]),
+                                         [status_class], span))
         return ad.mean_of(losses, len(losses))
 
     @staticmethod
@@ -258,10 +264,9 @@ class TestBatchedLoss:
         the float64 parameters themselves."""
         losses = []
         for entities, layouts in model.stacks(proc):
-            golds = [g for entity, layout in zip(entities, layouts)
-                     for g in model.gold_steps(proc, entity, layout)]
+            classes, rows, spans = targets(proc, entities, layouts[0])
             losses.append(joint_loss(*model.forward_steps(
-                layouts, model.params, rows=span_rows(golds)), golds))
+                layouts, model.params, rows=rows), classes, spans))
         return ad.mean_of(losses, len(proc.entities) * (proc.n_steps + 1))
 
     def test_matches_per_pass_oracle(self, nudged):
@@ -269,8 +274,8 @@ class TestBatchedLoss:
         assert np.any(nudged.params["ts_emb"].data != 0)
         # one taped stack of all five entities
         assert [len(e) for e, _ in nudged.stacks(proc)] == [len(proc.entities)]
-        assert {g.status_class for e in proc.entities for g in nudged.gold_steps(
-            proc, e, nudged.layout_for(e, proc))} == {0, 1, 2}
+        assert {c for entities, layouts in nudged.stacks(proc)
+                for c in targets(proc, entities, layouts[0])[0]} == {0, 1, 2}
         batched, got = self.loss_and_grads(
             nudged, lambda: self.batched_loss(nudged, proc))
         oracle, want = self.loss_and_grads(
@@ -332,24 +337,41 @@ class TestGoldSpanResolution:
                      entities=["water"],
                      grid={"water": ["the leaf", "water", "root", ""]})
 
-    def golds(self, model):
+    def spans(self, model):
+        """{row: span} of the water rows with a span, the unaligned count and
+        the paragraph's layout positions."""
         layout = model.layout_for("water", self.PROC)
-        golds = model.gold_steps(self.PROC, "water", layout)
-        return golds, unaligned(golds), layout.paragraph_pos
+        classes, rows, spans = targets(self.PROC, ["water"], layout)
+        return dict(zip(rows, spans)), unaligned(classes, rows), layout.paragraph_pos
 
     def test_first_occurrence_wins(self, model):
-        golds, _, pos = self.golds(model)
-        assert golds[0].span == (pos[4], pos[5])
+        spans, _, pos = self.spans(model)
+        assert spans[0] == (pos[4], pos[5])
 
     def test_single_token(self, model):
-        golds, _, pos = self.golds(model)
-        assert golds[1].span == (pos[1], pos[1])
+        spans, _, pos = self.spans(model)
+        assert spans[1] == (pos[1], pos[1])
 
-    def test_absent_returns_none(self, model):
-        golds, unaligned, _ = self.golds(model)
-        assert golds[2].span is None  # absent location
-        assert golds[3].span is None  # empty location
+    def test_absent_has_no_span_row(self, model):
+        spans, unaligned, _ = self.spans(model)
+        assert 2 not in spans  # absent location
+        assert 3 not in spans  # empty location
         assert unaligned == 2
+
+    def test_span_rows_are_the_known_rows_whose_text_occurs(self, model):
+        """Over a stack of several entities, rows run entity by entity, step
+        0..n; a row has a span when it is a known location whose text is in
+        the paragraph, and its span reads that text back from the layout."""
+        proc = photosynthesis()  # all three statuses; water's "root" unaligned
+        (entities, layouts), = model.stacks(proc)
+        values = [v for e in entities for v in proc.grid[e]]
+        classes, rows, spans = targets(proc, entities, layouts[0])
+        assert classes == [status_class_of(v) for v in values]
+        assert rows == [i for i, v in enumerate(values)
+                        if status_class_of(v) == STATUS_KNOWN and v != "root"]
+        assert len(rows) < classes.count(STATUS_KNOWN)
+        tokens = layouts[0].tokens
+        assert [tokens[s:e + 1] for s, e in spans] == [(values[i],) for i in rows]
 
 
 class TestPredict:
@@ -360,6 +382,14 @@ class TestPredict:
                 assert len(timelines[e]) == proc.n_steps + 1
                 for v in timelines[e]:
                     assert v == "-" or v == "?" or isinstance(v, str)
+
+    def test_a_procedure_with_no_entities_has_no_timelines(self, model):
+        """The Python API takes a procedure the loaders would reject: no
+        entities means no stacks, no threads and nothing flagged."""
+        proc = Procedure(id="x", sentences=[["a", "b", "."]], entities=[], grid={})
+        for np_filter in (True, False):
+            assert model.predict_procedure(proc, np_filter) == (
+                {}, {"flagged": 0, "rule_violations": 0})
 
     def test_repaired_predictions_satisfy_rules(self, model, procs):
         for proc in procs:
@@ -794,10 +824,9 @@ class TestOneForwardPass:
             sizes.append([len(entities) for entities, _ in stacked])
             assert [layouts for layouts, _, _ in calls] == [
                 layouts for _, layouts in stacked]
-            # each pass finishes the gold-span rows of its entities' joined golds
+            # each pass finishes the span rows of its stack's targets
             assert [rows for _, _, rows in calls] == [
-                span_rows([g for e, layout in zip(entities, layouts)
-                           for g in model.gold_steps(proc, e, layout)])
+                targets(proc, entities, layouts[0])[1]
                 for entities, layouts in stacked]
             casts = calls[0][1]  # one float32 cast per parameter, for every pass
             assert all(params is casts for _, params, _ in calls)
@@ -820,8 +849,7 @@ class TestOneForwardPass:
         proc = procs[0]
         for entity in proc.entities:  # the first with a gold span
             layout = m.layout_for(entity, proc)
-            golds = m.gold_steps(proc, entity, layout)
-            rows = span_rows(golds)
+            classes, rows, spans = targets(proc, [entity], layout)
             if rows:
                 break
         logits = m.forward_steps([layout], m.params, rows=rows)
@@ -840,7 +868,7 @@ class TestOneForwardPass:
             "slice_rows": 1 + 2, "reshape": 1 + 2}
         assert sum(tape_ops(*logits).values()) == 43
         # the loss: three cross-entropies summed by one add
-        loss_ops = tape_ops(joint_loss(*logits, golds))
+        loss_ops = tape_ops(joint_loss(*logits, classes, spans))
         assert sum(loss_ops.values()) - 43 == 4
         assert loss_ops["cross_entropy"] == 3 and loss_ops["add"] == 7 + 1
         assert 0 < len(rows) < proc.n_steps + 1
@@ -870,12 +898,11 @@ class TestNoGoldSpan:
         want, passes = 0.0, 0
         for entity in self.PROC.entities:
             layout = model.layout_for(entity, self.PROC)
-            golds = model.gold_steps(self.PROC, entity, layout)
-            assert span_rows(golds) == []
+            classes, rows, spans = targets(self.PROC, [entity], layout)
+            assert rows == spans == []
             status = full_pass(model, [layout], views(model.params))[0]
-            want += float(ad.cross_entropy(
-                Tensor(status), [g.status_class for g in golds]).data)
-            passes += len(golds)
+            want += float(ad.cross_entropy(Tensor(status), classes).data)
+            passes += len(classes)
         loss = model.procedure_loss(self.PROC)
         assert float(loss.data) == pytest.approx(want / passes, rel=1e-6, abs=0)
         loss.backward()
@@ -1285,6 +1312,21 @@ class TestTraining:
         assert len(epoch_lines) == 3
         assert all("1 gold spans not in the paragraph" in line
                    for line in epoch_lines)
+
+    def test_unaligned_spans_are_the_known_rows_without_a_span(self):
+        """The count training reports and the rows its loss leaves without a
+        span follow one rule: over every stack of the corpus, the known rows
+        of `targets` less its span rows are `unaligned_spans`."""
+        corpus = [photosynthesis(), TestNoGoldSpan.PROC,
+                  TestGoldSpanResolution.PROC, TestBatchedLoss.MIXED]
+        cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=96)
+        m = TrackerModel.fresh(vocab_from_procedures(corpus), cfg, seed=1)
+        want = sum(unaligned(*targets(proc, entities, layouts[0])[:2])
+                   for proc in corpus for entities, layouts in m.stacks(proc))
+        assert len(list(m.stacks(TestBatchedLoss.MIXED))) == 2
+        assert want == 1 + 1 + 2 + 0
+        result = train_model(m, corpus, SgdConfig(learning_rate=0.01), epochs=1)
+        assert result.unaligned_spans == want
 
     def test_training_searches_no_paragraph(self, procs, monkeypatch):
         """Gold spans come from `Procedure.occurrences`, found when each
