@@ -475,9 +475,11 @@ def mean_of(tensors, count: int) -> Tensor:
 
 @dataclass
 class SgdConfig:
-    learning_rate: float
-    decay_factor: float = 1.0
-    decay_every: int = 1
+    """The SGD schedule: `learning_rate`, times `decay_factor` every
+    `decay_every` steps. The run config takes its defaults from here."""
+    learning_rate: float = 3e-4
+    decay_factor: float = 0.5
+    decay_every: int = 50
 
     def __post_init__(self):
         rate, factor, every = self.learning_rate, self.decay_factor, self.decay_every

@@ -30,10 +30,8 @@ log = logging.getLogger("proctrack")
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
-# Each run-config key with the value a config that leaves it out gets. An
-# "sgd" object gets the values here for the keys that it leaves out.
-_DEFAULTS = {"encoder": {}, "epochs": 50, "seed": 0, "sgd": {
-    "learning_rate": 3e-4, "decay_factor": 0.5, "decay_every": 50}}
+# Each run-config key with the value a config that leaves it out gets.
+_DEFAULTS = {"encoder": {}, "epochs": 50, "seed": 0, "sgd": {}}
 
 
 class ConfigError(ValueError):
@@ -66,7 +64,7 @@ def load_run_config(path, **overrides) -> dict:
         raise ConfigError("encoder.vocab_size is set by the training corpus")
     try:
         encoder = EncoderConfig(**cfg["encoder"])
-        sgd = SgdConfig(**{**_DEFAULTS["sgd"], **cfg["sgd"]})
+        sgd = SgdConfig(**cfg["sgd"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     epochs, seed = cfg["epochs"], cfg["seed"]

@@ -392,8 +392,9 @@ def generate_synthetic(seed: int, n_procedures: int,
                 x, y = rng.sample(alive, 2)
                 z = spare.pop()
                 loc = rng.choice(LOCATION_POOL)
-                sentence = ["the", x, "and", "the", y, "combine",
-                            "into", z, "at", "the", loc, "."]
+                sentence = ["the", *question_tokens(x), "and", "the",
+                            *question_tokens(y), "combine", "into",
+                            *question_tokens(z), "at", "the", loc, "."]
                 state[x] = state[y] = "-"
                 destroyed.update((x, y))
                 entities.append(z)
@@ -402,19 +403,19 @@ def generate_synthetic(seed: int, n_procedures: int,
                 created.add(z)
             elif alive and r < COMBINE_PROB + DESTROY_PROB:
                 x = rng.choice(alive)
-                sentence = ["the", x, "is", "destroyed", "."]
+                sentence = ["the", *question_tokens(x), "is", "destroyed", "."]
                 state[x] = "-"
                 destroyed.add(x)
             elif dead_fresh and r < COMBINE_PROB + DESTROY_PROB + 0.2:
                 x = rng.choice(dead_fresh)
                 loc = rng.choice(LOCATION_POOL)
-                sentence = ["a", x, "appears", "at", "the", loc, "."]
+                sentence = ["a", *question_tokens(x), "appears", "at", "the", loc, "."]
                 state[x] = loc
                 created.add(x)
             elif alive:
                 x = rng.choice(alive)
                 loc = rng.choice([l for l in LOCATION_POOL if l != state[x]])
-                sentence = ["the", x, "moves", "to", "the", loc, "."]
+                sentence = ["the", *question_tokens(x), "moves", "to", "the", loc, "."]
                 state[x] = loc
             else:
                 sentence = ["nothing", "happens", "."]

@@ -72,29 +72,17 @@ def sentence_level(pred_tables: dict[str, list[StateChangeRow]],
 
     pred, gold = by_entity_kind(pred_tables), by_entity_kind(gold_tables)
     # Score every (process, entity, kind) that occurs on either side; pairs
-    # where neither side has the event are vacuous and excluded.
-    universe = set(pred) | set(gold)
-
-    c1_total = c1_hit = c2_total = c2_hit = c3_total = c3_hit = 0
-    for key in universe:
-        p_occ, g_occ = key in pred, key in gold
-        c1_total += 1
-        if p_occ == g_occ:
-            c1_hit += 1
-        if p_occ and g_occ:
-            p_ev, g_ev = pred[key], gold[key]
-            c2_total += 1
-            if {e.step for e in p_ev} == {e.step for e in g_ev}:
-                c2_hit += 1
-            c3_total += 1
-            if _event_tuples(p_ev) == _event_tuples(g_ev):
-                c3_hit += 1
-
-    cat1 = c1_hit / c1_total if c1_total else 1.0
-    cat2 = c2_hit / c2_total if c2_total else 1.0
-    cat3 = c3_hit / c3_total if c3_total else 1.0
-    total = c1_total + c2_total + c3_total
-    micro = (c1_hit + c2_hit + c3_hit) / total if total else 1.0
+    # where neither side has the event are vacuous and excluded. Cat1 holds
+    # where both sides have it, and only there are Cat2 and Cat3 scored.
+    universe, both = set(pred) | set(gold), set(pred) & set(gold)
+    c2_hit = sum({e.step for e in pred[k]} == {e.step for e in gold[k]}
+                 for k in both)
+    c3_hit = sum(_event_tuples(pred[k]) == _event_tuples(gold[k]) for k in both)
+    cat1 = len(both) / len(universe) if universe else 1.0
+    cat2 = c2_hit / len(both) if both else 1.0
+    cat3 = c3_hit / len(both) if both else 1.0
+    total = len(universe) + 2 * len(both)
+    micro = (len(both) + c2_hit + c3_hit) / total if total else 1.0
     return MetricsReport(cat1=cat1, cat2=cat2, cat3=cat3,
                          macro_avg=(cat1 + cat2 + cat3) / 3, micro_avg=micro)
 

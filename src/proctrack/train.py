@@ -11,8 +11,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NonFiniteGradientError, SgdConfig
 from .data import Procedure
-from .heads import status_class_of
-from .model import TrackerModel
+from .heads import STATUS_KNOWN, status_class_of
+from .model import TrackerModel, targets
 
 log = logging.getLogger(__name__)
 
@@ -21,8 +21,8 @@ log = logging.getLogger(__name__)
 class TrainResult:
     epoch_losses: list = field(default_factory=list)
     steps: int = 0
-    # Gold known-location steps left out of the span loss because their
-    # text is not in the paragraph, counted once over the corpus.
+    # Gold known-location rows of the stacks' `targets` with no span, as
+    # their text is not in the paragraph, counted once over the corpus.
     unaligned_spans: int = 0
 
 
@@ -51,18 +51,20 @@ def train_model(model: TrackerModel, procs: list[Procedure], sgd: SgdConfig,
 
     `freeze_timestamps` zeroes the time-id table and drops its gradient
     before each step (the step-blind ablation), leaving `requires_grad` as
-    it was. `stop_fn(model, epoch)` may end training early.
+    it was. `stop_fn(model, epoch)` may end training early. A query longer
+    than the model's `max_len` raises ValueError before anything changes.
     """
     if not procs:
         raise ValueError("no procedures to train on")
     if eval_every < 0:
         raise ValueError(f"eval_every must be >= 0, got {eval_every}")
+    result = TrainResult(unaligned_spans=sum(
+        classes.count(STATUS_KNOWN) - len(rows)
+        for p in procs for entities, layouts in model.stacks(p)
+        for classes, rows, _ in [targets(p, entities, layouts[0])]))
     if freeze_timestamps:
         model.params["ts_emb"].data[:] = 0.0
     rng = np.random.default_rng(seed)
-    result = TrainResult(unaligned_spans=sum(
-        not p.occurrences[v] for p in procs for e in p.entities
-        for v in p.grid[e] if v in p.occurrences))
     for epoch in range(epochs):
         epoch_losses = []
         for proc in procs:

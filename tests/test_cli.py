@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from proctrack.autodiff import Tensor, read_checkpoint, save_checkpoint
+from proctrack.autodiff import SgdConfig, Tensor, read_checkpoint, save_checkpoint
 from proctrack.cli import (
     EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, ConfigError, gold_tables,
     load_run_config, main,
@@ -70,6 +70,12 @@ class TestRunConfig:
         assert cfg["sgd"].learning_rate == pytest.approx(3e-4)
         assert cfg["sgd"].effective_lr(120) == pytest.approx(3e-4 * 0.25)
         assert load_run_config(None) == cfg  # `train` without --config
+
+    def test_sgd_defaults_are_sgd_configs(self):
+        """`SgdConfig()` is the schedule `train` runs with no config, so a
+        learning rate set in Python halves as the CLI's does."""
+        assert SgdConfig() == load_run_config(None)["sgd"]
+        assert SgdConfig(learning_rate=0.1).effective_lr(50) == 0.05
 
     def test_partial_sgd_object_keeps_the_other_defaults(self, tmp_path):
         """Writing out the default learning rate leaves the decay on."""

@@ -4,11 +4,13 @@ import re
 import pytest
 
 from proctrack.data import (
-    DataError, GrammarConfig, Procedure, generate_synthetic, load_grid_tsv,
-    load_procedures, save_grid_tsv, save_procedures,
+    DataError, GrammarConfig, Procedure, find_token_occurrences,
+    generate_synthetic, load_grid_tsv, load_procedures, save_grid_tsv,
+    save_procedures,
 )
 from proctrack.fixtures import photosynthesis
 from proctrack.inference import violates_rules
+from proctrack.inputs import question_tokens
 
 
 class TestFixture:
@@ -376,6 +378,24 @@ class TestSyntheticGenerator:
                 for v in tl:
                     if v not in ("-", "?"):
                         assert v in para
+
+    def test_two_word_names_are_written_as_tokens(self, tmp_path):
+        """A name of two words goes into a sentence as its question tokens,
+        so the corpus saves and loads, and each step that changes an entity
+        names it verbatim, as its query does."""
+        pool = ("carbon dioxide", "sea salt", "dry ice", "water", "sand")
+        procs = generate_synthetic(1, 10, GrammarConfig(entity_pool=pool))
+        assert any(" " in e for p in procs for e in p.entities)
+        path = tmp_path / "two_words.json"
+        save_procedures(procs, path)
+        loaded = load_procedures(path)
+        assert [(p.sentences, p.grid) for p in loaded] == \
+            [(p.sentences, p.grid) for p in procs]
+        for p in loaded:
+            for e in p.entities:
+                for step, sentence in enumerate(p.sentences, 1):
+                    if p.grid[e][step] != p.grid[e][step - 1]:
+                        assert find_token_occurrences(question_tokens(e), sentence)
 
     def test_grids_satisfy_consistency_rules(self):
         for p in generate_synthetic(21, 50):

@@ -14,7 +14,7 @@ is a git checkout), `protocol`, `summary` and `runs`. `summary` gives, per
 workload and metric, each side's quartiles and in how many pairs the change
 read better, for the end-to-end metrics of BENCHMARK.json and their unscaled
 `wall.*` forms. Each entry of `runs` holds the result line the benchmark
-printed and the report's `wall.*` metrics. The file is written again after
+printed, the bits the run gave and the report's `wall.*` metrics. The file is written again after
 every pair, so a stopped run keeps the pairs it finished. Exits 1 if any run
 failed.
 """
@@ -31,8 +31,10 @@ SIDES = ("parent", "change")
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run from `tree`: its result line and its report's
-    `wall.*` metrics, or its exit code and the end of its stderr."""
+    """One benchmark run from `tree`: its result line, its report's `wall.*`
+    metrics and the bits it gave (a predict workload's `tsv_sha256`, the
+    train workload's `train.final_loss`), or its exit code and the end of
+    its stderr."""
     run = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -41,8 +43,12 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if run.returncode != 0 or len(lines) < 2:
         return {"exit": run.returncode, "stderr": run.stderr[-2000:]}
     report = json.loads(lines[-2])["report"]
-    return {"result": json.loads(lines[-1]),
-            "wall": {k: v["value"] for k, v in report["metrics"].items()
+    metrics = report["metrics"]
+    bits = ({"train.final_loss": metrics["train.final_loss"]["value"]}
+            if "train.final_loss" in metrics
+            else {"tsv_sha256": report["tsv_sha256"]})
+    return {"result": json.loads(lines[-1]), "bits": bits,
+            "wall": {k: v["value"] for k, v in metrics.items()
                      if k.startswith("wall.")}}
 
 
@@ -112,7 +118,8 @@ def main(argv=None) -> int:
             f"{len(os.sched_getaffinity(0))}-CPU host, BLAS held to one thread "
             f"by the benchmark. {args.pairs} pairs of {seconds} s runs on each "
             f"workload, at seed {args.seed}. Each entry of runs holds the "
-            f"result line the benchmark printed and the report's unscaled "
+            f"result line the benchmark printed, the bits the run gave "
+            f"(tsv_sha256 or train.final_loss) and the report's unscaled "
             f"wall.* metrics."),
         "summary": {},
         "runs": [],
