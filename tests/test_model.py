@@ -1328,6 +1328,22 @@ class TestTraining:
         result = train_model(m, corpus, SgdConfig(learning_rate=0.01), epochs=1)
         assert result.unaligned_spans == want
 
+    def test_too_long_query_raises_before_the_first_step(self):
+        """Counting `unaligned_spans` builds every query of the corpus first,
+        so a query over `max_len` in a later procedure raises before any
+        step, and the parameters stay as they were."""
+        first = photosynthesis()
+        later = Procedure(id="later", sentences=first.sentences * 2,
+                          entities=["water"],
+                          grid={"water": first.grid["water"] + ["-"] * 5})
+        cfg = EncoderConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=64)
+        m = TrackerModel.fresh(vocab_from_procedures([first, later]), cfg, seed=1)
+        list(m.stacks(first))  # every query of the first procedure fits
+        before = {k: t.data.copy() for k, t in m.params.items()}
+        with pytest.raises(ValueError, match="'water' has .* tokens"):
+            train_model(m, [first, later], SgdConfig(learning_rate=0.1), epochs=1)
+        assert all(np.array_equal(t.data, before[k]) for k, t in m.params.items())
+
     def test_training_searches_no_paragraph(self, procs, monkeypatch):
         """Gold spans come from `Procedure.occurrences`, found when each
         procedure was built; training never searches a paragraph itself."""

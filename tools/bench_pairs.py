@@ -14,9 +14,9 @@ is a git checkout), `protocol`, `summary` and `runs`. `summary` gives, per
 workload and metric, each side's quartiles and in how many pairs the change
 read better, for the end-to-end metrics of BENCHMARK.json and their unscaled
 `wall.*` forms. Each entry of `runs` holds the result line the benchmark
-printed, the bits the run gave and the report's `wall.*` metrics. The file is written again after
-every pair, so a stopped run keeps the pairs it finished. Exits 1 if any run
-failed.
+printed, the bits the run gave and the report's `wall.*` metrics. The file
+is written again after every pair, so a stopped run keeps the pairs it
+finished. Exits 1 if any run failed.
 """
 
 import argparse
